@@ -44,6 +44,7 @@ from .homology import (
 from .localequiv import RepResult, compare, standard_rep
 from .localmaps import (
     LocalMapWitness,
+    Prepared,
     brute_force_local_map,
     exists_local_map,
     exists_short_local_map,

@@ -17,7 +17,7 @@ from typing import Mapping, Union
 
 from . import parsing
 from .algebra import tensor_many
-from .errors import NotCoprimeError, NotStaircaseError, ParseError
+from .errors import NotCoprimeError, NotStaircaseError, ParseError, VerificationFailedError
 from .localequiv import RepResult, standard_rep
 from .standard import Params, build_standard, negate, phi
 
@@ -198,7 +198,8 @@ def torus_delta(p: int, q: int) -> LaurentPoly:
     num = cyc(p * q) * cyc(1)
     den = cyc(p) * cyc(q)
     out = _exact_div(num, den)
-    assert out.coeffs.get(0) == 1 and out.degree() == (p - 1) * (q - 1)
+    if out.coeffs.get(0) != 1 or out.degree() != (p - 1) * (q - 1):
+        raise VerificationFailedError(f"torus_delta({p}, {q}) = {out} has the wrong shape")
     return out
 
 
@@ -262,7 +263,8 @@ def staircase_params(delta: LaurentPoly) -> Params:
 def lspace_phi(delta: LaurentPoly) -> dict[int, int]:
     """phi of an L-space knot: phi_j counts the gaps c_i equal to j."""
     out = phi(staircase_params(delta))
-    assert all(v >= 0 for v in out.values())
+    if any(v < 0 for v in out.values()):
+        raise VerificationFailedError(f"L-space phi {out} has a negative count")
     return out
 
 

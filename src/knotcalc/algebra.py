@@ -154,22 +154,39 @@ def _check_degree(src: Generator, tgt: Generator, m: Monomial) -> None:
         raise DegreeViolationError(src.name, tgt.name, f"gr({m}) + gr(tgt) = {have}, need {want}")
 
 
+def xor_term(acc: dict, key, value) -> None:
+    """Add *value* at *key* over F2: two terms at one key cancel.
+
+    Gradings force colliding terms to be equal, so the values are not compared.
+    """
+    if key in acc:
+        del acc[key]
+    else:
+        acc[key] = value
+
+
+def apply_map(
+    f: dict[int, dict[int, Monomial]], elem: dict[int, Monomial], kind: Optional[str] = None
+) -> dict[int, Monomial]:
+    """Image of the element sum(coeff * x_s) under the R-linear map f.
+
+    f maps a source index to {target index: Monomial}, like Complex.diff.
+    With *kind* given, only arrows of f with that monomial kind are used.
+    """
+    out: dict[int, Monomial] = {}
+    for s, coeff in elem.items():
+        for t, m in f.get(s, {}).items():
+            if kind and m.kind != kind:
+                continue
+            p = mono_mul(coeff, m)
+            if p is not None:
+                xor_term(out, t, p)
+    return out
+
+
 def _check_d_squared(c: Complex) -> None:
-    for s in range(len(c.gens)):
-        acc: dict[int, Monomial] = {}
-        for t, m1 in c.diff.get(s, {}).items():
-            for u, m2 in c.diff.get(t, {}).items():
-                p = mono_mul(m1, m2)
-                if p is None:
-                    continue
-                if u in acc:
-                    if acc[u] != p:
-                        # cannot happen for homogeneous data
-                        raise DSquaredNonzeroError(c.gens[s].name)
-                    del acc[u]
-                else:
-                    acc[u] = p
-        if acc:
+    for s in sorted(c.diff):
+        if apply_map(c.diff, c.diff[s]):
             raise DSquaredNonzeroError(c.gens[s].name)
 
 
@@ -273,12 +290,8 @@ def reduce(c: Complex) -> Complex:
                 if b in (x, a):
                     continue
                 p = mono_mul(coeff, mb)
-                if p is None:
-                    continue
-                if b in row:
-                    del row[b]
-                else:
-                    row[b] = p
+                if p is not None:
+                    xor_term(row, b, p)
             del row[a]
             if not row:
                 del diff[y]

@@ -28,19 +28,14 @@ from typing import Optional, Sequence
 from . import algebra, alexander, localequiv, parsing, standard
 from .errors import KnotCalcError
 
-# re-exported parser entry points
-parse_complex_file = parsing.parse_complex_file
-parse_knot_expr = parsing.parse_knot_expr
-serialize_complex = parsing.serialize_complex
-
 
 def _load(path: str) -> algebra.Complex:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_complex_file(fh.read())
+        return parsing.parse_complex_file(fh.read())
 
 
 def _emit(c: algebra.Complex, out: Optional[str]) -> None:
-    text = serialize_complex(c)
+    text = parsing.serialize_complex(c)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

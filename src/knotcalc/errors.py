@@ -70,7 +70,7 @@ class LengthCapExceededError(KnotCalcError):
 
 
 class VerificationFailedError(KnotCalcError):
-    """Internal error: a computed representative failed its two-sided witness check."""
+    """Internal error: a computed result failed its certificate or invariant check."""
 
 
 class NotCoprimeError(KnotCalcError):
@@ -93,6 +93,8 @@ class ParseError(KnotCalcError):
         loc = ""
         if line is not None:
             loc = f" at line {line}" + (f", column {column}" if column is not None else "")
+        elif column is not None:
+            loc = f" at column {column}"
         super().__init__(message + loc)
         self.line = line
         self.column = column

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import gf2
-from .algebra import Bigrading, Complex, validate
-from .errors import MultipleTowersError, NotKnotLikeError, NotReducedError
+from .algebra import Bigrading, Complex, Generator, xor_term
+from .errors import MultipleTowersError, NotReducedError, VerificationFailedError
 
 MOD_U = "mod_u"  # work in C/U with the V-differential
 MOD_V = "mod_v"  # work in C/V with the U-differential
@@ -70,14 +70,6 @@ class TowerReport:
         return tuple(eta for _, _, eta in self.torsion_pairs)
 
 
-def _xor_term(d: dict[int, int], key: int, exp: int) -> None:
-    if key in d:
-        assert d[key] == exp, "grading forces equal exponents on collision"
-        del d[key]
-    else:
-        d[key] = exp
-
-
 def _side_differential(c: Complex, side: str) -> dict[int, dict[int, int]]:
     kind = "V" if side == MOD_U else "U"
     d: dict[int, dict[int, int]] = {}
@@ -104,31 +96,20 @@ class _Reduction:
             for j, e in row.items():
                 self.cols.setdefault(j, {})[i] = e
 
-    def _set(self, i: int, j: int, exp: Optional[int]) -> None:
-        if exp is None:
-            self.rows.get(i, {}).pop(j, None)
-            self.cols.get(j, {}).pop(i, None)
-        else:
-            self.rows.setdefault(i, {})[j] = exp
-            self.cols.setdefault(j, {})[i] = exp
-
     def _xor_entry(self, i: int, j: int, exp: int) -> None:
-        cur = self.rows.get(i, {}).get(j)
-        if cur is not None:
-            assert cur == exp, "grading forces equal exponents on collision"
-            self._set(i, j, None)
-        else:
-            self._set(i, j, exp)
+        xor_term(self.rows.setdefault(i, {}), j, exp)
+        xor_term(self.cols.setdefault(j, {}), i, exp)
 
     def add_multiple(self, p: int, q: int, delta: int) -> None:
         """Basis change b_p += v^delta * b_q (valid when gradings agree)."""
-        assert p != q and delta >= 0
+        if p == q or delta < 0:
+            raise VerificationFailedError(f"bad basis change b_{p} += v^{delta} b_{q}")
         for g, e in self.basis[q].items():
-            _xor_term(self.basis[p], g, e + delta)
+            xor_term(self.basis[p], g, e + delta)
         # substitution b_p = b_p' + v^delta b_q in the inverse expressions
         for expr in self.inverse:
             if p in expr:
-                _xor_term(expr, q, expr[p] + delta)
+                xor_term(expr, q, expr[p] + delta)
         # row_p += v^delta row_q
         for j, e in list(self.rows.get(q, {}).items()):
             self._xor_entry(p, j, e + delta)
@@ -156,10 +137,9 @@ class _Reduction:
             for j in sorted(self.rows.get(i0, {})):
                 if j != j0:
                     self.add_multiple(j0, j, self.rows[i0][j] - eta)
-            assert self.rows.get(i0) == {j0: eta}
-            assert self.cols.get(j0) == {i0: eta}
-            assert not self.cols.get(i0), "nothing may map to a pair source"
-            assert not self.rows.get(j0), "a pair target must be a cycle"
+            if (self.rows.get(i0) != {j0: eta} or self.cols.get(j0) != {i0: eta}
+                    or self.cols.get(i0) or self.rows.get(j0)):
+                raise VerificationFailedError(f"pivot ({i0}, {j0}) is not an isolated pair")
             pairs.append((i0, j0, eta))
             active.discard(i0)
             active.discard(j0)
@@ -189,8 +169,10 @@ def simplify(c: Complex, side: str) -> TowerReport:
     red = _Reduction(c, side)
     pairs, isolated = red.sweep()
     n = len(c.gens)
-    assert 2 * len(pairs) + len(isolated) == n
-    assert _invertible_mod_variable(red.basis, n), "basis change lost rank"
+    if 2 * len(pairs) + len(isolated) != n:
+        raise VerificationFailedError("the sweep lost generators")
+    if not _invertible_mod_variable(red.basis, n):
+        raise VerificationFailedError("basis change lost rank")
     if len(isolated) != 1:
         raise MultipleTowersError(len(isolated), side)
     w = isolated[0]
@@ -251,23 +233,17 @@ def check_knot_like(c: Complex, allow_shift: bool = False) -> KnotLikeReport:
 
 def apply_shift(c: Complex, shift: tuple[int, int]) -> Complex:
     """Return the complex with every grading moved by the given global shift."""
-    su, sv = shift
-    if (su, sv) == (0, 0):
+    if tuple(shift) == (0, 0):
         return c
-    return validate(
-        [(g.name, (g.grading.gru + su, g.grading.grv + sv)) for g in c.gens],
-        [(c.gens[s].name, [(m, c.gens[t].name) for t, m in sorted(row.items())])
-         for s, row in sorted(c.diff.items())],
-    )
+    return Complex(tuple(Generator(g.name, g.grading + shift) for g in c.gens), c.diff)
 
 
 def normalize(c: Complex) -> Complex:
     """Shift gradings so both towers sit at grading zero; NotKnotLikeError if
     the complex is not knot-like."""
-    report = check_knot_like(c, allow_shift=True)
-    if not report.is_knot_like:
-        raise NotKnotLikeError(report.reasons)
-    return apply_shift(c, report.applied_shift)
+    from .localmaps import prepare_target  # localmaps builds on this module
+
+    return prepare_target(c).c
 
 
 def torsion_bounds(c: Complex) -> tuple[int, int]:

@@ -18,16 +18,18 @@ the end by local maps in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .algebra import Complex, reduce
 from .errors import LengthCapExceededError, VerificationFailedError
 from .localmaps import (
     LocalMapWitness,
-    _short_against,
-    _solve,
+    Prepared,
+    map_between,
+    map_from_standard,
     prepare_target,
+    short_map,
 )
 from .standard import EQ, GT, LT, Params, build_standard, lex_cmp
 
@@ -40,16 +42,15 @@ class PositionTrace(NamedTuple):
 
 @dataclass(frozen=True)
 class RepResult:
-    """Standard representative parameters plus the certifying local maps."""
+    """Standard representative parameters plus the certifying local maps.
+
+    prepared is the reduced, normalized input the maps were solved against.
+    """
 
     params: Params
     witnesses: tuple[LocalMapWitness, LocalMapWitness]
     trace: tuple[PositionTrace, ...]
-
-
-def _full_map_to(params: Params, tgt) -> Optional[LocalMapWitness]:
-    dom = build_standard(params)
-    return _solve(dom, tgt, {0: 0}, relaxed=None)
+    prepared: Prepared = field(repr=False, compare=False)
 
 
 def standard_rep(c: Complex) -> RepResult:
@@ -76,7 +77,7 @@ def standard_rep(c: Complex) -> RepResult:
         accepted: Optional[int] = None
 
         for b in range(1, bound + 1):
-            ok = _short_against((*params, b), tgt) is not None
+            ok = short_map((*params, b), tgt) is not None
             tested.append((b, ok))
             if ok:
                 accepted = b
@@ -84,13 +85,13 @@ def standard_rep(c: Complex) -> RepResult:
 
         stop = False
         if accepted is None and k % 2 == 0:
-            ok = _full_map_to(tuple(params), tgt) is not None
+            ok = map_from_standard(tuple(params), tgt) is not None
             tested.append((0, ok))
             stop = ok
 
         if accepted is None and not stop:
             for b in range(-bound, 0):
-                ok = _short_against((*params, b), tgt) is not None
+                ok = short_map((*params, b), tgt) is not None
                 tested.append((b, ok))
                 if ok:
                     accepted = b
@@ -112,12 +113,12 @@ def standard_rep(c: Complex) -> RepResult:
             )
 
     rep = tuple(params)
-    s = build_standard(rep)
-    forward = _solve(s, tgt, {0: 0}, relaxed=None)
-    backward = _solve(tgt.c, prepare_target(s), dict(tgt.report_u.tower_generator), relaxed=None)
+    s = prepare_target(build_standard(rep))
+    forward = map_between(s, tgt)
+    backward = map_between(tgt, s)
     if forward is None or backward is None:
         raise VerificationFailedError(f"representative {rep} failed certification")
-    return RepResult(params=rep, witnesses=(forward, backward), trace=tuple(trace))
+    return RepResult(params=rep, witnesses=(forward, backward), trace=tuple(trace), prepared=tgt)
 
 
 def compare(c1: Complex, c2: Complex, cross_check: bool = False) -> int:
@@ -130,10 +131,8 @@ def compare(c1: Complex, c2: Complex, cross_check: bool = False) -> int:
     r2 = standard_rep(c2)
     result = lex_cmp(r1.params, r2.params)
     if cross_check:
-        t1 = prepare_target(reduce(c1))
-        t2 = prepare_target(reduce(c2))
-        fwd = _solve(t1.c, t2, dict(t1.report_u.tower_generator), relaxed=None) is not None
-        bwd = _solve(t2.c, t1, dict(t2.report_u.tower_generator), relaxed=None) is not None
+        fwd = map_between(r1.prepared, r2.prepared) is not None
+        bwd = map_between(r2.prepared, r1.prepared) is not None
         direct = {(True, True): EQ, (True, False): LT, (False, True): GT}.get((fwd, bwd))
         if direct != result:
             raise VerificationFailedError(

@@ -24,15 +24,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import gf2
-from .algebra import Bigrading, Complex, Monomial, mono_for_grading, mono_mul
-from .errors import BudgetExceededError, NotKnotLikeError, NotReducedError
-from .homology import (
-    MOD_U,
-    TowerReport,
-    apply_shift,
-    check_knot_like,
-    element_grading,
-)
+from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map, mono_for_grading, mono_mul
+from .errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
+from .homology import MOD_U, TowerReport, apply_shift, check_knot_like, element_grading
 from .standard import build_standard
 
 Slot = tuple[int, int, Monomial]  # (source index, target index, monomial)
@@ -58,8 +52,11 @@ class LocalMapWitness:
 
 
 @dataclass(frozen=True)
-class _Target:
-    """Precomputed data about a normalized knot-like target complex."""
+class Prepared:
+    """A normalized knot-like complex with its tower data.
+
+    The same value serves as the source or the target of a local map.
+    """
 
     c: Complex
     report_u: TowerReport
@@ -68,11 +65,18 @@ class _Target:
     etas_u: tuple[int, ...]  # U-arrow torsion orders (from the mod-V report)
     etas_v: tuple[int, ...]  # V-arrow torsion orders (from the mod-U report)
 
+    @property
+    def tower(self) -> dict[int, int]:
+        """The mod-U tower element: generator index -> V-exponent."""
+        return dict(self.report_u.tower_generator)
 
-def prepare_target(c: Complex) -> _Target:
-    """Normalize *c* and precompute the tower data used by the solver."""
-    if not c.is_reduced:
-        raise NotReducedError("local map solving requires reduced complexes")
+
+def prepare_target(c: Complex) -> Prepared:
+    """Normalize *c* and precompute its tower data, for either side of a map.
+
+    Raises NotReducedError on a non-reduced complex and NotKnotLikeError
+    when the tower conditions fail.
+    """
     report = check_knot_like(c, allow_shift=True)
     if not report.is_knot_like:
         raise NotKnotLikeError(report.reasons)
@@ -84,7 +88,7 @@ def prepare_target(c: Complex) -> _Target:
             if idx == mod_u.tower_index and exp == 0:
                 tower_unit[g] = 1
     q = mod_u.tower_top_grading.grv + report.applied_shift[1]
-    return _Target(
+    return Prepared(
         c=cn,
         report_u=mod_u,
         q=q,
@@ -94,24 +98,26 @@ def prepare_target(c: Complex) -> _Target:
     )
 
 
-def _slots(dom: Complex, tgt: Complex, v_shift: int) -> list[Slot]:
+def _slots(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> tuple[int, list[Slot]]:
+    """The V-shift pinned by tower-top alignment, and the grading-feasible slots."""
+    v_shift = tgt.q - element_grading(dom, MOD_U, dom_tower).grv
     by_grading = sorted(
-        range(len(tgt.gens)), key=lambda t: (tuple(tgt.gens[t].grading), t)
+        range(len(tgt.c.gens)), key=lambda t: (tuple(tgt.c.gens[t].grading), t)
     )
     out: list[Slot] = []
     for s in range(len(dom.gens)):
         want = dom.gens[s].grading + Bigrading(0, v_shift)
         for t in by_grading:
-            m = mono_for_grading(want - tgt.gens[t].grading)
+            m = mono_for_grading(want - tgt.c.gens[t].grading)
             if m is not None:
                 out.append((s, t, m))
-    return out
+    return v_shift, out
 
 
 def _solve(
     dom: Complex,
-    tgt: _Target,
     dom_tower: dict[int, int],
+    tgt: Prepared,
     relaxed: Optional[tuple[int, str]],
 ) -> Optional[LocalMapWitness]:
     """Build and solve the linear system for a (short) local map dom -> tgt.
@@ -120,9 +126,7 @@ def _solve(
     V-exponent).  relaxed, when given, is (generator index, kind): only the
     chain condition in direction *kind* is imposed at that generator.
     """
-    q_dom = element_grading(dom, MOD_U, dom_tower).grv
-    v_shift = tgt.q - q_dom
-    slots = _slots(dom, tgt.c, v_shift)
+    v_shift, slots = _slots(dom, dom_tower, tgt)
     by_source: dict[int, list[tuple[int, int, Monomial]]] = {}
     for i, (s, t, m) in enumerate(slots):
         by_source.setdefault(s, []).append((t, i, m))
@@ -165,7 +169,8 @@ def _solve(
     if solution is None:
         return None
     witness = _witness_from_mask(dom, tgt.c, slots, solution, v_shift)
-    assert _check_witness(dom, tgt, dom_tower, relaxed, witness), "solver produced a bad witness"
+    if not _check_witness(dom, dom_tower, tgt, relaxed, witness):
+        raise VerificationFailedError("solver produced a bad witness")
     return witness
 
 
@@ -186,46 +191,10 @@ def _witness_from_mask(
 # Definition-level checking (shared by the oracle and witness verification)
 
 
-def _apply_f(
-    f: dict[int, dict[int, Monomial]], elem: dict[int, Monomial]
-) -> dict[int, Monomial]:
-    out: dict[int, Monomial] = {}
-    for s, coeff in elem.items():
-        for t, m in f.get(s, {}).items():
-            p = mono_mul(coeff, m)
-            if p is None:
-                continue
-            if t in out:
-                assert out[t] == p
-                del out[t]
-            else:
-                out[t] = p
-    return out
-
-
-def _apply_diff(
-    c: Complex, elem: dict[int, Monomial], kind: Optional[str] = None
-) -> dict[int, Monomial]:
-    out: dict[int, Monomial] = {}
-    for t, coeff in elem.items():
-        for u, d in c.diff.get(t, {}).items():
-            if kind and d.kind != kind:
-                continue
-            p = mono_mul(coeff, d)
-            if p is None:
-                continue
-            if u in out:
-                assert out[u] == p
-                del out[u]
-            else:
-                out[u] = p
-    return out
-
-
 def _check_witness(
     dom: Complex,
-    tgt: _Target,
     dom_tower: dict[int, int],
+    tgt: Prepared,
     relaxed: Optional[tuple[int, str]],
     witness: LocalMapWitness,
 ) -> bool:
@@ -243,11 +212,8 @@ def _check_witness(
 
     for s in range(len(dom.gens)):
         kind = relaxed[1] if relaxed and relaxed[0] == s else None
-        lhs = _apply_diff(tgt.c, f.get(s, {}), kind)
-        ds = {
-            t: m for t, m in dom.diff.get(s, {}).items() if kind is None or m.kind == kind
-        }
-        rhs = _apply_f(f, ds)
+        lhs = apply_map(tgt.c.diff, f.get(s, {}), kind)  # d f(s)
+        rhs = apply_map(f, apply_map(dom.diff, {s: UNIT}, kind))  # f(d s)
         if lhs != rhs:
             return False
 
@@ -279,14 +245,27 @@ def _check_witness(
 # Public interface
 
 
-def _prepare_source(s: Complex) -> tuple[Complex, dict[int, int]]:
-    """Normalize a source complex and locate its mod-U tower element."""
-    if not s.is_reduced:
-        raise NotReducedError("source complex is not reduced")
-    report = check_knot_like(s, allow_shift=True)
-    if not report.is_knot_like:
-        raise NotKnotLikeError(report.reasons)
-    return apply_shift(s, report.applied_shift), dict(report.mod_u.tower_generator)
+def map_between(src: Prepared, tgt: Prepared) -> Optional[LocalMapWitness]:
+    """Witness for a local map src -> tgt between prepared complexes, or None."""
+    return _solve(src.c, src.tower, tgt, relaxed=None)
+
+
+def map_from_standard(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]:
+    """Witness for a local map C(params) -> tgt, or None (params of even length)."""
+    return _solve(build_standard(params), {0: 0}, tgt, relaxed=None)
+
+
+def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]:
+    """Witness for a short local map C(params) ~> tgt, or None.
+
+    The domain is the truncated standard complex of the parameters, built
+    with its grading anchored at x_0; the chain condition is imposed at
+    x_0 .. x_{n-1} and only its V-part (even length) or U-part (odd length)
+    at the final generator.  The tower condition is imposed at x_0.
+    """
+    p = tuple(params)
+    n = len(p)
+    return _solve(build_standard(p, v_anchor=0), {0: 0}, tgt, (n, "V" if n % 2 == 0 else "U"))
 
 
 def exists_local_map(s: Complex, c: Complex) -> Optional[LocalMapWitness]:
@@ -296,43 +275,26 @@ def exists_local_map(s: Complex, c: Complex) -> Optional[LocalMapWitness]:
     internally (the inputs are never modified).
     """
     tgt = prepare_target(c)
-    dom, dom_tower = _prepare_source(s)
-    return _solve(dom, tgt, dom_tower, relaxed=None)
+    return map_between(prepare_target(s), tgt)
 
 
 def exists_short_local_map(params: Sequence[int], c: Complex) -> Optional[LocalMapWitness]:
-    """Witness for a short local map C(params) ~> C, or None.
-
-    The domain is the truncated standard complex of the parameters, built
-    with its grading anchored at x_0; the chain condition is imposed at
-    x_0 .. x_{n-1} and only its V-part (even length) or U-part (odd length)
-    at the final generator.  The tower condition is imposed at x_0.
-    """
-    tgt = prepare_target(c)
-    return _short_against(params, tgt)
-
-
-def _short_against(params: Sequence[int], tgt: _Target) -> Optional[LocalMapWitness]:
-    p = tuple(params)
-    dom = build_standard(p, v_anchor=0)
-    n = len(p)
-    relaxed = (n, "V" if n % 2 == 0 else "U")
-    return _solve(dom, tgt, {0: 0}, relaxed)
+    """Witness for a short local map C(params) ~> C, or None (see short_map)."""
+    return short_map(params, prepare_target(c))
 
 
 def verify_local_map(s: Complex, c: Complex, witness: LocalMapWitness) -> bool:
     """Re-check a full local-map witness against the definition."""
     tgt = prepare_target(c)
-    dom, dom_tower = _prepare_source(s)
-    return _check_witness(dom, tgt, dom_tower, None, witness)
+    src = prepare_target(s)
+    return _check_witness(src.c, src.tower, tgt, None, witness)
 
 
 def count_unknowns(s: Complex, c: Complex) -> int:
     """Number of free bits the solver would use for exists_local_map(s, c)."""
     tgt = prepare_target(c)
-    dom, dom_tower = _prepare_source(s)
-    q_dom = element_grading(dom, MOD_U, dom_tower).grv
-    return len(_slots(dom, tgt.c, tgt.q - q_dom))
+    src = prepare_target(s)
+    return len(_slots(src.c, src.tower, tgt)[1])
 
 
 def brute_force_local_map(
@@ -345,14 +307,12 @@ def brute_force_local_map(
     than *budget*.
     """
     tgt = prepare_target(c)
-    dom, dom_tower = _prepare_source(s)
-    q_dom = element_grading(dom, MOD_U, dom_tower).grv
-    v_shift = tgt.q - q_dom
-    slots = _slots(dom, tgt.c, v_shift)
+    src = prepare_target(s)
+    v_shift, slots = _slots(src.c, src.tower, tgt)
     if len(slots) > budget:
         raise BudgetExceededError(len(slots), budget)
     for mask in range(1 << len(slots)):
-        witness = _witness_from_mask(dom, tgt.c, slots, mask, v_shift)
-        if _check_witness(dom, tgt, dom_tower, None, witness):
+        witness = _witness_from_mask(src.c, tgt.c, slots, mask, v_shift)
+        if _check_witness(src.c, src.tower, tgt, None, witness):
             return witness
     return None

@@ -112,17 +112,12 @@ def phi(params: Sequence[int]) -> dict[int, int]:
 
 
 def P_of(params: Sequence[int]) -> int:
-    """The U-grading of a U-tower generator.
+    """The U-grading of a U-tower generator, gr_U(x_n) of the standard complex.
 
-    Computed by the closed formula -2 sum j*phi_j + sum sgn(a_i) and checked
-    against gr_U(x_n) of the built complex.
+    Computed by the closed formula -2 sum j*phi_j + sum sgn(a_i).
     """
     p = check_params(params, even=True)
-    value = -2 * sum(j * v for j, v in phi(p).items()) + sum(1 if a > 0 else -1 for a in p)
-    built = build_standard(p)
-    gr_last = built.gens[len(p)].grading.gru
-    assert value == gr_last, f"P formula {value} != gr_U(x_n) {gr_last}"
-    return value
+    return -2 * sum(j * v for j, v in phi(p).items()) + sum(1 if a > 0 else -1 for a in p)
 
 
 def tau_of(params: Sequence[int]) -> int:

@@ -23,6 +23,8 @@ from knotcalc.errors import (
     DuplicateGeneratorError,
     UnknownGeneratorError,
 )
+from knotcalc.homology import apply_shift
+from knotcalc.parsing import serialize_complex
 from knotcalc.standard import build_standard
 
 
@@ -246,3 +248,6 @@ def test_operations_revalidate(p):
     revalidate(reduce(c))
     revalidate(dual(c))
     revalidate(tensor(c, c))
+    shifted = apply_shift(c, (2, -4))
+    revalidate(shifted)
+    assert serialize_complex(apply_shift(shifted, (-2, 4))) == serialize_complex(c)

@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from conftest import box, direct_sum
+from knotcalc import localmaps
 from knotcalc.algebra import dual, reduce, tensor, unit_complex
-from knotcalc.errors import BudgetExceededError, NotKnotLikeError
+from knotcalc.errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
 from knotcalc.localmaps import (
     brute_force_local_map,
     count_unknowns,
@@ -149,6 +150,13 @@ def test_witness_verification_rejects_tampering():
         v_shift=w.v_shift,
     )
     assert not verify_local_map(s, c, broken)
+
+
+def test_bad_solver_witness_raises(monkeypatch):
+    # the certificate check must not vanish under python -O
+    monkeypatch.setattr(localmaps, "_check_witness", lambda *args: False)
+    with pytest.raises(VerificationFailedError):
+        exists_local_map(unit_complex(), build_standard((1, -1)))
 
 
 def test_witnesses_are_deterministic():

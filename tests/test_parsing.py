@@ -108,6 +108,8 @@ def test_parse_errors():
         parse_knot_expr("T(2,3) %")
     with pytest.raises(ParseError):
         parse_knot_expr("0*T(2,3)")
+    with pytest.raises(ParseError, match="expected an atom at column 9$"):
+        parse_knot_expr("3*T(2,3)+")
 
 
 def test_whitespace_tolerance():
