@@ -116,10 +116,14 @@ LaurentPoly.one = LaurentPoly({0: 1})
 
 
 def parse_poly(text: str) -> LaurentPoly:
-    """Parse the polynomial syntax, e.g. "t^8-t^7+t^4-t+1"."""
+    """Parse the polynomial syntax, e.g. "t^8-t^7+t^4-t+1".
+
+    Errors carry the 1-based column in *text*; the end of input is one past it.
+    """
     s = text.replace(" ", "")
+    cols = [k + 1 for k, ch in enumerate(text) if ch != " "] + [len(text) + 1]
     if not s:
-        raise ParseError("empty polynomial")
+        raise ParseError("empty polynomial", column=cols[0])
     out: dict[int, int] = {}
     i = 0
     first = True
@@ -129,7 +133,7 @@ def parse_poly(text: str) -> LaurentPoly:
             sign = -1 if s[i] == "-" else 1
             i += 1
         elif not first:
-            raise ParseError(f"expected '+' or '-' at position {i} in {text!r}")
+            raise ParseError("expected '+' or '-'", column=cols[i])
         first = False
         coeff = None
         j = i
@@ -148,13 +152,13 @@ def parse_poly(text: str) -> LaurentPoly:
                 while j < len(s) and s[j].isdigit():
                     j += 1
                 if j == i:
-                    raise ParseError(f"missing exponent at position {i} in {text!r}")
+                    raise ParseError("missing exponent", column=cols[i])
                 exp = int(s[i:j])
                 i = j
             if coeff is None:
                 coeff = 1
         elif coeff is None:
-            raise ParseError(f"expected a term at position {i} in {text!r}")
+            raise ParseError("expected a term", column=cols[i])
         out[exp] = out.get(exp, 0) + sign * coeff
     return LaurentPoly(out)
 

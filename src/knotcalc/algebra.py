@@ -14,6 +14,7 @@ new complexes.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -255,51 +256,50 @@ def reduce(c: Complex) -> Complex:
     Each cancellation removes an arrow x -> a with unit coefficient together
     with both generators, rewriting the remaining differential by the usual
     Gaussian formula d'(y) = d(y) + <d(y), a> * d(x).  Unit arrows are
-    cancelled greedily in declaration order, so the output is deterministic.
+    cancelled greedily in declaration order (least source, then least
+    target), so the output is deterministic.
     The result is chain homotopy equivalent to the input.
     """
     gens = list(c.gens)
     diff = {s: dict(row) for s, row in c.diff.items()}
+    # sources that have pointed at each target, and every unit arrow ever
+    # present as a heap of (source, target); stale entries are skipped
+    into: dict[int, set[int]] = {}
+    units: list[tuple[int, int]] = []
+    for s, row in diff.items():
+        for t, m in row.items():
+            into.setdefault(t, set()).add(s)
+            if m.kind == "1":
+                units.append((s, t))
+    heapq.heapify(units)
 
-    while True:
-        pair = None
-        for s in range(len(gens)):
-            if gens[s] is None:
-                continue
-            row = diff.get(s)
-            if not row:
-                continue
-            for t in sorted(row):
-                if row[t].kind == "1":
-                    pair = (s, t)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        x, a = pair
+    while units:
+        x, a = heapq.heappop(units)
         dx = diff.get(x, {})
-        for y in list(diff):
-            if y in (x, a) or gens[y] is None:
+        if a not in dx:
+            continue
+        for y in into.pop(a):
+            row = diff.get(y)
+            if y == x or not row or a not in row:
                 continue
-            row = diff[y]
-            coeff = row.get(a)
-            if coeff is None:
-                continue
+            coeff = row[a]
             for b, mb in dx.items():
-                if b in (x, a):
+                if b == a:
                     continue
                 p = mono_mul(coeff, mb)
                 if p is not None:
                     xor_term(row, b, p)
+                    if b in row:
+                        into.setdefault(b, set()).add(y)
+                        if p.kind == "1":
+                            heapq.heappush(units, (y, b))
             del row[a]
             if not row:
                 del diff[y]
-        diff.pop(x, None)
+        for y in into.pop(x, ()):
+            diff.get(y, {}).pop(x, None)
+        diff.pop(x)
         diff.pop(a, None)
-        for row in diff.values():
-            row.pop(x, None)
-            row.pop(a, None)
         gens[x] = None
         gens[a] = None
 

@@ -13,6 +13,7 @@ sitting in gr_U = 0 (mod U side) and gr_V = 0 (mod V side).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,13 +93,20 @@ class _Reduction:
         self.inverse: list[Element] = [{i: 0} for i in range(n)]
         self.rows: dict[int, dict[int, int]] = _side_differential(c, side)
         self.cols: dict[int, dict[int, int]] = {}
+        # every entry (exp, row, col) ever added; sweep skips the stale ones
+        self.heap: list[tuple[int, int, int]] = []
         for i, row in self.rows.items():
             for j, e in row.items():
                 self.cols.setdefault(j, {})[i] = e
+                self.heap.append((e, i, j))
+        heapq.heapify(self.heap)
 
     def _xor_entry(self, i: int, j: int, exp: int) -> None:
-        xor_term(self.rows.setdefault(i, {}), j, exp)
+        row = self.rows.setdefault(i, {})
+        xor_term(row, j, exp)
         xor_term(self.cols.setdefault(j, {}), i, exp)
+        if j in row:
+            heapq.heappush(self.heap, (exp, i, j))
 
     def add_multiple(self, p: int, q: int, delta: int) -> None:
         """Basis change b_p += v^delta * b_q (valid when gradings agree)."""
@@ -121,16 +129,11 @@ class _Reduction:
         """Run the reduction; returns (pivot pairs (src, tgt, eta), isolated indices)."""
         active = set(range(len(self.c.gens)))
         pairs: list[tuple[int, int, int]] = []
-        while True:
-            pivot = None
-            for i in sorted(active):
-                for j, e in sorted(self.rows.get(i, {}).items()):
-                    if j in active and (pivot is None or e < pivot[2] or
-                                        (e == pivot[2] and (i, j) < pivot[:2])):
-                        pivot = (i, j, e)
-            if pivot is None:
-                break
-            i0, j0, eta = pivot
+        while self.heap:
+            # the least (exp, row, col) entry between active generators
+            eta, i0, j0 = heapq.heappop(self.heap)
+            if i0 not in active or j0 not in active or self.rows[i0].get(j0) != eta:
+                continue
             for i in sorted(self.cols.get(j0, {})):
                 if i != i0:
                     self.add_multiple(i, i0, self.cols[j0][i] - eta)

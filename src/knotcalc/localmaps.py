@@ -20,11 +20,12 @@ definition directly; it is the independent oracle for the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import gf2
-from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map, mono_for_grading, mono_mul
+from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map, mono_mul
 from .errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
 from .homology import MOD_U, TowerReport, apply_shift, check_knot_like, element_grading
 from .standard import build_standard
@@ -64,6 +65,10 @@ class Prepared:
     tower_unit: tuple[int, ...]  # per generator: unit coefficient on the tower
     etas_u: tuple[int, ...]  # U-arrow torsion orders (from the mod-V report)
     etas_v: tuple[int, ...]  # V-arrow torsion orders (from the mod-U report)
+    # target indices bucketed by gr_U as sorted (gr_V, index), and by gr_V
+    # as sorted (gr_U, index): _slots reads the feasible slots off these
+    by_gru: dict[int, list[tuple[int, int]]] = field(repr=False, compare=False)
+    by_grv: dict[int, list[tuple[int, int]]] = field(repr=False, compare=False)
 
     @property
     def tower(self) -> dict[int, int]:
@@ -88,6 +93,14 @@ def prepare_target(c: Complex) -> Prepared:
             if idx == mod_u.tower_index and exp == 0:
                 tower_unit[g] = 1
     q = mod_u.tower_top_grading.grv + report.applied_shift[1]
+    by_gru: dict[int, list[tuple[int, int]]] = {}
+    by_grv: dict[int, list[tuple[int, int]]] = {}
+    for t, g in enumerate(cn.gens):
+        gu, gv = g.grading
+        by_gru.setdefault(gu, []).append((gv, t))
+        by_grv.setdefault(gv, []).append((gu, t))
+    for bucket in (*by_gru.values(), *by_grv.values()):
+        bucket.sort()
     return Prepared(
         c=cn,
         report_u=mod_u,
@@ -95,22 +108,29 @@ def prepare_target(c: Complex) -> Prepared:
         tower_unit=tuple(tower_unit),
         etas_u=report.mod_v.etas,
         etas_v=mod_u.etas,
+        by_gru=by_gru,
+        by_grv=by_grv,
     )
 
 
 def _slots(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> tuple[int, list[Slot]]:
-    """The V-shift pinned by tower-top alignment, and the grading-feasible slots."""
+    """The V-shift pinned by tower-top alignment, and the grading-feasible slots.
+
+    Slots come per source in the target order (gr_U, gr_V, index): the unit
+    and V^k slots share the wanted gr_U, the U^k slots have a larger one.
+    """
     v_shift = tgt.q - element_grading(dom, MOD_U, dom_tower).grv
-    by_grading = sorted(
-        range(len(tgt.c.gens)), key=lambda t: (tuple(tgt.c.gens[t].grading), t)
-    )
     out: list[Slot] = []
-    for s in range(len(dom.gens)):
-        want = dom.gens[s].grading + Bigrading(0, v_shift)
-        for t in by_grading:
-            m = mono_for_grading(want - tgt.c.gens[t].grading)
-            if m is not None:
-                out.append((s, t, m))
+    for s, g in enumerate(dom.gens):
+        wu, wv = g.grading.gru, g.grading.grv + v_shift
+        same_u = tgt.by_gru.get(wu, ())
+        for gv, t in same_u[bisect_left(same_u, (wv, 0)):]:
+            if (gv - wv) % 2 == 0:
+                out.append((s, t, Monomial("V", (gv - wv) // 2) if gv != wv else UNIT))
+        same_v = tgt.by_grv.get(wv, ())
+        for gu, t in same_v[bisect_right(same_v, (wu, len(tgt.c.gens))):]:
+            if (gu - wu) % 2 == 0:
+                out.append((s, t, Monomial("U", (gu - wu) // 2)))
     return v_shift, out
 
 

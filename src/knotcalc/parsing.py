@@ -11,6 +11,9 @@ Omitted d lines mean zero differential.  Serialization writes generators in
 declaration order and one d line per source with a nonzero differential, so
 serialize(parse(text)) is stable.
 
+Errors give 1-based locations: the line in a complex file, the column in a
+recipe.
+
 Recipe grammar:
 
     expr := term (("+" | "-") term)*
@@ -37,6 +40,7 @@ def parse_complex_file(text: str) -> Complex:
     """Parse and validate a complex file."""
     generators: list[tuple[str, tuple[int, int]]] = []
     differential: list[tuple[str, list[tuple[Monomial, str]]]] = []
+    sources: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -51,8 +55,9 @@ def parse_complex_file(text: str) -> Complex:
             if not m:
                 raise ParseError(f"bad d line {raw!r}", line=lineno)
             src, rhs = m.group(1), m.group(2).strip()
-            if any(s == src for s, _ in differential):
+            if src in sources:
                 raise ParseError(f"duplicate differential for {src!r}", line=lineno)
+            sources.add(src)
             terms: list[tuple[Monomial, str]] = []
             if rhs != "0":
                 for chunk in rhs.split("+"):
@@ -143,10 +148,10 @@ class _Scanner:
     def expect(self, ch: str):
         self.skip_ws()
         if self.pos >= len(self.text):
-            raise ParseError(f"expected {ch!r}, got end of input", column=self.pos)
+            raise ParseError(f"expected {ch!r}, got end of input", column=self.pos + 1)
         if self.text[self.pos] != ch:
             raise ParseError(
-                f"expected {ch!r}, got {self.text[self.pos]!r}", column=self.pos
+                f"expected {ch!r}, got {self.text[self.pos]!r}", column=self.pos + 1
             )
         self.pos += 1
 
@@ -158,7 +163,7 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] in ("+", "-"):
-            raise ParseError("expected an integer", column=start)
+            raise ParseError("expected an integer", column=start + 1)
         return int(self.text[start:self.pos])
 
     def word(self) -> str:
@@ -170,6 +175,7 @@ class _Scanner:
 
 
 def _parse_atom(sc: _Scanner) -> Atom:
+    sc.skip_ws()
     start = sc.pos
     head = sc.word()
     if head == "T":
@@ -205,7 +211,7 @@ def _parse_atom(sc: _Scanner) -> Atom:
         return StdLiteral(tuple(params))
     if head == "D":
         return DAlias()
-    raise ParseError(f"unknown atom {head!r}" if head else "expected an atom", column=start)
+    raise ParseError(f"unknown atom {head!r}" if head else "expected an atom", column=start + 1)
 
 
 def _parse_term(sc: _Scanner) -> tuple[int, Atom]:
@@ -220,7 +226,7 @@ def _parse_term(sc: _Scanner) -> tuple[int, Atom]:
             sc.pos = save
             mult = 1
     if mult < 1:
-        raise ParseError("multiplier must be >= 1", column=save)
+        raise ParseError("multiplier must be >= 1", column=save + 1)
     return mult, _parse_atom(sc)
 
 
@@ -236,7 +242,7 @@ def parse_knot_expr(text: str) -> KnotExpr:
             break
         ch = sc.text[sc.pos]
         if ch not in "+-":
-            raise ParseError(f"expected '+' or '-', got {ch!r}", column=sc.pos)
+            raise ParseError(f"expected '+' or '-', got {ch!r}", column=sc.pos + 1)
         sc.pos += 1
         mult, atom = _parse_term(sc)
         terms.append((1 if ch == "+" else -1, mult, atom))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import box, direct_sum, scramble
 from knotcalc.algebra import (
     Bigrading,
+    Complex,
     UNIT,
     dual,
     mono,
@@ -16,6 +17,7 @@ from knotcalc.algebra import (
     tensor,
     unit_complex,
     validate,
+    xor_term,
 )
 from knotcalc.errors import (
     DegreeViolationError,
@@ -170,6 +172,87 @@ def test_reduce_preserves_gradings_and_validates():
     r = reduce(c)
     revalidate(r)
     assert r.gens[0].grading == Bigrading(0, 0)
+
+
+def _reduce_by_rescan(c):
+    """Cancel the unit arrow of least source, then least target, rescanning
+    every row for it and stripping every row after each cancellation."""
+    gens = list(c.gens)
+    diff = {s: dict(row) for s, row in c.diff.items()}
+    while True:
+        pair = None
+        for s in range(len(gens)):
+            row = diff.get(s)
+            if gens[s] is None or not row:
+                continue
+            units = [t for t in sorted(row) if row[t].kind == "1"]
+            if units:
+                pair = (s, units[0])
+                break
+        if pair is None:
+            break
+        x, a = pair
+        dx = diff.get(x, {})
+        for y in list(diff):
+            if y in (x, a) or gens[y] is None or a not in diff[y]:
+                continue
+            row = diff[y]
+            coeff = row[a]
+            for b, mb in dx.items():
+                if b in (x, a):
+                    continue
+                p = mono_mul(coeff, mb)
+                if p is not None:
+                    xor_term(row, b, p)
+            del row[a]
+            if not row:
+                del diff[y]
+        diff.pop(x, None)
+        diff.pop(a, None)
+        for row in diff.values():
+            row.pop(x, None)
+            row.pop(a, None)
+        gens[x] = gens[a] = None
+    keep = [i for i, g in enumerate(gens) if g is not None]
+    renum = {old: new for new, old in enumerate(keep)}
+    return Complex(
+        tuple(gens[i] for i in keep),
+        {renum[s]: {renum[t]: m for t, m in row.items()} for s, row in diff.items() if row},
+    )
+
+
+def _assert_reduce_matches_rescan(c):
+    got, want = reduce(c), _reduce_by_rescan(c)
+    assert serialize_complex(got) == serialize_complex(want)
+    # the same arrows in the same dict order, not just the same complex
+    assert [(s, list(row.items())) for s, row in got.diff.items()] == [
+        (s, list(row.items())) for s, row in want.diff.items()
+    ]
+
+
+def _unit_pair(grading, tag):
+    gu, gv = grading
+    return validate([(f"{tag}q", (gu, gv)), (f"{tag}p", (gu + 1, gv + 1))], [(f"{tag}p", [(UNIT, f"{tag}q")])])
+
+
+@given(st.sampled_from([(1, -1), (1, -2, 2, -1), (2, -1, 1, -2), (1, -3, 3, -1)]),
+       st.integers(0, 2**31), st.integers(1, 4))
+def test_reduce_matches_rescan_on_scrambled_inputs(p, seed, pairs):
+    rng = random.Random(seed)
+    base = build_standard(p)
+    extra = [_unit_pair(tuple(rng.choice(base.gens).grading), f"u{i}") for i in range(pairs)]
+    c = scramble(direct_sum(base, box(1, 2, tag="k"), *extra), rng)
+    assert not c.is_reduced
+    _assert_reduce_matches_rescan(c)
+
+
+def test_reduce_matches_rescan_on_products():
+    rng = random.Random(5)
+    pair = _unit_pair((0, 0), "u")
+    for p, q in [((1, -1), (2, -2)), ((1, -2, 2, -1), (-1, 1)), ((2, -1, 1, -2), (1, -1, 1, -1))]:
+        c = tensor(direct_sum(build_standard(p), pair), direct_sum(build_standard(q), pair))
+        _assert_reduce_matches_rescan(c)
+        _assert_reduce_matches_rescan(scramble(c, rng, steps=len(c.gens)))
 
 
 # --- tensor ------------------------------------------------------------------

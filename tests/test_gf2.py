@@ -39,3 +39,68 @@ def test_random_consistent_systems_are_solved(masks, seed):
 def test_rank_basic():
     assert rank([0b01, 0b10, 0b11]) == 2
     assert rank([]) == 0
+
+
+# --- the indexed elimination against the insertion-order loop ------------------
+
+
+def _solve_by_scan(rows, nvars):
+    """Reduce each row against every stored pivot in insertion order."""
+    pivots = {}
+    for mask, rhs in rows:
+        for pos, (pmask, prhs) in pivots.items():
+            if (mask >> pos) & 1:
+                mask ^= pmask
+                rhs ^= prhs
+        if mask == 0:
+            if rhs:
+                return None
+            continue
+        pivots[(mask & -mask).bit_length() - 1] = (mask, rhs)
+    solution = 0
+    for pos in sorted(pivots, reverse=True):
+        mask, rhs = pivots[pos]
+        acc = rhs
+        rest = mask & ~(1 << pos)
+        while rest:
+            low = rest & -rest
+            if solution & low:
+                acc ^= 1
+            rest ^= low
+        if acc:
+            solution |= 1 << pos
+    return solution
+
+
+def _rank_by_scan(masks):
+    pivots = {}
+    for mask in masks:
+        for pos, pmask in pivots.items():
+            if (mask >> pos) & 1:
+                mask ^= pmask
+        if mask:
+            pivots[(mask & -mask).bit_length() - 1] = mask
+    return len(pivots)
+
+
+_WIDE = 80  # wider than a machine word
+_masks = st.lists(st.integers(0, 2**_WIDE - 1) | st.integers(0, 2**8 - 1), max_size=16)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**_WIDE - 1) | st.integers(0, 2**8 - 1),
+                          st.integers(0, 1)), max_size=16))
+def test_solve_matches_scan_on_arbitrary_systems(rows):
+    # random right-hand sides: most systems with many rows are inconsistent
+    assert solve_affine(rows, _WIDE) == _solve_by_scan(rows, _WIDE)
+
+
+@given(_masks, st.integers(0, 2**_WIDE - 1), st.lists(st.integers(0, 15), max_size=2))
+def test_solve_matches_scan_on_planted_systems(masks, planted, flips):
+    # consistent by construction, then possibly broken at a few rows
+    rows = [(m, (m & planted).bit_count() % 2 ^ (i in flips)) for i, m in enumerate(masks)]
+    assert solve_affine(rows, _WIDE) == _solve_by_scan(rows, _WIDE)
+
+
+@given(_masks)
+def test_rank_matches_scan(masks):
+    assert rank(masks) == _rank_by_scan(masks)

@@ -1,20 +1,27 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import box, direct_sum, scramble
 from knotcalc.algebra import Bigrading, mono, reduce, tensor, unit_complex, validate
+from knotcalc import homology
 from knotcalc.errors import MultipleTowersError, NotReducedError
 from knotcalc.homology import (
     MOD_U,
     MOD_V,
+    _Reduction,
     apply_shift,
     check_knot_like,
     normalize,
     simplify,
     torsion_bounds,
 )
+from knotcalc.parsing import parse_complex_file
 from knotcalc.standard import build_standard
+
+DATA = Path(__file__).parent / "data"
 
 
 def fig2(base=(-1, -1)):
@@ -174,3 +181,75 @@ def test_simplify_dimension_preserved_per_grading():
     c = scramble(direct_sum(build_standard((1, -2, 2, -1)), box(3, 1, tag="k")), rng)
     r = simplify(reduce(c), MOD_U)
     assert 2 * len(r.torsion_pairs) + 1 == len(c.gens)
+
+
+# --- the heap sweep against the rescan rule ----------------------------------
+
+
+class _RescanReduction(_Reduction):
+    """The sweep that rescans every active row for the least (exp, row, col)."""
+
+    def sweep(self):
+        active = set(range(len(self.c.gens)))
+        pairs = []
+        while True:
+            pivot = None
+            for i in sorted(active):
+                for j, e in sorted(self.rows.get(i, {}).items()):
+                    if j in active and (pivot is None or e < pivot[2] or
+                                        (e == pivot[2] and (i, j) < pivot[:2])):
+                        pivot = (i, j, e)
+            if pivot is None:
+                break
+            i0, j0, eta = pivot
+            for i in sorted(self.cols.get(j0, {})):
+                if i != i0:
+                    self.add_multiple(i, i0, self.cols[j0][i] - eta)
+            for j in sorted(self.rows.get(i0, {})):
+                if j != j0:
+                    self.add_multiple(j0, j, self.rows[i0][j] - eta)
+            pairs.append((i0, j0, eta))
+            active.discard(i0)
+            active.discard(j0)
+        return pairs, sorted(active)
+
+
+def _simplify_outcome(c, side):
+    try:
+        return simplify(c, side)
+    except MultipleTowersError as e:
+        return ("towers", e.count)
+
+
+def _assert_sweeps_match(monkeypatch, complexes):
+    complexes = list(complexes)
+    for side in (MOD_U, MOD_V):
+        heap = [_simplify_outcome(c, side) for c in complexes]
+        with monkeypatch.context() as m:
+            m.setattr(homology, "_Reduction", _RescanReduction)
+            assert [_simplify_outcome(c, side) for c in complexes] == heap
+
+
+def test_sweep_matches_rescan_on_data_files(monkeypatch):
+    files = sorted(DATA.glob("*.cx"))
+    assert files
+    _assert_sweeps_match(monkeypatch, (parse_complex_file(f.read_text()) for f in files))
+
+
+def test_sweep_matches_rescan_on_scrambled_complexes(monkeypatch):
+    pool = [(1, -2, 2, -1), (2, -1, 1, -2), (1, -3, 2, -2, 3, -1)]
+    complexes = []
+    for seed, p in enumerate(pool * 3):
+        rng = random.Random(seed)
+        c = direct_sum(build_standard(p), box(1 + seed % 3, 2, tag="k"), box(2, 1, tag="m"))
+        complexes.append(scramble(c, rng))
+    complexes.append(box(2, 3))  # no tower at all
+    _assert_sweeps_match(monkeypatch, complexes)
+
+
+def test_sweep_matches_rescan_on_products(monkeypatch):
+    pool = [(1, -1), (2, -2), (1, -2, 2, -1), (-1, 2), (2, 1, -1, -2)]
+    _assert_sweeps_match(
+        monkeypatch,
+        (tensor(build_standard(p), build_standard(q)) for p, q in itertools.combinations(pool, 2)),
+    )

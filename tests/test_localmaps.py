@@ -4,13 +4,15 @@ import pytest
 
 from conftest import box, direct_sum
 from knotcalc import localmaps
-from knotcalc.algebra import dual, reduce, tensor, unit_complex
+from knotcalc.algebra import Bigrading, dual, mono_for_grading, reduce, tensor, unit_complex
 from knotcalc.errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
+from knotcalc.homology import MOD_U, apply_shift, element_grading
 from knotcalc.localmaps import (
     brute_force_local_map,
     count_unknowns,
     exists_local_map,
     exists_short_local_map,
+    prepare_target,
     verify_local_map,
 )
 from knotcalc.standard import GT, build_standard, lex_cmp
@@ -97,6 +99,53 @@ def test_short_maps_detect_next_parameter():
     # ... while the longer arrow does, by hitting U times the pair source;
     # it loses to 2 in the descending candidate scan
     assert exists_short_local_map((3,), c) is not None
+
+
+# --- slots --------------------------------------------------------------------
+
+
+def _slots_by_scan(dom, dom_tower, tgt):
+    """Test every (source, target) pair, targets in (grading, index) order."""
+    v_shift = tgt.q - element_grading(dom, MOD_U, dom_tower).grv
+    by_grading = sorted(range(len(tgt.c.gens)), key=lambda t: (tuple(tgt.c.gens[t].grading), t))
+    out = []
+    for s in range(len(dom.gens)):
+        want = dom.gens[s].grading + Bigrading(0, v_shift)
+        for t in by_grading:
+            m = mono_for_grading(want - tgt.c.gens[t].grading)
+            if m is not None:
+                out.append((s, t, m))
+    return v_shift, out
+
+
+def _assert_slots_match(dom, dom_tower, tgt):
+    v_shift, slots = localmaps._slots(dom, dom_tower, tgt)
+    assert slots  # the comparison is not vacuous
+    assert (v_shift, slots) == _slots_by_scan(dom, dom_tower, tgt)
+
+
+def test_slots_match_scan_on_standard_pairs():
+    prepared = [prepare_target(build_standard(p)) for p in SMALL]
+    for src, tgt in itertools.product(prepared, prepared):
+        _assert_slots_match(src.c, src.tower, tgt)
+
+
+def test_slots_match_scan_on_shifted_products():
+    pool = [(1, -1), (2, -2), (-1, 2), (1, -2, 2, -1), (2, 1)]
+    products = [
+        prepare_target(apply_shift(tensor(build_standard(p), build_standard(q)), (2, -4)))
+        for p, q in itertools.combinations(pool, 2)
+    ]
+    for src, tgt in itertools.product(products, products + [prepare_target(build_standard((1, -1)))]):
+        _assert_slots_match(src.c, src.tower, tgt)
+
+
+def test_slots_match_scan_on_short_map_domains():
+    targets = [prepare_target(build_standard(q)) for q in [(1, -2, 2, -1), (2, -1, -1, 2)]]
+    targets.append(prepare_target(tensor(build_standard((2, -2)), build_standard((1, -1)))))
+    for tgt in targets:
+        for p in [(1,), (-2,), (1, -1), (2, -1, 1), (1, -2, 2, -1), (-1, 2, 1, -2, 3)]:
+            _assert_slots_match(build_standard(p, v_anchor=0), {0: 0}, tgt)
 
 
 # --- oracle --------------------------------------------------------------------

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from knotcalc.alexander import parse_poly
 from knotcalc.errors import ParseError, UnknownGeneratorError
 from knotcalc.localequiv import standard_rep
 from knotcalc.parsing import (
@@ -102,14 +103,30 @@ def test_parse_nested_cable():
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_knot_expr("T(2,3")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="unknown atom 'Q' at column 1$"):
         parse_knot_expr("Q(1,2)")
+    with pytest.raises(ParseError) as e:
+        parse_knot_expr("T(2,3) -  Q(1,2)")
+    assert e.value.column == 11
     with pytest.raises(ParseError):
         parse_knot_expr("T(2,3) %")
     with pytest.raises(ParseError):
         parse_knot_expr("0*T(2,3)")
-    with pytest.raises(ParseError, match="expected an atom at column 9$"):
+    with pytest.raises(ParseError, match="expected an atom at column 10$"):
         parse_knot_expr("3*T(2,3)+")
+
+
+def test_poly_errors_carry_columns():
+    for text, message, column in [
+        ("t^2 - t +", "expected a term", 10),
+        ("t^ + 1", "missing exponent", 4),
+        ("2t 3", "expected '+' or '-'", 4),
+        ("  ", "empty polynomial", 3),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_poly(text)
+        assert str(e.value) == f"{message} at column {column}"
+        assert e.value.column == column and e.value.line is None
 
 
 def test_whitespace_tolerance():
