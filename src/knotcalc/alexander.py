@@ -34,10 +34,6 @@ class LaurentPoly:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         self.coeffs = {e: c for e, c in items if c}
 
-    @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     one = None  # set below
 
     def __eq__(self, other):
@@ -77,11 +73,6 @@ class LaurentPoly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no degree")
         return max(self.coeffs)
-
-    def order(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no order")
-        return min(self.coeffs)
 
     def eval_at_one(self) -> int:
         return sum(self.coeffs.values())

@@ -129,9 +129,6 @@ class Complex:
         except KeyError:
             raise UnknownGeneratorError(name) from None
 
-    def grading(self, i: int) -> Bigrading:
-        return self.gens[i].grading
-
     def edges(self) -> Iterator[tuple[int, int, Monomial]]:
         """All arrows (source index, target index, monomial), in declaration order."""
         for s in range(len(self.gens)):
@@ -320,7 +317,8 @@ def tensor(c1: Complex, c2: Complex) -> Complex:
     """Tensor product over R; models connected sum of the underlying knots.
 
     Generators are pairs named "a|b" with added bigradings, and
-    d(x (x) y) = dx (x) y + x (x) dy.
+    d(x (x) y) = dx (x) y + x (x) dy.  Raises DuplicateGeneratorError when
+    two pairs get the same name (as "a" with "b|c" and "a|b" with "c" do).
     """
     gens: list[Generator] = []
     for x in c1.gens:
@@ -342,6 +340,10 @@ def tensor(c1: Complex, c2: Complex) -> Complex:
             if row:
                 diff[pid(i, j)] = row
     out = Complex(tuple(gens), diff)
+    if len(out._index) != len(gens):
+        # _index keeps the last position of each name: report the first repeat
+        dup = next(g.name for i, g in enumerate(gens) if out._index[g.name] != i)
+        raise DuplicateGeneratorError(dup)
     _check_d_squared(out)
     return out
 

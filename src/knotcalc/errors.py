@@ -54,10 +54,6 @@ class NotKnotLikeError(KnotCalcError):
         self.reasons = tuple(reasons)
 
 
-class InconsistentGradingError(KnotCalcError):
-    """Grading propagation from the anchors failed (cannot occur for legal params)."""
-
-
 class BudgetExceededError(KnotCalcError):
     def __init__(self, bits, budget):
         super().__init__(f"{bits} unknown bits exceed the brute-force budget {budget}")

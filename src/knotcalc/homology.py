@@ -52,19 +52,18 @@ class TowerReport:
     """Result of simplifying one side of a complex.
 
     tower_generator and the pair members are elements of the quotient module
-    written over the declared generators.  basis_change lists the full final
-    basis in order; inverse_change expresses each declared generator over the
-    final basis (both with monomial coefficients, stored as (index, exponent)
-    pairs).  tower_index locates the tower inside basis_change.
+    written over the declared generators.  tower_dual is the coordinate of
+    the tower basis element: (g, e) in it means declared generator g has
+    coefficient v^e on the tower in the final basis (v the surviving
+    variable); a generator not listed has none.  All are stored as sorted
+    (index, exponent) pairs.
     """
 
     side: str
     tower_generator: tuple[tuple[int, int], ...]
     tower_top_grading: Bigrading
     torsion_pairs: tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int], ...]
-    basis_change: tuple[tuple[tuple[int, int], ...], ...]
-    inverse_change: tuple[tuple[tuple[int, int], ...], ...]
-    tower_index: int
+    tower_dual: tuple[tuple[int, int], ...]
 
     @property
     def etas(self) -> tuple[int, ...]:
@@ -90,7 +89,8 @@ class _Reduction:
         self.c = c
         self.side = side
         self.basis: list[Element] = [{i: 0} for i in range(n)]
-        self.inverse: list[Element] = [{i: 0} for i in range(n)]
+        # dual[j]: the coordinate of basis[j] over the declared generators
+        self.dual: list[Element] = [{i: 0} for i in range(n)]
         self.rows: dict[int, dict[int, int]] = _side_differential(c, side)
         self.cols: dict[int, dict[int, int]] = {}
         # every entry (exp, row, col) ever added; sweep skips the stale ones
@@ -114,10 +114,9 @@ class _Reduction:
             raise VerificationFailedError(f"bad basis change b_{p} += v^{delta} b_{q}")
         for g, e in self.basis[q].items():
             xor_term(self.basis[p], g, e + delta)
-        # substitution b_p = b_p' + v^delta b_q in the inverse expressions
-        for expr in self.inverse:
-            if p in expr:
-                xor_term(expr, q, expr[p] + delta)
+        # old b_p = b_p' + v^delta b_q, so the coordinate of b_q gains v^delta dual_p
+        for g, e in self.dual[p].items():
+            xor_term(self.dual[q], g, e + delta)
         # row_p += v^delta row_q
         for j, e in list(self.rows.get(q, {}).items()):
             self._xor_entry(p, j, e + delta)
@@ -186,9 +185,7 @@ def simplify(c: Complex, side: str) -> TowerReport:
         torsion_pairs=tuple(
             (_frozen(red.basis[y]), _frozen(red.basis[z]), eta) for y, z, eta in pairs
         ),
-        basis_change=tuple(_frozen(v) for v in red.basis),
-        inverse_change=tuple(_frozen(v) for v in red.inverse),
-        tower_index=w,
+        tower_dual=_frozen(red.dual[w]),
     )
 
 

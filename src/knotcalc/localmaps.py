@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import gf2
 from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map, mono_mul
 from .errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
-from .homology import MOD_U, TowerReport, apply_shift, check_knot_like, element_grading
+from .homology import MOD_U, apply_shift, check_knot_like, element_grading
 from .standard import build_standard
 
 Slot = tuple[int, int, Monomial]  # (source index, target index, monomial)
@@ -45,35 +45,28 @@ class LocalMapWitness:
     assignment: tuple[tuple[str, tuple[tuple[Monomial, str], ...]], ...]
     v_shift: int
 
-    def image_of(self, name: str) -> tuple[tuple[Monomial, str], ...]:
-        for src, terms in self.assignment:
-            if src == name:
-                return terms
-        return ()
-
 
 @dataclass(frozen=True)
 class Prepared:
     """A normalized knot-like complex with its tower data.
 
     The same value serves as the source or the target of a local map.
+    tower is the mod-U tower element and tower_dual its coordinate on each
+    generator, both as generator index -> V-exponent (see
+    TowerReport.tower_dual); like the buckets they follow from c, so they
+    are left out of repr and comparison.
     """
 
     c: Complex
-    report_u: TowerReport
     q: int  # gr_V of the mod-U tower top
-    tower_unit: tuple[int, ...]  # per generator: unit coefficient on the tower
     etas_u: tuple[int, ...]  # U-arrow torsion orders (from the mod-V report)
     etas_v: tuple[int, ...]  # V-arrow torsion orders (from the mod-U report)
+    tower: dict[int, int] = field(repr=False, compare=False)
+    tower_dual: dict[int, int] = field(repr=False, compare=False)
     # target indices bucketed by gr_U as sorted (gr_V, index), and by gr_V
     # as sorted (gr_U, index): _slots reads the feasible slots off these
     by_gru: dict[int, list[tuple[int, int]]] = field(repr=False, compare=False)
     by_grv: dict[int, list[tuple[int, int]]] = field(repr=False, compare=False)
-
-    @property
-    def tower(self) -> dict[int, int]:
-        """The mod-U tower element: generator index -> V-exponent."""
-        return dict(self.report_u.tower_generator)
 
 
 def prepare_target(c: Complex) -> Prepared:
@@ -87,11 +80,6 @@ def prepare_target(c: Complex) -> Prepared:
         raise NotKnotLikeError(report.reasons)
     cn = apply_shift(c, report.applied_shift)
     mod_u = report.mod_u
-    tower_unit = [0] * len(cn.gens)
-    for g, expr in enumerate(mod_u.inverse_change):
-        for idx, exp in expr:
-            if idx == mod_u.tower_index and exp == 0:
-                tower_unit[g] = 1
     q = mod_u.tower_top_grading.grv + report.applied_shift[1]
     by_gru: dict[int, list[tuple[int, int]]] = {}
     by_grv: dict[int, list[tuple[int, int]]] = {}
@@ -103,11 +91,11 @@ def prepare_target(c: Complex) -> Prepared:
         bucket.sort()
     return Prepared(
         c=cn,
-        report_u=mod_u,
         q=q,
-        tower_unit=tuple(tower_unit),
         etas_u=report.mod_v.etas,
         etas_v=mod_u.etas,
+        tower=dict(mod_u.tower_generator),
+        tower_dual=dict(mod_u.tower_dual),
         by_gru=by_gru,
         by_grv=by_grv,
     )
@@ -181,7 +169,7 @@ def _solve(
         if k != 0:
             continue
         for t, bit, m in by_source.get(g, ()):
-            if tgt.tower_unit[t] and m.kind == "1":
+            if tgt.tower_dual.get(t) == 0 and m.kind == "1":
                 tower_mask ^= 1 << bit
     system.append((tower_mask, 1))
 
@@ -253,10 +241,9 @@ def _check_witness(
                 image_mod_u[t] = exp
     coeff: dict[int, int] = {}
     for t, vexp in image_mod_u.items():
-        for idx, e in tgt.report_u.inverse_change[t]:
-            if idx == tgt.report_u.tower_index:
-                total = vexp + e
-                coeff[total] = coeff.get(total, 0) ^ 1
+        if t in tgt.tower_dual:
+            total = vexp + tgt.tower_dual[t]
+            coeff[total] = coeff.get(total, 0) ^ 1
     coeff = {e: v for e, v in coeff.items() if v}
     return coeff == {0: 1}
 

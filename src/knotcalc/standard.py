@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Bigrading, Complex, Monomial, validate
-from .errors import InconsistentGradingError
 
 Params = tuple[int, ...]
 
@@ -60,8 +59,6 @@ def build_standard(params: Sequence[int], v_anchor: Optional[int] = None) -> Com
         rel.append(rel[-1] + _step(i, b))
     v0 = v_anchor if v_anchor is not None else -rel[n].grv
     gradings = [Bigrading(r.gru, r.grv + v0) for r in rel]
-    if gradings[0].gru != 0:
-        raise InconsistentGradingError(f"gr_U(x_0) = {gradings[0].gru}")
 
     rows: dict[int, list[tuple[Monomial, str]]] = {}
     for i, b in enumerate(p, start=1):

@@ -284,6 +284,15 @@ def test_tensor_product_of_squares_validates():
     assert len(t) == 15
 
 
+def test_tensor_refuses_colliding_names():
+    # "a" with "b|c" and "a|b" with "c" are both named "a|b|c"
+    c1 = validate([("a", (0, 0)), ("a|b", (0, 0))])
+    c2 = validate([("c", (0, 0)), ("b|c", (0, 0))])
+    with pytest.raises(DuplicateGeneratorError) as e:
+        tensor(c1, c2)
+    assert e.value.name == "a|b|c"
+
+
 # --- dual --------------------------------------------------------------------
 
 

@@ -56,6 +56,16 @@ def test_tensor_matches_expr(capsys, tmp_path):
     assert json.loads(from_file) == json.loads(from_expr)
 
 
+def test_tensor_refuses_colliding_names(capsys, tmp_path):
+    a, b, t = (tmp_path / n for n in ("a.cx", "b.cx", "t.cx"))
+    a.write_text("gen a 0 0\ngen a|b 0 0\n")
+    b.write_text("gen c 0 0\ngen b|c 0 0\n")
+    assert run(["tensor", str(a), str(b), "-o", str(t)]) == 1
+    _, err = out_of(capsys)
+    assert "duplicate generator 'a|b|c'" in err
+    assert not t.exists()
+
+
 def test_inv_json_fields(capsys):
     assert run(["inv", "--expr", "T(3,4)", "--json"]) == 0
     out, _ = out_of(capsys)

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import box, direct_sum, scramble
-from knotcalc.algebra import Bigrading, mono, reduce, tensor, unit_complex, validate
+from conftest import basis_change, box, direct_sum, scramble
+from knotcalc.algebra import Bigrading, mono, reduce, tensor, unit_complex, validate, xor_term
 from knotcalc import homology
 from knotcalc.errors import MultipleTowersError, NotReducedError
 from knotcalc.homology import (
@@ -230,13 +230,13 @@ def _assert_sweeps_match(monkeypatch, complexes):
             assert [_simplify_outcome(c, side) for c in complexes] == heap
 
 
-def test_sweep_matches_rescan_on_data_files(monkeypatch):
+def _data_files():
     files = sorted(DATA.glob("*.cx"))
     assert files
-    _assert_sweeps_match(monkeypatch, (parse_complex_file(f.read_text()) for f in files))
+    return [parse_complex_file(f.read_text()) for f in files]
 
 
-def test_sweep_matches_rescan_on_scrambled_complexes(monkeypatch):
+def _scrambled_complexes():
     pool = [(1, -2, 2, -1), (2, -1, 1, -2), (1, -3, 2, -2, 3, -1)]
     complexes = []
     for seed, p in enumerate(pool * 3):
@@ -244,12 +244,107 @@ def test_sweep_matches_rescan_on_scrambled_complexes(monkeypatch):
         c = direct_sum(build_standard(p), box(1 + seed % 3, 2, tag="k"), box(2, 1, tag="m"))
         complexes.append(scramble(c, rng))
     complexes.append(box(2, 3))  # no tower at all
-    _assert_sweeps_match(monkeypatch, complexes)
+    return complexes
+
+
+def _products():
+    pool = [(1, -1), (2, -2), (1, -2, 2, -1), (-1, 2), (2, 1, -1, -2)]
+    return [tensor(build_standard(p), build_standard(q)) for p, q in itertools.combinations(pool, 2)]
+
+
+def _tower_mixed():
+    """Standard complexes plus a box whose bottom generator d is replaced by
+    d + v x, x the tower generator of one side: the box's arrow into d then
+    reaches x too, so the tower coordinate is more than x alone."""
+    out = []
+    for p in [(1, -1), (1, -2, 2, -1)]:
+        s = build_standard(p)
+        for x, kind in ((0, "V"), (len(p), "U")):
+            gu, gv = s.gens[x].grading
+            base = (gu, gv - 2) if kind == "V" else (gu - 2, gv)
+            c = direct_sum(s, box(1, 1, base=base, tag="k"))
+            c = basis_change(c, c.index("s1.kd"), c.index(f"s0.x{x}"), mono(kind, 1))
+            out += [c, scramble(c, random.Random(len(out)))]
+    return out
+
+
+# the pools of the sweep tests above, and one whose tower coordinates are mixed
+POOLS = [_data_files, _scrambled_complexes, _products, _tower_mixed]
+
+
+def test_sweep_matches_rescan_on_data_files(monkeypatch):
+    _assert_sweeps_match(monkeypatch, _data_files())
+
+
+def test_sweep_matches_rescan_on_scrambled_complexes(monkeypatch):
+    _assert_sweeps_match(monkeypatch, _scrambled_complexes())
 
 
 def test_sweep_matches_rescan_on_products(monkeypatch):
-    pool = [(1, -1), (2, -2), (1, -2, 2, -1), (-1, 2), (2, 1, -1, -2)]
-    _assert_sweeps_match(
-        monkeypatch,
-        (tensor(build_standard(p), build_standard(q)) for p, q in itertools.combinations(pool, 2)),
-    )
+    _assert_sweeps_match(monkeypatch, _products())
+
+
+# --- the dual by row against the per-generator inverse scan ------------------
+
+
+class _InverseScanReduction(_Reduction):
+    """Also keeps each declared generator over the final basis, by the scan
+    that substitutes b_p = b_p' + v^delta b_q into every expression."""
+
+    checked = 0
+
+    def __init__(self, c, side):
+        super().__init__(c, side)
+        self.inverse = [{i: 0} for i in range(len(c.gens))]
+
+    def add_multiple(self, p, q, delta):
+        super().add_multiple(p, q, delta)
+        for expr in self.inverse:
+            if p in expr:
+                xor_term(expr, q, expr[p] + delta)
+
+    def sweep(self):
+        out = super().sweep()
+        n = len(self.c.gens)
+        for j in range(n):
+            for g in range(n):
+                assert self.dual[j].get(g) == self.inverse[g].get(j), (j, g)
+        _InverseScanReduction.checked += 1
+        return out
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_dual_matches_inverse_scan(monkeypatch, pool):
+    complexes = pool()
+    monkeypatch.setattr(homology, "_Reduction", _InverseScanReduction)
+    before = _InverseScanReduction.checked
+    for c in complexes:
+        for side in (MOD_U, MOD_V):
+            _simplify_outcome(c, side)
+    assert _InverseScanReduction.checked - before == 2 * len(complexes)
+
+
+def _pairing(dual, elem):
+    """The tower coordinate of an element: exponent -> coefficient in F2."""
+    dual = dict(dual)
+    coeff = {}
+    for g, e in elem:
+        if g in dual:
+            xor_term(coeff, e + dual[g], 1)
+    return coeff
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_tower_dual_is_dual_to_the_final_basis(pool):
+    reports = []
+    for c in pool():
+        for side in (MOD_U, MOD_V):
+            r = _simplify_outcome(c, side)
+            if not isinstance(r, tuple):
+                reports.append(r)
+    assert reports
+    for r in reports:
+        assert _pairing(r.tower_dual, r.tower_generator) == {0: 1}
+        for y, z, _ in r.torsion_pairs:
+            assert _pairing(r.tower_dual, y) == {}
+            assert _pairing(r.tower_dual, z) == {}
