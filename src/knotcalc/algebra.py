@@ -146,9 +146,13 @@ class Complex:
 
 
 def _check_degree(src: Generator, tgt: Generator, m: Monomial) -> None:
-    want = src.grading - Bigrading(1, 1)
-    have = m.grading() + tgt.grading
-    if want != have:
+    (su, sv), (tu, tv) = src.grading, tgt.grading
+    if m.kind == "U":
+        tu -= 2 * m.exponent
+    elif m.kind == "V":
+        tv -= 2 * m.exponent
+    if tu != su - 1 or tv != sv - 1:
+        want, have = Bigrading(su - 1, sv - 1), Bigrading(tu, tv)
         raise DegreeViolationError(src.name, tgt.name, f"gr({m}) + gr(tgt) = {have}, need {want}")
 
 

@@ -65,6 +65,10 @@ class LengthCapExceededError(KnotCalcError):
     """Internal error: the greedy representative exceeded its length cap."""
 
 
+class RecipeTooLargeError(KnotCalcError):
+    """A recipe whose tensor product is refused before it is built."""
+
+
 class VerificationFailedError(KnotCalcError):
     """Internal error: a computed result failed its certificate or invariant check."""
 

@@ -12,8 +12,11 @@ which is descending in the unusual order.  The stop test asks for a full
 local map from C(a_1 .. a_k), which is exactly the condition that the
 remaining parameters are all zero; it also absorbs the degenerate case
 where every sufficiently negative candidate admits a short map with the
-final generator sent to zero.  The computed representative is certified at
-the end by local maps in both directions.
+final generator sent to zero.  The candidates' linear systems share the
+prefix's rows, which localmaps.PrefixSystem keeps in echelon form across
+candidates and positions; every accepted candidate's map is still checked
+against the definition.  The computed representative is certified at the
+end by local maps in both directions.
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import Complex, reduce
 from .errors import LengthCapExceededError, VerificationFailedError
-from .localmaps import (
-    LocalMapWitness,
-    Prepared,
-    map_between,
-    map_from_standard,
-    prepare_target,
-    short_map,
-)
+from .localmaps import LocalMapWitness, Prepared, PrefixSystem, map_between, prepare_target
 from .standard import EQ, GT, LT, Params, build_standard, lex_cmp
 
 
@@ -67,52 +63,38 @@ def standard_rep(c: Complex) -> RepResult:
     m_v = max(tgt.etas_v, default=0)
     cap = 4 * len(c.gens) + 4
 
-    params: list[int] = []
+    system = PrefixSystem.empty(tgt)
     trace: list[PositionTrace] = []
     while True:
-        k = len(params)
+        k = len(system.params)
         position = k + 1
         bound = m_u if position % 2 == 1 else m_v
         tested: list[tuple[int, bool]] = []
-        accepted: Optional[int] = None
-
-        for b in range(1, bound + 1):
-            ok = short_map((*params, b), tgt) is not None
+        found: Optional[int] = None
+        for b in (*range(1, bound + 1), *((0,) if k % 2 == 0 else ()), *range(-bound, 0)):
+            grown = system.then(b) if b else system
+            ok = (grown.short_map() if b else grown.full_map()) is not None
             tested.append((b, ok))
             if ok:
-                accepted = b
+                found = b
                 break
 
-        stop = False
-        if accepted is None and k % 2 == 0:
-            ok = map_from_standard(tuple(params), tgt) is not None
-            tested.append((0, ok))
-            stop = ok
-
-        if accepted is None and not stop:
-            for b in range(-bound, 0):
-                ok = short_map((*params, b), tgt) is not None
-                tested.append((b, ok))
-                if ok:
-                    accepted = b
-                    break
-
-        trace.append(PositionTrace(position, tuple(tested), accepted))
-        if stop:
+        trace.append(PositionTrace(position, tuple(tested), found or None))
+        if found == 0:  # the stop test passed
             break
-        if accepted is None:
+        if found is None:
             # the next parameter must lie in the torsion window (zero was
             # already ruled out at even prefixes by the stop test)
             raise VerificationFailedError(
-                f"no candidate accepted at position {position} of {params}"
+                f"no candidate accepted at position {position} of {list(system.params)}"
             )
-        params.append(accepted)
-        if len(params) > cap:
+        system = grown
+        if len(system.params) > cap:
             raise LengthCapExceededError(
                 f"representative exceeded length cap {cap}"
             )
 
-    rep = tuple(params)
+    rep = system.params
     s = prepare_target(build_standard(rep))
     forward = map_between(s, tgt)
     backward = map_between(tgt, s)

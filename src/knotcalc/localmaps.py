@@ -14,6 +14,12 @@ truncated standard complex: only the part of the condition in the direction
 of the final arrow type is kept (the V-part when the parameter sequence has
 even length, the U-part when odd).
 
+PrefixSystem serves the greedy search of localequiv: the candidates
+C(a_1 .. a_k, b) share the prefix's slots and its chain conditions at
+x_0 .. x_{k-1}, so it keeps those in echelon form and adds only each
+candidate's own rows.  Every map it finds is checked against the definition
+like a one-shot solve's.
+
 brute_force_local_map enumerates every bit assignment and checks the
 definition directly; it is the independent oracle for the solver.
 """
@@ -22,13 +28,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import gf2
 from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map, mono_mul
 from .errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
 from .homology import MOD_U, apply_shift, check_knot_like, element_grading
-from .standard import build_standard
+from .standard import Params, arrow, build_standard, step
 
 Slot = tuple[int, int, Monomial]  # (source index, target index, monomial)
 
@@ -101,25 +108,89 @@ def prepare_target(c: Complex) -> Prepared:
     )
 
 
-def _slots(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> tuple[int, list[Slot]]:
-    """The V-shift pinned by tower-top alignment, and the grading-feasible slots.
+def _v_shift(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> int:
+    """The V-shift of a map dom -> tgt, pinned by tower-top alignment."""
+    return tgt.q - element_grading(dom, MOD_U, dom_tower).grv
 
-    Slots come per source in the target order (gr_U, gr_V, index): the unit
-    and V^k slots share the wanted gr_U, the U^k slots have a larger one.
+
+def _gen_slots(want: Bigrading, tgt: Prepared) -> list[tuple[int, Monomial]]:
+    """The feasible (target index, monomial) slots of one source whose image
+    has grading *want*, in the target order (gr_U, gr_V, index): the unit and
+    V^k slots share the wanted gr_U, the U^k slots have a larger one.
     """
-    v_shift = tgt.q - element_grading(dom, MOD_U, dom_tower).grv
+    wu, wv = want
+    out: list[tuple[int, Monomial]] = []
+    same_u = tgt.by_gru.get(wu, ())
+    for gv, t in same_u[bisect_left(same_u, (wv, 0)):]:
+        if (gv - wv) % 2 == 0:
+            out.append((t, Monomial("V", (gv - wv) // 2) if gv != wv else UNIT))
+    same_v = tgt.by_grv.get(wv, ())
+    for gu, t in same_v[bisect_right(same_v, (wu, len(tgt.c.gens))):]:
+        if (gu - wu) % 2 == 0:
+            out.append((t, Monomial("U", (gu - wu) // 2)))
+    return out
+
+
+def _slots(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> tuple[int, list[Slot]]:
+    """The V-shift pinned by tower-top alignment, and the grading-feasible
+    slots, per source in the target order."""
+    v_shift = _v_shift(dom, dom_tower, tgt)
     out: list[Slot] = []
     for s, g in enumerate(dom.gens):
-        wu, wv = g.grading.gru, g.grading.grv + v_shift
-        same_u = tgt.by_gru.get(wu, ())
-        for gv, t in same_u[bisect_left(same_u, (wv, 0)):]:
-            if (gv - wv) % 2 == 0:
-                out.append((s, t, Monomial("V", (gv - wv) // 2) if gv != wv else UNIT))
-        same_v = tgt.by_grv.get(wv, ())
-        for gu, t in same_v[bisect_right(same_v, (wu, len(tgt.c.gens))):]:
-            if (gu - wu) % 2 == 0:
-                out.append((s, t, Monomial("U", (gu - wu) // 2)))
+        want = Bigrading(g.grading.gru, g.grading.grv + v_shift)
+        out.extend((s, t, m) for t, m in _gen_slots(want, tgt))
     return v_shift, out
+
+
+# The slots of one source as (target index, bit, monomial), the bit being the
+# slot's position in the whole slot list.
+SourceSlots = list[tuple[int, int, Monomial]]
+
+
+def _source_rows(
+    s: int,
+    dom_row: dict[int, Monomial],
+    by_source: Sequence[SourceSlots],
+    tgt: Prepared,
+    kind: Optional[str],
+) -> list[tuple[int, int]]:
+    """The chain condition d f(s) = f(d s) at source s as (mask, 0) rows,
+    one per target generator it reaches.
+
+    dom_row is d(s) in the domain.  With *kind* given only the arrows of that
+    kind count, on both sides (the relaxed condition at a short map's final
+    generator).
+    """
+    rows: dict[int, int] = {}
+    # d f(s): push each slot monomial through the target differential
+    for t, bit, m in by_source[s]:
+        for u, d in tgt.c.diff.get(t, {}).items():
+            if kind and d.kind != kind:
+                continue
+            if mono_mul(m, d) is not None:
+                rows[u] = rows.get(u, 0) ^ (1 << bit)
+    # f(d s): push the domain differential through the slots of s'
+    for sp, e in dom_row.items():
+        if kind and e.kind != kind:
+            continue
+        for t2, bit, m2 in by_source[sp]:
+            if mono_mul(e, m2) is not None:
+                rows[t2] = rows.get(t2, 0) ^ (1 << bit)
+    return [(mask, 0) for mask in rows.values()]
+
+
+def _tower_row(
+    dom_tower: dict[int, int], by_source: Sequence[SourceSlots], tgt: Prepared
+) -> tuple[int, int]:
+    """The tower condition: f(tower) has unit coefficient on the target's tower."""
+    mask = 0
+    for g, k in dom_tower.items():
+        if k != 0:
+            continue
+        for t, bit, m in by_source[g]:
+            if tgt.tower_dual.get(t) == 0 and m.kind == "1":
+                mask ^= 1 << bit
+    return mask, 1
 
 
 def _solve(
@@ -134,49 +205,32 @@ def _solve(
     V-exponent).  relaxed, when given, is (generator index, kind): only the
     chain condition in direction *kind* is imposed at that generator.
     """
-    v_shift, slots = _slots(dom, dom_tower, tgt)
-    by_source: dict[int, list[tuple[int, int, Monomial]]] = {}
+    _, slots = _slots(dom, dom_tower, tgt)
+    by_source: list[SourceSlots] = [[] for _ in dom.gens]
     for i, (s, t, m) in enumerate(slots):
-        by_source.setdefault(s, []).append((t, i, m))
-
-    rows: dict[tuple[int, int], int] = {}
-
-    def toggle(s: int, u: int, bit: int) -> None:
-        key = (s, u)
-        rows[key] = rows.get(key, 0) ^ (1 << bit)
-
+        by_source[s].append((t, i, m))
+    system: list[tuple[int, int]] = []
     for s in range(len(dom.gens)):
-        kind_filter = relaxed[1] if relaxed and relaxed[0] == s else None
-        # d f(s): push each slot monomial through the target differential
-        for t, bit, m in by_source.get(s, ()):
-            for u, d in tgt.c.diff.get(t, {}).items():
-                if kind_filter and d.kind != kind_filter:
-                    continue
-                if mono_mul(m, d) is not None:
-                    toggle(s, u, bit)
-        # f(d s): push the domain differential through the slots of s'
-        for sp, e in dom.diff.get(s, {}).items():
-            if kind_filter and e.kind != kind_filter:
-                continue
-            for t2, bit, m2 in by_source.get(sp, ()):
-                if mono_mul(e, m2) is not None:
-                    toggle(s, t2, bit)
-
-    system = [(mask, 0) for mask in rows.values()]
-
-    tower_mask = 0
-    for g, k in dom_tower.items():
-        if k != 0:
-            continue
-        for t, bit, m in by_source.get(g, ()):
-            if tgt.tower_dual.get(t) == 0 and m.kind == "1":
-                tower_mask ^= 1 << bit
-    system.append((tower_mask, 1))
+        kind = relaxed[1] if relaxed and relaxed[0] == s else None
+        system += _source_rows(s, dom.diff.get(s, {}), by_source, tgt, kind)
+    system.append(_tower_row(dom_tower, by_source, tgt))
 
     solution = gf2.solve_affine(system, len(slots))
     if solution is None:
         return None
-    witness = _witness_from_mask(dom, tgt.c, slots, solution, v_shift)
+    return _certified(dom, dom_tower, tgt, relaxed, slots, solution)
+
+
+def _certified(
+    dom: Complex,
+    dom_tower: dict[int, int],
+    tgt: Prepared,
+    relaxed: Optional[tuple[int, str]],
+    slots: list[Slot],
+    solution: int,
+) -> LocalMapWitness:
+    """The witness of a solution, checked against the definition."""
+    witness = _witness_from_mask(dom, tgt.c, slots, solution, _v_shift(dom, dom_tower, tgt))
     if not _check_witness(dom, dom_tower, tgt, relaxed, witness):
         raise VerificationFailedError("solver produced a bad witness")
     return witness
@@ -273,6 +327,95 @@ def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]
     p = tuple(params)
     n = len(p)
     return _solve(build_standard(p, v_anchor=0), {0: 0}, tgt, (n, "V" if n % 2 == 0 else "U"))
+
+
+@dataclass(eq=False, repr=False)
+class PrefixSystem:
+    """The local-map systems from the standard complexes of one parameter
+    prefix, kept in GF(2) echelon form for the greedy search.
+
+    After the tower-top V-shift, the short map from C(p) or C(p, b) (anchored
+    at gr(x_0) = (0, 0)) and the full map from C(p) want the same gradings, so
+    the slots of x_0 .. x_n (n = len(p)) and their bits are the same in all of
+    them.  form is the echelon form of the tower equation and the full chain
+    conditions at x_0 .. x_{n-1}, or None when those are inconsistent; each
+    system adds only its rows at x_n and at a new final generator.
+    """
+
+    tgt: Prepared
+    params: Params
+    want: Bigrading  # the grading of f(x_n)
+    by_source: list[SourceSlots]
+    form: Optional[gf2.Echelon]
+
+    @classmethod
+    def empty(cls, tgt: Prepared) -> "PrefixSystem":
+        """The systems of the empty prefix, whose C() is x_0 alone."""
+        want = Bigrading(0, tgt.q)
+        by_source = [[(t, bit, m) for bit, (t, m) in enumerate(_gen_slots(want, tgt))]]
+        form = gf2.Echelon().extend([_tower_row({0: 0}, by_source, tgt)])
+        return cls(tgt, (), want, by_source, form)
+
+    def _rows_at_last(
+        self, by_source: list[SourceSlots], params: Params, kind: Optional[str]
+    ) -> list[tuple[int, int]]:
+        """The chain condition at x_n in C(params), params extending self.params."""
+        n = len(self.params)
+        row: dict[int, Monomial] = {}
+        for i in (n, n + 1):
+            if 1 <= i <= len(params):
+                s, t, m = arrow(i, params[i - 1])
+                if s == n:
+                    row[t] = m
+        return _source_rows(n, row, by_source, self.tgt, kind)
+
+    @cached_property
+    def closed(self) -> Optional[gf2.Echelon]:
+        """form plus the full chain condition at x_n with no arrow out of
+        x_n to a next generator: the full map from C(p), and the prefix form
+        of every C(p, b) with b > 0."""
+        if self.form is None:
+            return None
+        return self.form.extend(self._rows_at_last(self.by_source, self.params, None))
+
+    def then(self, b: int) -> "PrefixSystem":
+        """The systems of the prefix extended by b."""
+        n = len(self.params)
+        params = (*self.params, b)
+        want = self.want + step(n + 1, b)
+        nbits = sum(len(slots) for slots in self.by_source)
+        new = [(t, nbits + j, m) for j, (t, m) in enumerate(_gen_slots(want, self.tgt))]
+        by_source = [*self.by_source, new]
+        if b > 0:
+            form = self.closed
+        elif self.form is None:
+            form = None
+        else:  # the arrow x_n -> x_{n+1} enters the condition at x_n
+            form = self.form.extend(self._rows_at_last(by_source, params, None))
+        return PrefixSystem(self.tgt, params, want, by_source, form)
+
+    def _certified(
+        self, dom: Complex, relaxed: Optional[tuple[int, str]], form: gf2.Echelon
+    ) -> LocalMapWitness:
+        slots = [(s, t, m) for s, src in enumerate(self.by_source) for t, _, m in src]
+        return _certified(dom, {0: 0}, self.tgt, relaxed, slots, form.solution())
+
+    def short_map(self) -> Optional[LocalMapWitness]:
+        """The witness short_map(params, tgt) would give, or None."""
+        if self.form is None:
+            return None
+        n = len(self.params)
+        kind = "V" if n % 2 == 0 else "U"
+        form = self.form.extend(self._rows_at_last(self.by_source, self.params, kind))
+        if form is None:
+            return None
+        return self._certified(build_standard(self.params, v_anchor=0), (n, kind), form)
+
+    def full_map(self) -> Optional[LocalMapWitness]:
+        """The witness map_from_standard(params, tgt) would give, or None."""
+        if self.closed is None:
+            return None
+        return self._certified(build_standard(self.params), None, self.closed)
 
 
 def exists_local_map(s: Complex, c: Complex) -> Optional[LocalMapWitness]:

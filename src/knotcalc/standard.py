@@ -36,11 +36,17 @@ def check_params(params: Sequence[int], *, even: bool = False) -> Params:
     return p
 
 
-def _step(i: int, b: int) -> Bigrading:
+def step(i: int, b: int) -> Bigrading:
     """Grading difference gr(x_i) - gr(x_{i-1}) forced by parameter b at position i."""
     if i % 2 == 1:  # U-arrow
         return Bigrading(-2 * b + (1 if b > 0 else -1), 1 if b > 0 else -1)
     return Bigrading(1 if b > 0 else -1, -2 * b + (1 if b > 0 else -1))
+
+
+def arrow(i: int, b: int) -> tuple[int, int, Monomial]:
+    """The arrow of parameter b at position i: (source index, target index, monomial)."""
+    m = Monomial("U" if i % 2 == 1 else "V", abs(b))
+    return (i, i - 1, m) if b > 0 else (i - 1, i, m)
 
 
 def build_standard(params: Sequence[int], v_anchor: Optional[int] = None) -> Complex:
@@ -56,18 +62,14 @@ def build_standard(params: Sequence[int], v_anchor: Optional[int] = None) -> Com
 
     rel = [Bigrading(0, 0)]
     for i, b in enumerate(p, start=1):
-        rel.append(rel[-1] + _step(i, b))
+        rel.append(rel[-1] + step(i, b))
     v0 = v_anchor if v_anchor is not None else -rel[n].grv
     gradings = [Bigrading(r.gru, r.grv + v0) for r in rel]
 
     rows: dict[int, list[tuple[Monomial, str]]] = {}
     for i, b in enumerate(p, start=1):
-        kind = "U" if i % 2 == 1 else "V"
-        m = Monomial(kind, abs(b))
-        if b > 0:
-            rows.setdefault(i, []).append((m, f"x{i - 1}"))
-        else:
-            rows.setdefault(i - 1, []).append((m, f"x{i}"))
+        s, t, m = arrow(i, b)
+        rows.setdefault(s, []).append((m, f"x{t}"))
     diff = [(f"x{s}", terms) for s, terms in sorted(rows.items())]
 
     return validate(

@@ -1,7 +1,11 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
+from knotcalc import alexander
 from knotcalc.alexander import (
+    MAX_RECIPE_GENS,
     LaurentPoly,
     cable_delta,
     eval_recipe,
@@ -12,7 +16,7 @@ from knotcalc.alexander import (
     staircase_params,
     torus_delta,
 )
-from knotcalc.errors import NotCoprimeError, NotStaircaseError
+from knotcalc.errors import NotCoprimeError, NotStaircaseError, RecipeTooLargeError
 from knotcalc.standard import is_symmetric, phi, tau_of
 
 
@@ -209,3 +213,54 @@ def test_eval_recipe_k3():
     ph = phi(r.params)
     assert ph[3] == 1
     assert all(j <= 3 for j in ph)
+
+
+# --- checks against the paper, computed independently ---------------------------
+
+
+def _semigroup_gap_runs(p, q):
+    """Counts of maximal runs of consecutive gaps of the semigroup <p, q>, by
+    length: phi_j of the torus knot T(p, q)."""
+    conductor = (p - 1) * (q - 1)
+    members = {a * p + b * q for a in range(q) for b in range(p)}
+    runs, length = {}, 0
+    for n in range(conductor + 1):
+        if n not in members:
+            length += 1
+        elif length:
+            runs[length] = runs.get(length, 0) + 1
+            length = 0
+    return runs
+
+
+@pytest.mark.parametrize(
+    "p, q", [(p, q) for q in range(3, 10) for p in range(2, q) if gcd(p, q) == 1]
+)
+def test_torus_knots_against_the_semigroup(p, q):
+    params = eval_recipe(f"T({p},{q})").params
+    assert params == staircase_params(torus_delta(p, q))
+    assert tau_of(params) == (p - 1) * (q - 1) // 2
+    assert phi(params) == _semigroup_gap_runs(p, q)
+
+
+# --- the recipe size guard ------------------------------------------------------
+
+
+def test_recipe_size_guard_names_size_and_limit():
+    with pytest.raises(RecipeTooLargeError, match=r"at least 19683 generators, over the limit of 10000"):
+        eval_recipe("1000000*T(2,3)")
+    # 7 * 7 * 7 * 7 * 5 = 12005, refused before anything is built
+    with pytest.raises(RecipeTooLargeError, match=r"12005 generators"):
+        recipe_factors("4*T(4,5) + T(3,4)")
+    # size-1 factors never grow the product, but are still counted
+    with pytest.raises(RecipeTooLargeError, match=r"recipe names 10001 factors"):
+        recipe_factors("T(2,3) + 10000*Std()")
+    assert MAX_RECIPE_GENS == 10_000
+
+
+def test_recipe_size_guard_boundary(monkeypatch):
+    monkeypatch.setattr(alexander, "MAX_RECIPE_GENS", 15)
+    assert eval_recipe("T(2,3) - T(2,5)").params == (-1, 1)
+    assert len(recipe_factors("15*Std()")) == 15
+    with pytest.raises(RecipeTooLargeError, match=r"at least 45 generators, over the limit of 15"):
+        eval_recipe("T(2,3) - T(2,5) + D")

@@ -91,6 +91,23 @@ def test_validate_degree_violation():
         )
 
 
+@pytest.mark.parametrize(
+    "m, want",
+    [
+        (mono("U", 1), "gr(U^1) + gr(tgt) = Bigrading(gru=-2, grv=-5), need Bigrading(gru=-1, grv=-6)"),
+        (mono("V", 2), "gr(V^2) + gr(tgt) = Bigrading(gru=0, grv=-9), need Bigrading(gru=-1, grv=-6)"),
+        (mono("1", 0), "gr(1) + gr(tgt) = Bigrading(gru=0, grv=-5), need Bigrading(gru=-1, grv=-6)"),
+    ],
+)
+def test_validate_degree_violation_message(m, want):
+    with pytest.raises(DegreeViolationError) as info:
+        validate([("x0", (0, -5)), ("x1", (0, -5))], [("x1", [(m, "x0")])])
+    assert str(info.value) == (
+        f"differential entry 'x1' -> 'x0' violates the (-1,-1) degree rule: {want}"
+    )
+    assert (info.value.src, info.value.tgt) == ("x1", "x0")
+
+
 def test_validate_duplicate_generator():
     with pytest.raises(DuplicateGeneratorError):
         validate([("a", (0, 0)), ("a", (1, 1))])

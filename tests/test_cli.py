@@ -144,6 +144,18 @@ def test_rep_expr(capsys):
     assert out.strip() == ""
 
 
+def test_oversized_recipe_is_refused(capsys):
+    # the factor sizes are multiplied before anything is built, so this
+    # returns at once instead of tensoring a million trefoils
+    for command in ("inv", "rep"):
+        assert run([command, "--expr", "1000000*T(2,3)"]) == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.strip() == (
+            "error: recipe needs at least 19683 generators, over the limit of 10000"
+        )
+
+
 def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2

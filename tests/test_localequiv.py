@@ -4,11 +4,20 @@ import random
 import pytest
 
 from conftest import box, direct_sum, scramble
-from knotcalc.algebra import dual, reduce, tensor, unit_complex
-from knotcalc.errors import NotKnotLikeError
+from knotcalc import gf2
+from knotcalc.alexander import recipe_factors
+from knotcalc.algebra import dual, reduce, tensor, tensor_many, unit_complex
+from knotcalc.errors import NotKnotLikeError, VerificationFailedError
 from knotcalc.homology import apply_shift
-from knotcalc.localequiv import compare, standard_rep
-from knotcalc.localmaps import verify_local_map
+from knotcalc.localequiv import PositionTrace, compare, standard_rep
+from knotcalc.localmaps import (
+    PrefixSystem,
+    map_between,
+    map_from_standard,
+    prepare_target,
+    short_map,
+    verify_local_map,
+)
 from knotcalc.standard import EQ, GT, LT, build_standard, lex_cmp, negate, phi, shift
 from test_homology import fig2
 
@@ -140,3 +149,136 @@ def test_compare_total_on_small_pool():
     for p, q in itertools.product(pool, pool):
         c = compare(build_standard(p), build_standard(q), cross_check=True)
         assert c == lex_cmp(p, q)
+
+
+# --- the incremental greedy against the one-shot loop --------------------------
+
+
+def _greedy_by_one_shot_solves(c):
+    """The greedy as one fresh solve per candidate: short_map for each b and
+    map_from_standard for the stop test, then the same certification."""
+    c = reduce(c)
+    tgt = prepare_target(c)
+    m_u, m_v = max(tgt.etas_u, default=0), max(tgt.etas_v, default=0)
+    params, trace = [], []
+    while True:
+        k = len(params)
+        bound = m_u if k % 2 == 0 else m_v
+        tested, accepted, stop = [], None, False
+        for b in range(1, bound + 1):
+            ok = short_map((*params, b), tgt) is not None
+            tested.append((b, ok))
+            if ok:
+                accepted = b
+                break
+        if accepted is None and k % 2 == 0:
+            stop = map_from_standard(tuple(params), tgt) is not None
+            tested.append((0, stop))
+        if accepted is None and not stop:
+            for b in range(-bound, 0):
+                ok = short_map((*params, b), tgt) is not None
+                tested.append((b, ok))
+                if ok:
+                    accepted = b
+                    break
+        trace.append(PositionTrace(k + 1, tuple(tested), accepted))
+        if stop:
+            break
+        assert accepted is not None
+        params.append(accepted)
+    s = prepare_target(build_standard(tuple(params)))
+    return tuple(params), (map_between(s, tgt), map_between(tgt, s)), tuple(trace)
+
+
+# The benchmark's deep-staircase family Cable(K;p,q) - T(p,q) and its
+# wide-product sums, written out.
+DEEP_RECIPES = [
+    f"Cable({k};{p},{q}) - T({p},{q})"
+    for k, p, q in [
+        ("T(2,3)", 3, 8), ("T(2,3)", 4, 5), ("T(2,3)", 3, 10), ("T(2,5)", 4, 5),
+        ("T(2,5)", 3, 7), ("T(2,3)", 3, 13), ("T(2,3)", 4, 7), ("T(2,3)", 4, 9),
+        ("T(2,3)", 3, 11), ("T(2,3)", 4, 11), ("T(2,3)", 5, 6),
+    ]
+]
+WIDE_RECIPES = [
+    "T(3,4) - T(2,3) - T(2,7) - T(2,3)",
+    "T(4,5) - T(2,5) + T(2,9)",
+    "Cable(D;2,5) - T(2,9) - T(2,7)",
+    "T(2,11) - T(2,7) + T(2,5)",
+    "T(4,7) - Cable(D;2,5) - T(4,5)",
+    "T(3,7) - T(3,4) + T(2,9)",
+    "T(3,7) - Cable(D;2,5) - T(3,7)",
+    "Cable(D;2,5) + T(4,7) - T(3,7)",
+    "T(2,11) - T(2,7) - T(3,5)",
+    "T(3,5) - T(2,7) + T(2,11)",
+    "T(2,5) - T(2,5) - T(3,4) + T(3,4)",
+    "T(4,7) + T(3,5) - T(4,7)",
+    "T(2,5) - T(2,9) + T(2,11)",
+    "T(2,7) - T(2,5) + T(3,4) + T(2,7)",
+]
+
+
+def _oracle_pool():
+    for p in [(), (1, -1), (-2, 1), (1, -2, 2, -1), (2, -1, 1, -2), (1, -2, -1, 1, 2, -1)]:
+        yield build_standard(p)
+    for a, b in [((2, -2), (1, -1)), ((1, -3, 3, -1), (2, -2)), ((1, -2), (-2, 1))]:
+        yield tensor(build_standard(a), build_standard(b))
+    rng = random.Random(77)
+    for p in [(1, -1), (2, -1, 1, -2), (1, -3, 2, -2, 3, -1), (-1, 2, -2, 1)]:
+        yield scramble(direct_sum(build_standard(p), box(1, 2, tag="k"), box(2, 1, tag="m")), rng)
+    for recipe in DEEP_RECIPES + WIDE_RECIPES:
+        yield tensor_many(build_standard(p) for p in recipe_factors(recipe))
+
+
+def test_greedy_matches_one_shot_solves():
+    for c in _oracle_pool():
+        r = standard_rep(c)
+        assert (r.params, r.witnesses, r.trace) == _greedy_by_one_shot_solves(c)
+
+
+def _random_prefix(rng, rep, bound):
+    """A prefix of *rep* with its last few entries redrawn, so that both
+    feasible and infeasible prefixes come up."""
+    k = rng.randrange(len(rep) + 1)
+    p = list(rep[:k])
+    for i in range(max(0, k - rng.randrange(3)), k):
+        p[i] = rng.choice([b for b in range(-bound, bound + 1) if b])
+    return tuple(p)
+
+
+def test_prefix_system_matches_short_map_per_candidate():
+    rng = random.Random(11)
+    targets = [
+        tensor(build_standard((2, -2)), build_standard((1, -1))),
+        tensor_many(build_standard(p) for p in recipe_factors(DEEP_RECIPES[1])),
+        tensor_many(build_standard(p) for p in recipe_factors(WIDE_RECIPES[0])),
+        scramble(direct_sum(build_standard((2, -1, 1, -2)), box(1, 2, tag="k")), rng),
+    ]
+    for c in targets:
+        tgt = prepare_target(reduce(c))
+        rep = standard_rep(c).params
+        bound = max(*tgt.etas_u, *tgt.etas_v, 1)
+        for _ in range(12):
+            prefix = _random_prefix(rng, rep, bound)
+            system = PrefixSystem.empty(tgt)
+            for a in prefix:
+                system = system.then(a)
+            assert system.params == prefix
+            for b in [b for b in range(-bound - 1, bound + 2) if b]:
+                assert system.then(b).short_map() == short_map((*prefix, b), tgt), (prefix, b)
+            if len(prefix) % 2 == 0:
+                assert system.full_map() == map_from_standard(prefix, tgt), prefix
+
+
+def test_corrupted_incremental_solution_raises(monkeypatch):
+    # flipping a pivot bit leaves a non-solution, which the witness check
+    # must catch on the incremental path too, also under python -O
+    solution = gf2.Echelon.solution
+    monkeypatch.setattr(
+        gf2.Echelon, "solution", lambda self: solution(self) ^ (self.pivmask & -self.pivmask)
+    )
+    tgt = prepare_target(build_standard((1, -1)))
+    with pytest.raises(VerificationFailedError):
+        PrefixSystem.empty(tgt).then(1).short_map()
+    with pytest.raises(VerificationFailedError):
+        standard_rep(build_standard((1, -2, 2, -1)))
