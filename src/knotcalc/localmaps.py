@@ -205,7 +205,7 @@ def _solve(
     V-exponent).  relaxed, when given, is (generator index, kind): only the
     chain condition in direction *kind* is imposed at that generator.
     """
-    _, slots = _slots(dom, dom_tower, tgt)
+    v_shift, slots = _slots(dom, dom_tower, tgt)
     by_source: list[SourceSlots] = [[] for _ in dom.gens]
     for i, (s, t, m) in enumerate(slots):
         by_source[s].append((t, i, m))
@@ -218,7 +218,7 @@ def _solve(
     solution = gf2.solve_affine(system, len(slots))
     if solution is None:
         return None
-    return _certified(dom, dom_tower, tgt, relaxed, slots, solution)
+    return _certified(dom, dom_tower, tgt, relaxed, slots, solution, v_shift)
 
 
 def _certified(
@@ -228,9 +228,10 @@ def _certified(
     relaxed: Optional[tuple[int, str]],
     slots: list[Slot],
     solution: int,
+    v_shift: int,
 ) -> LocalMapWitness:
     """The witness of a solution, checked against the definition."""
-    witness = _witness_from_mask(dom, tgt.c, slots, solution, _v_shift(dom, dom_tower, tgt))
+    witness = _witness_from_mask(dom, tgt.c, slots, solution, v_shift)
     if not _check_witness(dom, dom_tower, tgt, relaxed, witness):
         raise VerificationFailedError("solver produced a bad witness")
     return witness
@@ -398,7 +399,8 @@ class PrefixSystem:
         self, dom: Complex, relaxed: Optional[tuple[int, str]], form: gf2.Echelon
     ) -> LocalMapWitness:
         slots = [(s, t, m) for s, src in enumerate(self.by_source) for t, _, m in src]
-        return _certified(dom, {0: 0}, self.tgt, relaxed, slots, form.solution())
+        v_shift = _v_shift(dom, {0: 0}, self.tgt)
+        return _certified(dom, {0: 0}, self.tgt, relaxed, slots, form.solution(), v_shift)
 
     def short_map(self) -> Optional[LocalMapWitness]:
         """The witness short_map(params, tgt) would give, or None."""
