@@ -21,6 +21,7 @@ Exit status: 0 on success, 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -80,6 +81,7 @@ def _rep_params(args) -> standard.Params:
     return localequiv.standard_rep(_load(args.file)).params
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="knotcalc", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)

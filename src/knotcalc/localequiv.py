@@ -14,9 +14,12 @@ remaining parameters are all zero; it also absorbs the degenerate case
 where every sufficiently negative candidate admits a short map with the
 final generator sent to zero.  The candidates' linear systems share the
 prefix's rows, which localmaps.PrefixSystem keeps in echelon form across
-candidates and positions; every accepted candidate's map is still checked
-against the definition.  The computed representative is certified at the
-end by local maps in both directions.
+candidates and positions, and each candidate is decided by the consistency
+of its system alone.  The computed representative is certified at the end
+by local maps in both directions, each checked against the definition.
+Since a local class holds exactly one standard complex, that certification
+fails whenever any answer on the way was wrong, so no candidate needs a
+certificate of its own.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def standard_rep(c: Complex) -> RepResult:
         found: Optional[int] = None
         for b in (*range(1, bound + 1), *((0,) if k % 2 == 0 else ()), *range(-bound, 0)):
             grown = system.then(b) if b else system
-            ok = (grown.short_map() if b else grown.full_map()) is not None
+            ok = grown.has_short_map() if b else grown.has_full_map()
             tested.append((b, ok))
             if ok:
                 found = b

@@ -14,11 +14,17 @@ truncated standard complex: only the part of the condition in the direction
 of the final arrow type is kept (the V-part when the parameter sequence has
 even length, the U-part when odd).
 
+Every witness a solve returns is checked against the definition before it
+is returned, and a bad one raises VerificationFailedError.
+
 PrefixSystem serves the greedy search of localequiv: the candidates
 C(a_1 .. a_k, b) share the prefix's slots and its chain conditions at
 x_0 .. x_{k-1}, so it keeps those in echelon form and adds only each
-candidate's own rows.  Every map it finds is checked against the definition
-like a one-shot solve's.
+candidate's own rows.  It answers only whether each system is consistent
+and builds no witness: the greedy certifies its final representative with
+two checked full maps, and a wrong answer on the way would give a standard
+complex that is not locally equivalent to the input, so that certification
+would fail.
 
 brute_force_local_map enumerates every bit assignment and checks the
 definition directly; it is the independent oracle for the solver.
@@ -108,11 +114,6 @@ def prepare_target(c: Complex) -> Prepared:
     )
 
 
-def _v_shift(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> int:
-    """The V-shift of a map dom -> tgt, pinned by tower-top alignment."""
-    return tgt.q - element_grading(dom, MOD_U, dom_tower).grv
-
-
 def _gen_slots(want: Bigrading, tgt: Prepared) -> list[tuple[int, Monomial]]:
     """The feasible (target index, monomial) slots of one source whose image
     has grading *want*, in the target order (gr_U, gr_V, index): the unit and
@@ -134,7 +135,7 @@ def _gen_slots(want: Bigrading, tgt: Prepared) -> list[tuple[int, Monomial]]:
 def _slots(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> tuple[int, list[Slot]]:
     """The V-shift pinned by tower-top alignment, and the grading-feasible
     slots, per source in the target order."""
-    v_shift = _v_shift(dom, dom_tower, tgt)
+    v_shift = tgt.q - element_grading(dom, MOD_U, dom_tower).grv
     out: list[Slot] = []
     for s, g in enumerate(dom.gens):
         want = Bigrading(g.grading.gru, g.grading.grv + v_shift)
@@ -218,19 +219,6 @@ def _solve(
     solution = gf2.solve_affine(system, len(slots))
     if solution is None:
         return None
-    return _certified(dom, dom_tower, tgt, relaxed, slots, solution, v_shift)
-
-
-def _certified(
-    dom: Complex,
-    dom_tower: dict[int, int],
-    tgt: Prepared,
-    relaxed: Optional[tuple[int, str]],
-    slots: list[Slot],
-    solution: int,
-    v_shift: int,
-) -> LocalMapWitness:
-    """The witness of a solution, checked against the definition."""
     witness = _witness_from_mask(dom, tgt.c, slots, solution, v_shift)
     if not _check_witness(dom, dom_tower, tgt, relaxed, witness):
         raise VerificationFailedError("solver produced a bad witness")
@@ -341,6 +329,10 @@ class PrefixSystem:
     them.  form is the echelon form of the tower equation and the full chain
     conditions at x_0 .. x_{n-1}, or None when those are inconsistent; each
     system adds only its rows at x_n and at a new final generator.
+
+    The queries decide consistency alone; no solution is back-substituted and
+    no witness built.  The caller certifies the result it reaches with checked
+    full maps (see localequiv.standard_rep).
     """
 
     tgt: Prepared
@@ -395,29 +387,18 @@ class PrefixSystem:
             form = self.form.extend(self._rows_at_last(by_source, params, None))
         return PrefixSystem(self.tgt, params, want, by_source, form)
 
-    def _certified(
-        self, dom: Complex, relaxed: Optional[tuple[int, str]], form: gf2.Echelon
-    ) -> LocalMapWitness:
-        slots = [(s, t, m) for s, src in enumerate(self.by_source) for t, _, m in src]
-        v_shift = _v_shift(dom, {0: 0}, self.tgt)
-        return _certified(dom, {0: 0}, self.tgt, relaxed, slots, form.solution(), v_shift)
-
-    def short_map(self) -> Optional[LocalMapWitness]:
-        """The witness short_map(params, tgt) would give, or None."""
+    def has_short_map(self) -> bool:
+        """Whether short_map(params, tgt) finds a map."""
         if self.form is None:
-            return None
+            return False
         n = len(self.params)
         kind = "V" if n % 2 == 0 else "U"
-        form = self.form.extend(self._rows_at_last(self.by_source, self.params, kind))
-        if form is None:
-            return None
-        return self._certified(build_standard(self.params, v_anchor=0), (n, kind), form)
+        rows = self._rows_at_last(self.by_source, self.params, kind)
+        return self.form.extend(rows) is not None
 
-    def full_map(self) -> Optional[LocalMapWitness]:
-        """The witness map_from_standard(params, tgt) would give, or None."""
-        if self.closed is None:
-            return None
-        return self._certified(build_standard(self.params), None, self.closed)
+    def has_full_map(self) -> bool:
+        """Whether map_from_standard(params, tgt) finds a map."""
+        return self.closed is not None
 
 
 def exists_local_map(s: Complex, c: Complex) -> Optional[LocalMapWitness]:

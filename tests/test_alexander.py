@@ -215,6 +215,39 @@ def test_eval_recipe_k3():
     assert all(j <= 3 for j in ph)
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_slice_family_phi(n):
+    # the paper's topologically slice K_n = Cable(D;n,n+1) - T(n,n+1):
+    # phi = {1: n-1} + {n-1: -1} + {n: 1}, so phi_n != 0 and nothing above n
+    expected: dict[int, int] = {}
+    for j, v in [(1, n - 1), (n - 1, -1), (n, 1)]:
+        expected[j] = expected.get(j, 0) + v
+    params = eval_recipe(f"Cable(D;{n},{n + 1}) - T({n},{n + 1})").params
+    ph = phi(params)
+    assert ph == {j: v for j, v in expected.items() if v}
+    assert ph[n] != 0 and max(ph) == n
+    assert tau_of(params) == n
+
+
+def _lspace_cables():
+    """(K, g(K), p, q) with p <= 4 and the two smallest q >= p(2g(K) - 1)
+    coprime to p, so that Cable(K;p,q) is an L-space knot."""
+    for knot, g in [("T(2,3)", 1), ("T(2,5)", 2), ("T(3,4)", 3)]:
+        for p in range(2, 5):
+            qs = [q for q in range(p * (2 * g - 1), p * (2 * g + 1)) if gcd(p, q) == 1]
+            for q in qs[:2]:
+                yield knot, g, p, q
+
+
+@pytest.mark.parametrize("knot, g, p, q", list(_lspace_cables()))
+def test_cable_tau_against_hom(knot, g, p, q):
+    # Hom: tau(K_{p,q}) = p tau(K) + (p-1)(q-1)/2 when tau(K) = g(K), as for
+    # these L-space knots; the second term is tau(T(p,q))
+    tau_k = tau_of(eval_recipe(knot).params)
+    assert tau_k == g
+    assert tau_of(eval_recipe(f"Cable({knot};{p},{q}) - T({p},{q})").params) == p * tau_k
+
+
 # --- checks against the paper, computed independently ---------------------------
 
 

@@ -4,10 +4,9 @@ import random
 import pytest
 
 from conftest import box, direct_sum, scramble
-from knotcalc import gf2
 from knotcalc.alexander import recipe_factors
 from knotcalc.algebra import dual, reduce, tensor, tensor_many, unit_complex
-from knotcalc.errors import NotKnotLikeError, VerificationFailedError
+from knotcalc.errors import LengthCapExceededError, NotKnotLikeError, VerificationFailedError
 from knotcalc.homology import apply_shift
 from knotcalc.localequiv import PositionTrace, compare, standard_rep
 from knotcalc.localmaps import (
@@ -246,7 +245,7 @@ def _random_prefix(rng, rep, bound):
     return tuple(p)
 
 
-def test_prefix_system_matches_short_map_per_candidate():
+def test_prefix_system_feasibility_matches_one_shot_solves():
     rng = random.Random(11)
     targets = [
         tensor(build_standard((2, -2)), build_standard((1, -1))),
@@ -265,20 +264,27 @@ def test_prefix_system_matches_short_map_per_candidate():
                 system = system.then(a)
             assert system.params == prefix
             for b in [b for b in range(-bound - 1, bound + 2) if b]:
-                assert system.then(b).short_map() == short_map((*prefix, b), tgt), (prefix, b)
+                want = short_map((*prefix, b), tgt) is not None
+                assert system.then(b).has_short_map() == want, (prefix, b)
             if len(prefix) % 2 == 0:
-                assert system.full_map() == map_from_standard(prefix, tgt), prefix
+                want = map_from_standard(prefix, tgt) is not None
+                assert system.has_full_map() == want, prefix
 
 
-def test_corrupted_incremental_solution_raises(monkeypatch):
-    # flipping a pivot bit leaves a non-solution, which the witness check
-    # must catch on the incremental path too, also under python -O
-    solution = gf2.Echelon.solution
-    monkeypatch.setattr(
-        gf2.Echelon, "solution", lambda self: solution(self) ^ (self.pivmask & -self.pivmask)
-    )
-    tgt = prepare_target(build_standard((1, -1)))
-    with pytest.raises(VerificationFailedError):
-        PrefixSystem.empty(tgt).then(1).short_map()
-    with pytest.raises(VerificationFailedError):
-        standard_rep(build_standard((1, -2, 2, -1)))
+def test_flipping_any_feasibility_answer_fails_certification(monkeypatch):
+    # standard_rep trusts PrefixSystem's answers and certifies only its
+    # result, so any single wrong answer must make it raise, also under
+    # python -O
+    answers = {name: getattr(PrefixSystem, name) for name in ("has_short_map", "has_full_map")}
+    for recipe in ["Cable(D;3,4) - T(3,4)", "T(3,4) - T(2,5) + T(2,3)"]:
+        c = tensor_many(build_standard(p) for p in recipe_factors(recipe))
+        queries = sum(len(t.candidates) for t in standard_rep(c).trace)
+        for flip in range(queries):
+            asked = itertools.count()
+            for name, answer in answers.items():
+                monkeypatch.setattr(
+                    PrefixSystem, name, lambda self, f=answer: f(self) ^ (next(asked) == flip)
+                )
+            with pytest.raises((VerificationFailedError, LengthCapExceededError)):
+                standard_rep(c)
+            monkeypatch.undo()
