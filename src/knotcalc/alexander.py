@@ -5,7 +5,8 @@ Torus knot polynomials come from the exact quotient
 companion polynomial at t^p by the pattern torus polynomial.  An L-space
 knot's complex is a staircase read off the gap sequence c_i of its
 alternating Alexander polynomial; a recipe expression combines such atoms
-with connected sums and mirrors and hands the tensor product to the
+with connected sums and mirrors, and its class is found by folding the
+factors' tensor product one factor at a time through the
 standard-representative machinery.
 """
 
@@ -16,7 +17,7 @@ from math import gcd
 from typing import Mapping, Union
 
 from . import parsing
-from .algebra import tensor_many
+from .algebra import tensor
 from .errors import (
     NotCoprimeError,
     NotStaircaseError,
@@ -295,10 +296,13 @@ def atom_params(atom: parsing.Atom) -> Params:
     raise TypeError(f"unknown atom {atom!r}")
 
 
-# The most generators a recipe's tensor product may have, and the most
-# factors it may name.  A 3,675-generator product takes about 0.5 s and 30 MB,
-# an 18,375-generator one 9 s and 430 MB; the tests, demos and benchmark
-# menus stay at or under 1,225 generators.
+# The most generators a recipe's whole tensor product may have, and the most
+# factors it may name.  eval_recipe never builds that product, only one
+# step's at a time, but the sizes of its steps are not known before the
+# steps are solved: each depends on the length of the previous step's
+# representative.  The whole product bounds them all, and so bounds the
+# total work before any of it starts; a guard on each step alone would let
+# a recipe such as 5000*D run many growing steps before one was refused.
 MAX_RECIPE_GENS = 10_000
 
 
@@ -331,8 +335,27 @@ def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
 
 
 def eval_recipe(expr: Union[str, parsing.KnotExpr]) -> RepResult:
-    """Evaluate a recipe: tensor the complexes of its terms and compute the
-    standard representative of the product."""
-    factors = recipe_factors(expr)
-    c = tensor_many(build_standard(p) for p in factors)
-    return standard_rep(c)
+    """Evaluate a recipe: the standard representative of the tensor product
+    of its terms' complexes.
+
+    The product is folded one factor at a time: each step tensors the
+    standard complex of the previous step's representative with the next
+    factor and takes the standard representative of that.  This is sound
+    because local equivalence respects the tensor product and each local
+    class holds exactly one standard complex, so
+    rep(A (x) B (x) C) = rep(C(rep(A (x) B)) (x) C).  Every step certifies
+    its representative with two checked local maps (see standard_rep), so a
+    wrong step raises before its result feeds the next one.  Empty factors
+    C() are the unit of the tensor product and are skipped.
+
+    The returned witnesses, trace and prepared complex are those of the last
+    step; with at most one non-empty factor they are of that factor alone.
+    """
+    first, *rest = [p for p in recipe_factors(expr) if p] or [()]
+    if not rest:
+        return standard_rep(build_standard(first))
+    params = first
+    for p in rest:
+        result = standard_rep(tensor(build_standard(params), build_standard(p)))
+        params = result.params
+    return result

@@ -339,6 +339,7 @@ class PrefixSystem:
     params: Params
     want: Bigrading  # the grading of f(x_n)
     by_source: list[SourceSlots]
+    nbits: int  # the number of slots in by_source, the next free bit
     form: Optional[gf2.Echelon]
 
     @classmethod
@@ -347,7 +348,7 @@ class PrefixSystem:
         want = Bigrading(0, tgt.q)
         by_source = [[(t, bit, m) for bit, (t, m) in enumerate(_gen_slots(want, tgt))]]
         form = gf2.Echelon().extend([_tower_row({0: 0}, by_source, tgt)])
-        return cls(tgt, (), want, by_source, form)
+        return cls(tgt, (), want, by_source, len(by_source[0]), form)
 
     def _rows_at_last(
         self, by_source: list[SourceSlots], params: Params, kind: Optional[str]
@@ -376,8 +377,7 @@ class PrefixSystem:
         n = len(self.params)
         params = (*self.params, b)
         want = self.want + step(n + 1, b)
-        nbits = sum(len(slots) for slots in self.by_source)
-        new = [(t, nbits + j, m) for j, (t, m) in enumerate(_gen_slots(want, self.tgt))]
+        new = [(t, self.nbits + j, m) for j, (t, m) in enumerate(_gen_slots(want, self.tgt))]
         by_source = [*self.by_source, new]
         if b > 0:
             form = self.closed
@@ -385,7 +385,7 @@ class PrefixSystem:
             form = None
         else:  # the arrow x_n -> x_{n+1} enters the condition at x_n
             form = self.form.extend(self._rows_at_last(by_source, params, None))
-        return PrefixSystem(self.tgt, params, want, by_source, form)
+        return PrefixSystem(self.tgt, params, want, by_source, self.nbits + len(new), form)
 
     def has_short_map(self) -> bool:
         """Whether short_map(params, tgt) finds a map."""

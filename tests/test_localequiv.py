@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import box, direct_sum, scramble
-from knotcalc.alexander import recipe_factors
+from knotcalc.alexander import eval_recipe, recipe_factors
 from knotcalc.algebra import dual, reduce, tensor, tensor_many, unit_complex
 from knotcalc.errors import LengthCapExceededError, NotKnotLikeError, VerificationFailedError
 from knotcalc.homology import apply_shift
@@ -271,20 +271,45 @@ def test_prefix_system_feasibility_matches_one_shot_solves():
                 assert system.has_full_map() == want, prefix
 
 
+def test_folded_recipe_matches_monolithic_product():
+    # eval_recipe folds factor by factor; the whole product is the oracle
+    for recipe in DEEP_RECIPES + WIDE_RECIPES + [
+        "2*T(4,5) - T(3,4) - T(2,5)",
+        "Cable(D;4,5) - T(4,5) + Cable(D;3,4) - T(3,4)",
+        "T(2,5) + Std() + Std() - T(2,5)",
+        "Thin(2) - Thin(2) + D",
+    ]:
+        whole = tensor_many(build_standard(p) for p in recipe_factors(recipe))
+        assert eval_recipe(recipe).params == standard_rep(whole).params, recipe
+
+
 def test_flipping_any_feasibility_answer_fails_certification(monkeypatch):
     # standard_rep trusts PrefixSystem's answers and certifies only its
     # result, so any single wrong answer must make it raise, also under
-    # python -O
+    # python -O; eval_recipe certifies every step of its fold, so a wrong
+    # answer in any step must make it raise too
     answers = {name: getattr(PrefixSystem, name) for name in ("has_short_map", "has_full_map")}
+
+    def flip_answer(flip):
+        asked = itertools.count()
+        for name, answer in answers.items():
+            monkeypatch.setattr(
+                PrefixSystem, name, lambda self, f=answer: f(self) ^ (next(asked) == flip)
+            )
+        return asked
+
+    runs = []
     for recipe in ["Cable(D;3,4) - T(3,4)", "T(3,4) - T(2,5) + T(2,3)"]:
         c = tensor_many(build_standard(p) for p in recipe_factors(recipe))
-        queries = sum(len(t.candidates) for t in standard_rep(c).trace)
+        runs.append(lambda c=c: standard_rep(c))
+    runs.append(lambda: eval_recipe("T(3,4) - T(2,5) + T(2,3) - D"))
+    for run in runs:
+        asked = flip_answer(None)
+        run()
+        queries = next(asked)  # over every step of a fold, not only the last
+        monkeypatch.undo()
         for flip in range(queries):
-            asked = itertools.count()
-            for name, answer in answers.items():
-                monkeypatch.setattr(
-                    PrefixSystem, name, lambda self, f=answer: f(self) ^ (next(asked) == flip)
-                )
+            flip_answer(flip)
             with pytest.raises((VerificationFailedError, LengthCapExceededError)):
-                standard_rep(c)
+                run()
             monkeypatch.undo()
