@@ -187,8 +187,28 @@ def apply_map(
 
 
 def _check_d_squared(c: Complex) -> None:
-    for s in sorted(c.diff):
-        if apply_map(c.diff, c.diff[s]):
+    """Raise DSquaredNonzeroError at the least source s with d(d(s)) != 0.
+
+    Over F2, d(d(s)) is nonzero exactly when some target u is reached by an
+    odd number of paths s -> t -> u whose product survives UV = 0, that is
+    where either arrow is 1 or both have the same kind.
+    """
+    diff = c.diff
+    for s in sorted(diff):
+        odd: set[int] = set()
+        for t, first in diff[s].items():
+            row = diff.get(t)
+            if not row:
+                continue
+            k1 = first.kind
+            for u, second in row.items():
+                k2 = second.kind
+                if k1 == k2 or k1 == "1" or k2 == "1":
+                    if u in odd:
+                        odd.remove(u)
+                    else:
+                        odd.add(u)
+        if odd:
             raise DSquaredNonzeroError(c.gens[s].name)
 
 
@@ -225,7 +245,8 @@ def validate(
             if tgt_name not in index:
                 raise UnknownGeneratorError(tgt_name)
             t = index[tgt_name]
-            m = mono(m.kind, m.exponent)
+            if m.exponent < 1 or m.kind not in ("U", "V"):
+                m = mono(m.kind, m.exponent)  # U^a and V^b with a, b >= 1 are already canonical
             _check_degree(gens[s], gens[t], m)
             if t in row:
                 # adding the same arrow twice cancels over F2

@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import gf2
-from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map, mono_mul
+from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map
 from .errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
 from .homology import MOD_U, apply_shift, check_knot_like, element_grading
 from .standard import Params, arrow, build_standard, step
@@ -160,22 +160,27 @@ def _source_rows(
 
     dom_row is d(s) in the domain.  With *kind* given only the arrows of that
     kind count, on both sides (the relaxed condition at a short map's final
-    generator).
+    generator).  Only products that survive UV = 0 count: those where either
+    factor is 1 or both have the same kind.
     """
     rows: dict[int, int] = {}
     # d f(s): push each slot monomial through the target differential
     for t, bit, m in by_source[s]:
+        k1 = m.kind
         for u, d in tgt.c.diff.get(t, {}).items():
-            if kind and d.kind != kind:
+            k2 = d.kind
+            if kind and k2 != kind:
                 continue
-            if mono_mul(m, d) is not None:
+            if k1 == k2 or k1 == "1" or k2 == "1":
                 rows[u] = rows.get(u, 0) ^ (1 << bit)
     # f(d s): push the domain differential through the slots of s'
     for sp, e in dom_row.items():
-        if kind and e.kind != kind:
+        k1 = e.kind
+        if kind and k1 != kind:
             continue
         for t2, bit, m2 in by_source[sp]:
-            if mono_mul(e, m2) is not None:
+            k2 = m2.kind
+            if k1 == k2 or k1 == "1" or k2 == "1":
                 rows[t2] = rows.get(t2, 0) ^ (1 << bit)
     return [(mask, 0) for mask in rows.values()]
 

@@ -7,6 +7,8 @@ Complex file grammar (line oriented):
     d IDENT = 0
     d IDENT = TERM + TERM + ...      TERM := ("U^"K | "V^"K | "1") IDENT
 
+K is a decimal number; U^0 and V^0 read as 1.  Comments take whole lines.
+
 Omitted d lines mean zero differential.  Serialization writes generators in
 declaration order and one d line per source with a nonzero differential, so
 serialize(parse(text)) is stable.
@@ -26,18 +28,29 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
-from .algebra import Complex, Monomial, mono, validate
+from .algebra import UNIT, Complex, Monomial, mono, validate
 from .errors import ParseError
 
 _GEN_RE = re.compile(r"gen\s+(\S+)\s+(-?\d+)\s+(-?\d+)\s*$")
 _D_RE = re.compile(r"d\s+(\S+)\s*=\s*(.*)$")
-_TERM_RE = re.compile(r"(U\^(\d+)|V\^(\d+)|1)\s+(\S+)\s*$")
+_COEFFICIENT_RE = re.compile(r"([UV])\^(\d+)|1")
+
+
+def _coefficient(token: str) -> Optional[Monomial]:
+    """The monomial a term's coefficient names, or None for a bad coefficient."""
+    m = _COEFFICIENT_RE.fullmatch(token)
+    if m is None:
+        return None
+    kind, exponent = m.groups()
+    return mono(kind, int(exponent)) if kind else UNIT
 
 
 def parse_complex_file(text: str) -> Complex:
     """Parse and validate a complex file."""
+    # each distinct coefficient token ("U^2", "1", ...) is parsed once per file
+    coefficients: dict[str, Optional[Monomial]] = {}
     generators: list[tuple[str, tuple[int, int]]] = []
     differential: list[tuple[str, list[tuple[Monomial, str]]]] = []
     sources: set[str] = set()
@@ -49,28 +62,32 @@ def parse_complex_file(text: str) -> Complex:
             m = _GEN_RE.match(line)
             if not m:
                 raise ParseError(f"bad gen line {raw!r}", line=lineno)
-            generators.append((m.group(1), (int(m.group(2)), int(m.group(3)))))
+            name, gu, gv = m.groups()
+            generators.append((name, (int(gu), int(gv))))
         elif line.startswith("d"):
             m = _D_RE.match(line)
             if not m:
                 raise ParseError(f"bad d line {raw!r}", line=lineno)
-            src, rhs = m.group(1), m.group(2).strip()
+            src, rhs = m.groups()
+            rhs = rhs.strip()
             if src in sources:
                 raise ParseError(f"duplicate differential for {src!r}", line=lineno)
             sources.add(src)
             terms: list[tuple[Monomial, str]] = []
             if rhs != "0":
                 for chunk in rhs.split("+"):
-                    tm = _TERM_RE.match(chunk.strip())
-                    if not tm:
-                        raise ParseError(f"bad term {chunk.strip()!r}", line=lineno)
-                    if tm.group(2):
-                        monomial = mono("U", int(tm.group(2)))
-                    elif tm.group(3):
-                        monomial = mono("V", int(tm.group(3)))
-                    else:
-                        monomial = mono("1", 0)
-                    terms.append((monomial, tm.group(4)))
+                    # a term is a coefficient and a name, split by whitespace
+                    parts = chunk.split()
+                    if len(parts) == 2:
+                        token, name = parts
+                        if token in coefficients:
+                            monomial = coefficients[token]
+                        else:
+                            monomial = coefficients[token] = _coefficient(token)
+                        if monomial is not None:
+                            terms.append((monomial, name))
+                            continue
+                    raise ParseError(f"bad term {chunk.strip()!r}", line=lineno)
             differential.append((src, terms))
         else:
             raise ParseError(f"unrecognized line {raw!r}", line=lineno)
@@ -174,9 +191,24 @@ class _Scanner:
         return self.text[start:self.pos]
 
 
-def _parse_atom(sc: _Scanner) -> Atom:
+# The deepest nest of atoms a recipe may have, far below Python's recursion
+# limit, which the recursive parse and evaluation of a nest would otherwise
+# reach.  A cable with p, q >= 2 grows the complex at every level: a search
+# over p <= 4, q < 40 finds no such nest deeper than 16 levels under
+# alexander.MAX_RECIPE_GENS.
+MAX_NESTING = 100
+
+
+def _parse_atom(sc: _Scanner, depth: int = 1) -> Atom:
+    """Parse the atom at the scanner, *depth* levels deep in its nest.
+
+    Raises ParseError at the column of the first atom nested deeper than
+    MAX_NESTING (100) levels.
+    """
     sc.skip_ws()
     start = sc.pos
+    if depth > MAX_NESTING:
+        raise ParseError(f"atoms nested deeper than {MAX_NESTING} levels", column=start + 1)
     head = sc.word()
     if head == "T":
         sc.expect("(")
@@ -187,7 +219,7 @@ def _parse_atom(sc: _Scanner) -> Atom:
         return Torus(p, q)
     if head == "Cable":
         sc.expect("(")
-        inner = _parse_atom(sc)
+        inner = _parse_atom(sc, depth + 1)
         sc.expect(";")
         p = sc.integer()
         sc.expect(",")

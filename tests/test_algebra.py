@@ -7,7 +7,9 @@ from conftest import box, direct_sum, scramble
 from knotcalc.algebra import (
     Bigrading,
     Complex,
+    Monomial,
     UNIT,
+    apply_map,
     dual,
     mono,
     mono_for_grading,
@@ -125,6 +127,94 @@ def test_validate_d_squared():
             [("z", (0, 0)), ("a", (1, 1)), ("b", (2, 2))],
             [("a", [(UNIT, "z")]), ("b", [(UNIT, "a")])],
         )
+
+
+def _path(m1, m2):
+    """a -> b -> c with arrows m1 then m2, at the gradings the degree rule forces."""
+    (u2, v2), (u1, v1) = m2.grading(), m1.grading()
+    b = (u2 + 1, v2 + 1)
+    a = (u1 + b[0] + 1, v1 + b[1] + 1)
+    return [("c", (0, 0)), ("b", b), ("a", a)], [("a", [(m1, "b")]), ("b", [(m2, "c")])]
+
+
+@pytest.mark.parametrize("m1, m2", [(mono("U", 1), mono("V", 2)), (mono("V", 3), mono("U", 1))])
+def test_validate_accepts_paths_that_vanish_under_uv(m1, m2):
+    c = validate(*_path(m1, m2))
+    assert len(c.diff) == 2
+
+
+@pytest.mark.parametrize(
+    "m1, m2",
+    [(mono("U", 1), mono("U", 2)), (mono("V", 1), mono("V", 1)), (UNIT, mono("V", 2)), (mono("U", 2), UNIT)],
+)
+def test_validate_refuses_paths_that_survive_uv(m1, m2):
+    with pytest.raises(DSquaredNonzeroError) as e:
+        validate(*_path(m1, m2))
+    assert e.value.witness == "a"
+
+
+@pytest.mark.parametrize("paths, ok", [(2, True), (3, False)])
+def test_validate_counts_unit_paths_over_f2(paths, ok):
+    mids = [f"b{i}" for i in range(paths)]
+    gens = [("c", (0, 0))] + [(b, (1, 1)) for b in mids] + [("a", (2, 2))]
+    diff = [("a", [(UNIT, b) for b in mids])] + [(b, [(UNIT, "c")]) for b in mids]
+    if ok:
+        validate(gens, diff)
+    else:
+        with pytest.raises(DSquaredNonzeroError):
+            validate(gens, diff)
+
+
+def test_validate_normalizes_raw_monomials():
+    gens = [("b", (0, 0)), ("a", (1, 1))]
+    c = validate(gens, [("a", [(Monomial("U", 0), "b")])])
+    assert c.diff[1][0] is UNIT
+    for bad in (Monomial("U", -1), Monomial("W", 1), Monomial("1", 2)):
+        with pytest.raises(ValueError):
+            validate(gens, [("a", [(bad, "b")])])
+
+
+def _d_squared_by_apply_map(c):
+    """The d^2 check as d(d(s)) computed by apply_map: the name of the least
+    source where it is nonzero, or None."""
+    for s in sorted(c.diff):
+        if apply_map(c.diff, c.diff[s]):
+            return c.gens[s].name
+    return None
+
+
+def _d_squared_witness(c):
+    try:
+        revalidate(c)
+    except DSquaredNonzeroError as e:
+        return e.witness
+    return None
+
+
+def _assert_d_squared_matches_apply_map(c, rng, edits=15):
+    """The check agrees with apply_map on c and on c with one arrow of legal
+    degree added or removed, for *edits* random arrows."""
+    assert _d_squared_witness(c) is None and _d_squared_by_apply_map(c) is None
+    n = len(c.gens)
+    for _ in range(edits):
+        s, t = rng.randrange(n), rng.randrange(n)
+        m = mono_for_grading(c.gens[s].grading - Bigrading(1, 1) - c.gens[t].grading)
+        if m is None:
+            continue
+        diff = {x: dict(row) for x, row in c.diff.items()}
+        xor_term(diff.setdefault(s, {}), t, m)
+        edited = Complex(c.gens, {x: row for x, row in diff.items() if row})
+        assert _d_squared_witness(edited) == _d_squared_by_apply_map(edited)
+
+
+@given(st.sampled_from([(1, -1), (1, -2, 2, -1), (2, -1, 1, -2), (-1, 3, -3, 1)]), st.integers(0, 2**31))
+def test_d_squared_matches_apply_map(p, seed):
+    rng = random.Random(seed)
+    base = build_standard(p)
+    c = scramble(direct_sum(base, box(1, 2, tag="k"), _unit_pair(tuple(base.gens[1].grading), "u")), rng)
+    prod = tensor(build_standard(p), c)
+    for cx in (c, reduce(c), prod, reduce(prod), dual(c)):
+        _assert_d_squared_matches_apply_map(cx, rng)
 
 
 # --- reduce ------------------------------------------------------------------

@@ -156,6 +156,15 @@ def test_oversized_recipe_is_refused(capsys):
         )
 
 
+def test_deeply_nested_recipe_is_refused(capsys):
+    # deep enough to exhaust Python's recursion limit without the nesting limit
+    for expr in ("Cable(" * 3000, "Cable(" * 3000 + "T(2,3)" + ";2,3)" * 3000):
+        assert run(["inv", "--expr", expr]) == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == "error: atoms nested deeper than 100 levels at column 601\n"
+
+
 def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2

@@ -1,11 +1,21 @@
+import contextlib
+import io
+import random
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import box, direct_sum, scramble
+from knotcalc.algebra import Monomial, mono, validate
 from knotcalc.alexander import parse_poly
-from knotcalc.errors import ParseError, UnknownGeneratorError
+from knotcalc.cli import run
+from knotcalc.errors import KnotCalcError, ParseError, UnknownGeneratorError
 from knotcalc.localequiv import standard_rep
 from knotcalc.parsing import (
+    MAX_NESTING,
     CableAtom,
     DAlias,
     StdLiteral,
@@ -15,8 +25,10 @@ from knotcalc.parsing import (
     parse_knot_expr,
     serialize_complex,
 )
+from knotcalc.standard import build_standard
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 # --- complex files ---------------------------------------------------------------
@@ -71,6 +83,132 @@ def test_round_trip_is_stable():
 def test_unit_arrows_serialize():
     c = parse_complex_file("gen a 0 0\ngen b 1 1\nd b = 1 a\n")
     assert "d b = 1 a" in serialize_complex(c)
+
+
+def test_readme_complex_file_example_parses():
+    section = README.read_text(encoding="utf-8").split("### Complex file format", 1)[1]
+    example = section.split("```", 2)[1]
+    assert standard_rep(parse_complex_file(example)).params == (1, -2)
+
+
+# --- complex files against the regex term grammar ------------------------------------
+
+_GEN_RE = re.compile(r"gen\s+(\S+)\s+(-?\d+)\s+(-?\d+)\s*$")
+_D_RE = re.compile(r"d\s+(\S+)\s*=\s*(.*)$")
+_TERM_RE = re.compile(r"(U\^(\d+)|V\^(\d+)|1)\s+(\S+)\s*$")
+
+
+def _parse_by_regex(text):
+    """parse_complex_file with every term matched by one regex, the grammar's
+    first implementation."""
+    generators, differential, sources = [], [], set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("gen"):
+            m = _GEN_RE.match(line)
+            if not m:
+                raise ParseError(f"bad gen line {raw!r}", line=lineno)
+            generators.append((m.group(1), (int(m.group(2)), int(m.group(3)))))
+        elif line.startswith("d"):
+            m = _D_RE.match(line)
+            if not m:
+                raise ParseError(f"bad d line {raw!r}", line=lineno)
+            src, rhs = m.group(1), m.group(2).strip()
+            if src in sources:
+                raise ParseError(f"duplicate differential for {src!r}", line=lineno)
+            sources.add(src)
+            terms = []
+            if rhs != "0":
+                for chunk in rhs.split("+"):
+                    tm = _TERM_RE.match(chunk.strip())
+                    if not tm:
+                        raise ParseError(f"bad term {chunk.strip()!r}", line=lineno)
+                    if tm.group(2):
+                        monomial = mono("U", int(tm.group(2)))
+                    elif tm.group(3):
+                        monomial = mono("V", int(tm.group(3)))
+                    else:
+                        monomial = mono("1", 0)
+                    terms.append((monomial, tm.group(4)))
+            differential.append((src, terms))
+        else:
+            raise ParseError(f"unrecognized line {raw!r}", line=lineno)
+    return validate(generators, differential)
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", serialize_complex(parse(text))
+    except KnotCalcError as e:
+        return type(e).__name__, str(e), getattr(e, "line", None)
+
+
+_BASES = (
+    (DATA / "fig1.cx").read_text(),
+    "# two lines of comment\n\ngen a 0 0\ngen b 1 1\ngen e 0 0\nd a = 0\nd b = 1 a\n",
+    serialize_complex(build_standard((2, -1, 1, -2))),
+    serialize_complex(scramble(direct_sum(build_standard((1, -2, 2, -1)), box(1, 2)), random.Random(3))),
+)
+
+# (pattern, replacement): one edit replaces one match of the pattern
+_EDITS = (
+    (r" ", ""), (r" ", "  "), (r" ", "\t"), (r" ", " \t "),
+    (r"(?<=\^)\d+", "0"), (r"(?<=\^)\d+", "-1"), (r"(?<=\^)\d+", "07"),
+    (r"[UV](?=\^)", "W"), (r"(?<=[ =+])1(?= )", "U^0"), (r"(?<=[ =+])1(?= )", "V^00"),
+    (r"(?<=\d) (?=\S)", ""), (r"(?<= 1) ", ""), (r"(?<=\d)(?= )", "g"), (r"(?<=[=+] 1)(?= )", "0"),
+    (r"(?m)$", " extra"), (r" \+ ", " + + "), (r" \+ ", " +"), (r"= ", "= + "), (r" \+ ", " "),
+    (r"\d", "\u0663"), (r"\d", "\uff13"), (r"\d", "\u00b2"), (r"\d", "\u2163"),
+    (r"(?m)^", "# "), (r"(?m)^", "\t"), (r"(?m)^d ", "d  "), (r"(?m)^gen ", "gen\t"),
+)
+
+
+def _edited(base, edits):
+    text = base
+    for which, k in edits:
+        pattern, replacement = _EDITS[which]
+        found = list(re.finditer(pattern, text))
+        if found:
+            m = found[k % len(found)]
+            text = text[: m.start()] + replacement + text[m.end():]
+    return text
+
+
+@given(st.sampled_from(_BASES), st.lists(st.tuples(st.integers(0, len(_EDITS) - 1), st.integers(0, 10**6)), max_size=4))
+def test_edited_files_parse_like_the_regex_grammar(base, edits):
+    text = _edited(base, edits)
+    assert _outcome(parse_complex_file, text) == _outcome(_parse_by_regex, text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.cx"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run(["validate", str(path)]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("gen a 0 0\ngen b 1 1\nd b = U^1a\n", "bad term 'U^1a' at line 3"),
+        ("gen a 0 0\ngen b 1 1\nd b = 1 a b\n", "bad term '1 a b' at line 3"),
+        ("gen a 0 0\ngen b 1 1\nd b = 10 a\n", "bad term '10 a' at line 3"),
+        ("gen a 0 0\ngen b 1 1\nd b = U^1g a\n", "bad term 'U^1g a' at line 3"),
+        ("gen a 0 0\ngen b 1 1\nd b = 1 a +  + 1 a\n", "bad term '' at line 3"),
+        ("gen a 0 0\ngen b 1 1\nd b = W^2 a\n", "bad term 'W^2 a' at line 3"),
+        ("gen a 0 0\ngen b 1 1\nd b = U^-1 a\n", "bad term 'U^-1 a' at line 3"),
+        ("gen a 0 0\ngen b 1 1\nd b = U^\u00b2 a\n", "bad term 'U^\u00b2 a' at line 3"),
+    ],
+)
+def test_bad_terms_name_the_term_and_line(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_complex_file(text)
+    assert str(e.value) == message and e.value.line == 3
+    assert _outcome(parse_complex_file, text) == _outcome(_parse_by_regex, text)
+
+
+def test_zero_exponents_and_unicode_digits_are_read_as_numbers():
+    c = parse_complex_file("gen a 0 0\ngen b 1 1\ngen c \u0660 \u0662\nd b = U^0 a\t+\tV^00 a\nd c = U^\uff11 b\n")
+    assert c.diff == {c.index("c"): {c.index("b"): Monomial("U", 1)}}
 
 
 # --- recipe expressions ------------------------------------------------------------
@@ -134,3 +272,14 @@ def test_whitespace_tolerance():
         (1, 1, Torus(2, 3)),
         (-1, 1, DAlias()),
     )
+
+
+def test_nesting_limit():
+    deepest = "Cable(" * (MAX_NESTING - 1) + "D" + ";2,1)" * (MAX_NESTING - 1)
+    ((_, _, atom),) = parse_knot_expr(deepest).terms
+    for _ in range(MAX_NESTING - 1):
+        atom = atom.inner
+    assert atom == DAlias()
+    with pytest.raises(ParseError) as e:
+        parse_knot_expr("Cable(" + deepest + ";2,1)")
+    assert str(e.value) == f"atoms nested deeper than {MAX_NESTING} levels at column {6 * MAX_NESTING + 1}"
