@@ -21,11 +21,12 @@ from .algebra import tensor
 from .errors import (
     NotCoprimeError,
     NotStaircaseError,
+    ParameterTooLargeError,
     ParseError,
     RecipeTooLargeError,
     VerificationFailedError,
 )
-from .localequiv import RepResult, standard_rep
+from .localequiv import MAX_PARAMETER, RepResult, standard_rep
 from .standard import Params, build_standard, negate, phi
 
 
@@ -310,7 +311,9 @@ def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
     """Parameter lists of every tensor factor named by a recipe expression.
 
     Raises RecipeTooLargeError before the list is built when the factor
-    sizes multiply past MAX_RECIPE_GENS, or the factors outnumber it.
+    sizes multiply past MAX_RECIPE_GENS, or the factors outnumber it, and
+    ParameterTooLargeError when a factor has a parameter over
+    localequiv.MAX_PARAMETER in absolute value.
     """
     if isinstance(expr, str):
         expr = parsing.parse_knot_expr(expr)
@@ -318,6 +321,11 @@ def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
     size = 1
     for sign, mult, atom in expr.terms:
         p = atom_params(atom)
+        largest = max(map(abs, p), default=0)
+        if largest > MAX_PARAMETER:
+            raise ParameterTooLargeError(
+                f"recipe has a parameter {largest}, over the limit of {MAX_PARAMETER}"
+            )
         if sign < 0:
             p = negate(p)
         for _ in range(mult if p else 0):

@@ -27,7 +27,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import algebra, alexander, localequiv, parsing, standard
-from .errors import KnotCalcError
+from .errors import KnotCalcError, RecipeTooLargeError
 
 
 def _load(path: str) -> algebra.Complex:
@@ -160,7 +160,14 @@ def run(argv: Sequence[str]) -> int:
         elif args.command == "dual":
             _emit(algebra.dual(_load(args.file)), args.output)
         elif args.command == "tensor":
-            _emit(algebra.tensor(_load(args.a), _load(args.b)), args.output)
+            a, b = _load(args.a), _load(args.b)
+            size = len(a.gens) * len(b.gens)
+            if size > alexander.MAX_RECIPE_GENS:
+                raise RecipeTooLargeError(
+                    f"tensor product has {size} generators, over the limit of "
+                    f"{alexander.MAX_RECIPE_GENS}"
+                )
+            _emit(algebra.tensor(a, b), args.output)
         elif args.command == "std":
             params = standard.parse_params(args.params)
             _emit(standard.build_standard(params), args.output)

@@ -66,7 +66,13 @@ class LengthCapExceededError(KnotCalcError):
 
 
 class RecipeTooLargeError(KnotCalcError):
-    """A recipe whose tensor product is refused before it is built."""
+    """A tensor product, of a recipe's factors or of two files, refused
+    before it is built."""
+
+
+class ParameterTooLargeError(KnotCalcError):
+    """A parameter or torsion order over localequiv.MAX_PARAMETER, refused
+    before the search for a representative starts."""
 
 
 class VerificationFailedError(KnotCalcError):

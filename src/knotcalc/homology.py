@@ -73,11 +73,12 @@ class TowerReport:
 def _side_differential(c: Complex, side: str) -> dict[int, dict[int, int]]:
     kind = "V" if side == MOD_U else "U"
     d: dict[int, dict[int, int]] = {}
-    for s, t, m in c.edges():
-        if m.kind == "1":
-            raise NotReducedError("simplify requires a reduced complex")
-        if m.kind == kind:
-            d.setdefault(s, {})[t] = m.exponent
+    for s, row in c.diff.items():
+        for t, m in row.items():
+            if m.kind == kind:
+                d.setdefault(s, {})[t] = m.exponent
+            elif m.kind == "1":
+                raise NotReducedError("simplify requires a reduced complex")
     return d
 
 
@@ -85,12 +86,13 @@ class _Reduction:
     """Mutable state for the Smith-style sweep on one quotient complex."""
 
     def __init__(self, c: Complex, side: str):
-        n = len(c.gens)
         self.c = c
         self.side = side
-        self.basis: list[Element] = [{i: 0} for i in range(n)]
-        # dual[j]: the coordinate of basis[j] over the declared generators
-        self.dual: list[Element] = [{i: 0} for i in range(n)]
+        # basis[j] and dual[j] (the coordinate of basis element j over the
+        # declared generators) start as the identity's {j: 0}; they are
+        # stored only once a basis change touches them (see vector)
+        self.basis: dict[int, Element] = {}
+        self.dual: dict[int, Element] = {}
         self.rows: dict[int, dict[int, int]] = _side_differential(c, side)
         self.cols: dict[int, dict[int, int]] = {}
         # every entry (exp, row, col) ever added; sweep skips the stale ones
@@ -108,15 +110,29 @@ class _Reduction:
         if j in row:
             heapq.heappush(self.heap, (exp, i, j))
 
+    @staticmethod
+    def vector(vectors: dict[int, Element], j: int) -> Element:
+        """basis[j] or dual[j]: the stored element, or {j: 0} if none is."""
+        vec = vectors.get(j)
+        return {j: 0} if vec is None else vec
+
+    @staticmethod
+    def frozen(vectors: dict[int, Element], j: int) -> tuple[tuple[int, int], ...]:
+        """vector(vectors, j) as sorted (index, exponent) pairs."""
+        vec = vectors.get(j)
+        return ((j, 0),) if vec is None else _frozen(vec)
+
     def add_multiple(self, p: int, q: int, delta: int) -> None:
         """Basis change b_p += v^delta * b_q (valid when gradings agree)."""
         if p == q or delta < 0:
             raise VerificationFailedError(f"bad basis change b_{p} += v^{delta} b_{q}")
-        for g, e in self.basis[q].items():
-            xor_term(self.basis[p], g, e + delta)
+        b_p = self.basis.setdefault(p, {p: 0})
+        for g, e in self.vector(self.basis, q).items():
+            xor_term(b_p, g, e + delta)
         # old b_p = b_p' + v^delta b_q, so the coordinate of b_q gains v^delta dual_p
-        for g, e in self.dual[p].items():
-            xor_term(self.dual[q], g, e + delta)
+        dual_q = self.dual.setdefault(q, {q: 0})
+        for g, e in self.vector(self.dual, p).items():
+            xor_term(dual_q, g, e + delta)
         # row_p += v^delta row_q
         for j, e in list(self.rows.get(q, {}).items()):
             self._xor_entry(p, j, e + delta)
@@ -149,14 +165,12 @@ class _Reduction:
         return pairs, isolated
 
 
-def _invertible_mod_variable(basis: list[Element], n: int) -> bool:
-    masks = []
-    for vec in basis:
-        mask = 0
-        for g, e in vec.items():
-            if e == 0:
-                mask |= 1 << g
-        masks.append(mask)
+def _invertible_mod_variable(basis: dict[int, Element], n: int) -> bool:
+    """Whether basis elements 0 .. n-1 stay independent with the variable set
+    to 0; an element not in *basis* is its declared generator, the row 1 << j."""
+    masks = [1 << j for j in range(n)]
+    for j, vec in basis.items():
+        masks[j] = sum(1 << g for g, e in vec.items() if e == 0)
     return gf2.rank(masks) == n
 
 
@@ -178,14 +192,15 @@ def simplify(c: Complex, side: str) -> TowerReport:
     if len(isolated) != 1:
         raise MultipleTowersError(len(isolated), side)
     w = isolated[0]
+    tower = red.vector(red.basis, w)
     return TowerReport(
         side=side,
-        tower_generator=_frozen(red.basis[w]),
-        tower_top_grading=element_grading(c, side, red.basis[w]),
+        tower_generator=_frozen(tower),
+        tower_top_grading=element_grading(c, side, tower),
         torsion_pairs=tuple(
-            (_frozen(red.basis[y]), _frozen(red.basis[z]), eta) for y, z, eta in pairs
+            (red.frozen(red.basis, y), red.frozen(red.basis, z), eta) for y, z, eta in pairs
         ),
-        tower_dual=_frozen(red.dual[w]),
+        tower_dual=red.frozen(red.dual, w),
     )
 
 

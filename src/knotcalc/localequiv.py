@@ -16,21 +16,34 @@ final generator sent to zero.  The candidates' linear systems share the
 prefix's rows, which localmaps.PrefixSystem keeps in echelon form across
 candidates and positions, and each candidate is decided by the consistency
 of its system alone.  The computed representative is certified at the end
-by local maps in both directions, each checked against the definition.
-Since a local class holds exactly one standard complex, that certification
-fails whenever any answer on the way was wrong, so no candidate needs a
-certificate of its own.
+by local maps in both directions, each checked against the definition: the
+map from its standard complex is read off the echelon form that the
+passing stop test holds (PrefixSystem.full_map), and the map back is solved
+for.  Since a local class holds exactly one standard complex, that
+certification fails whenever any answer on the way was wrong, so no
+candidate needs a certificate of its own.
+
+A torsion order over MAX_PARAMETER is refused before the search, since the
+number of candidates grows with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .algebra import Complex, reduce
-from .errors import LengthCapExceededError, VerificationFailedError
+from .errors import LengthCapExceededError, ParameterTooLargeError, VerificationFailedError
 from .localmaps import LocalMapWitness, Prepared, PrefixSystem, map_between, prepare_target
 from .standard import EQ, GT, LT, Params, build_standard, lex_cmp
+
+
+# The largest torsion order standard_rep accepts, and so the largest
+# |parameter| it can return.  Each position scans up to 2 * MAX_PARAMETER + 1
+# candidates, a cost set by the size of the parameters rather than of the
+# complex, so a large one is refused before the search starts.
+MAX_PARAMETER = 1024
 
 
 class PositionTrace(NamedTuple):
@@ -57,13 +70,18 @@ def standard_rep(c: Complex) -> RepResult:
 
     The input may be non-reduced or carry unnormalized gradings; it is
     reduced and normalized internally.  Raises NotKnotLikeError when the
-    tower conditions fail, and LengthCapExceededError or
+    tower conditions fail, ParameterTooLargeError before the search when a
+    torsion order exceeds MAX_PARAMETER, and LengthCapExceededError or
     VerificationFailedError only on internal invariant violations.
     """
     c = reduce(c)
     tgt = prepare_target(c)
     m_u = max(tgt.etas_u, default=0)
     m_v = max(tgt.etas_v, default=0)
+    if max(m_u, m_v) > MAX_PARAMETER:
+        raise ParameterTooLargeError(
+            f"complex has a torsion order {max(m_u, m_v)}, over the limit of {MAX_PARAMETER}"
+        )
     cap = 4 * len(c.gens) + 4
 
     system = PrefixSystem.empty(tgt)
@@ -74,7 +92,7 @@ def standard_rep(c: Complex) -> RepResult:
         bound = m_u if position % 2 == 1 else m_v
         tested: list[tuple[int, bool]] = []
         found: Optional[int] = None
-        for b in (*range(1, bound + 1), *((0,) if k % 2 == 0 else ()), *range(-bound, 0)):
+        for b in chain(range(1, bound + 1), (0,) if k % 2 == 0 else (), range(-bound, 0)):
             grown = system.then(b) if b else system
             ok = grown.has_short_map() if b else grown.has_full_map()
             tested.append((b, ok))
@@ -99,9 +117,9 @@ def standard_rep(c: Complex) -> RepResult:
 
     rep = system.params
     s = prepare_target(build_standard(rep))
-    forward = map_between(s, tgt)
+    forward = system.full_map(s)
     backward = map_between(tgt, s)
-    if forward is None or backward is None:
+    if backward is None:
         raise VerificationFailedError(f"representative {rep} failed certification")
     return RepResult(params=rep, witnesses=(forward, backward), trace=tuple(trace), prepared=tgt)
 

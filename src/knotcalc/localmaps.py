@@ -20,11 +20,13 @@ is returned, and a bad one raises VerificationFailedError.
 PrefixSystem serves the greedy search of localequiv: the candidates
 C(a_1 .. a_k, b) share the prefix's slots and its chain conditions at
 x_0 .. x_{k-1}, so it keeps those in echelon form and adds only each
-candidate's own rows.  It answers only whether each system is consistent
-and builds no witness: the greedy certifies its final representative with
-two checked full maps, and a wrong answer on the way would give a standard
-complex that is not locally equivalent to the input, so that certification
-would fail.
+candidate's own rows.  Each candidate is decided by whether its system is
+consistent, with no witness built.  Only the final representative gets
+one: the stop test already holds the full map's system in echelon form,
+and full_map reads the checked forward witness off it.  The greedy
+certifies its result with that map and a checked map back; a wrong answer
+on the way would give a standard complex that is not locally equivalent to
+the input, so that certification would fail.
 
 brute_force_local_map enumerates every bit assignment and checks the
 definition directly; it is the independent oracle for the solver.
@@ -132,10 +134,15 @@ def _gen_slots(want: Bigrading, tgt: Prepared) -> list[tuple[int, Monomial]]:
     return out
 
 
+def _v_shift(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> int:
+    """The V-shift of a map dom -> tgt, pinned by tower-top alignment."""
+    return tgt.q - element_grading(dom, MOD_U, dom_tower).grv
+
+
 def _slots(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> tuple[int, list[Slot]]:
     """The V-shift pinned by tower-top alignment, and the grading-feasible
     slots, per source in the target order."""
-    v_shift = tgt.q - element_grading(dom, MOD_U, dom_tower).grv
+    v_shift = _v_shift(dom, dom_tower, tgt)
     out: list[Slot] = []
     for s, g in enumerate(dom.gens):
         want = Bigrading(g.grading.gru, g.grading.grv + v_shift)
@@ -224,7 +231,21 @@ def _solve(
     solution = gf2.solve_affine(system, len(slots))
     if solution is None:
         return None
-    witness = _witness_from_mask(dom, tgt.c, slots, solution, v_shift)
+    return _checked_witness(dom, dom_tower, tgt, relaxed, slots, solution, v_shift)
+
+
+def _checked_witness(
+    dom: Complex,
+    dom_tower: dict[int, int],
+    tgt: Prepared,
+    relaxed: Optional[tuple[int, str]],
+    slots: list[Slot],
+    mask: int,
+    v_shift: int,
+) -> LocalMapWitness:
+    """The witness a solution *mask* over *slots* stands for, checked against
+    the definition; VerificationFailedError if the check fails."""
+    witness = _witness_from_mask(dom, tgt.c, slots, mask, v_shift)
     if not _check_witness(dom, dom_tower, tgt, relaxed, witness):
         raise VerificationFailedError("solver produced a bad witness")
     return witness
@@ -254,19 +275,28 @@ def _check_witness(
     relaxed: Optional[tuple[int, str]],
     witness: LocalMapWitness,
 ) -> bool:
-    """Check a candidate map directly against the definition."""
+    """Check a candidate map directly against the definition.
+
+    The chain condition d f(s) = f(d s) is tested only at sources where
+    f(s) or f on some target of d(s) is nonzero; elsewhere both sides are 0.
+    """
     f: dict[int, dict[int, Monomial]] = {}
     for src_name, terms in witness.assignment:
         s = dom.index(src_name)
-        f[s] = {}
+        f[s] = image = {}
+        if not terms:
+            continue
         want = dom.gens[s].grading + Bigrading(0, witness.v_shift)
         for m, tgt_name in terms:
             t = tgt.c.index(tgt_name)
             if m.grading() + tgt.c.gens[t].grading != want:
                 return False
-            f[s][t] = m
+            image[t] = m
 
+    nonzero = {s for s, image in f.items() if image}
     for s in range(len(dom.gens)):
+        if s not in nonzero and nonzero.isdisjoint(dom.diff.get(s, ())):
+            continue
         kind = relaxed[1] if relaxed and relaxed[0] == s else None
         lhs = apply_map(tgt.c.diff, f.get(s, {}), kind)  # d f(s)
         rhs = apply_map(f, apply_map(dom.diff, {s: UNIT}, kind))  # f(d s)
@@ -336,8 +366,9 @@ class PrefixSystem:
     system adds only its rows at x_n and at a new final generator.
 
     The queries decide consistency alone; no solution is back-substituted and
-    no witness built.  The caller certifies the result it reaches with checked
-    full maps (see localequiv.standard_rep).
+    no witness built.  full_map builds the one witness the caller needs, the
+    checked forward map of the final representative, which localequiv's
+    standard_rep pairs with a checked map back.
     """
 
     tgt: Prepared
@@ -404,6 +435,25 @@ class PrefixSystem:
     def has_full_map(self) -> bool:
         """Whether map_from_standard(params, tgt) finds a map."""
         return self.closed is not None
+
+    def full_map(self, src: Prepared) -> LocalMapWitness:
+        """The witness map_between(src, tgt) returns, read off closed, where
+        src is prepare_target(build_standard(params)); it is checked against
+        the definition, and VerificationFailedError is raised if there is none
+        or the check fails.
+
+        closed is the echelon form of that map's system: the same slots and
+        bits, and rows with the same span.  Its pivots, and its solution with
+        every free bit 0, depend only on the span, so the witness is the one
+        a fresh solve would give.
+        """
+        if self.closed is None:
+            raise VerificationFailedError(f"representative {self.params} failed certification")
+        slots = [(s, t, m) for s, source in enumerate(self.by_source) for t, _, m in source]
+        v_shift = _v_shift(src.c, src.tower, self.tgt)
+        return _checked_witness(
+            src.c, src.tower, self.tgt, None, slots, self.closed.solution(), v_shift
+        )
 
 
 def exists_local_map(s: Complex, c: Complex) -> Optional[LocalMapWitness]:

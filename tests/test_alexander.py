@@ -16,8 +16,14 @@ from knotcalc.alexander import (
     staircase_params,
     torus_delta,
 )
-from knotcalc.errors import NotCoprimeError, NotStaircaseError, RecipeTooLargeError
-from knotcalc.standard import is_symmetric, phi, tau_of
+from knotcalc.errors import (
+    NotCoprimeError,
+    NotStaircaseError,
+    ParameterTooLargeError,
+    RecipeTooLargeError,
+)
+from knotcalc.localequiv import MAX_PARAMETER, standard_rep
+from knotcalc.standard import build_standard, is_symmetric, phi, tau_of
 
 
 def P(text):
@@ -297,3 +303,26 @@ def test_recipe_size_guard_boundary(monkeypatch):
     assert len(recipe_factors("15*Std()")) == 15
     with pytest.raises(RecipeTooLargeError, match=r"at least 45 generators, over the limit of 15"):
         eval_recipe("T(2,3) - T(2,5) + D")
+
+
+def _trivial_cables(depth):
+    """T(2,3) inside *depth* (2,1)-cables: each doubles every gap and adds no
+    generator, so the rep is (2^depth, -2^depth)."""
+    return "Cable(" * depth + "T(2,3)" + ";2,1)" * depth
+
+
+def test_parameter_bound_boundary():
+    assert MAX_PARAMETER == 1024 > 11  # far above every parameter of the menus
+    assert eval_recipe("Std(1024,-1024)").params == (1024, -1024)
+    assert eval_recipe(_trivial_cables(10)).params == (1024, -1024)
+    for recipe, largest in [("Std(1025,-1025)", 1025), (_trivial_cables(11), 2048),
+                            ("T(2,3) + Std(1,-2000,2000,-1)", 2000)]:
+        with pytest.raises(ParameterTooLargeError, match=f"parameter {largest}, over the limit of 1024"):
+            recipe_factors(recipe)
+
+
+def test_parameter_bound_in_standard_rep():
+    # a complex file is bounded by its torsion orders, before the search
+    assert standard_rep(build_standard((1024, -1024))).params == (1024, -1024)
+    with pytest.raises(ParameterTooLargeError, match="torsion order 1025, over the limit of 1024"):
+        standard_rep(build_standard((1, -1025, 1025, -1)))

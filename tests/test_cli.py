@@ -1,6 +1,8 @@
 import json
+import time
 from pathlib import Path
 
+from knotcalc import alexander
 from knotcalc.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -163,6 +165,67 @@ def test_deeply_nested_recipe_is_refused(capsys):
         out, err = out_of(capsys)
         assert out == ""
         assert err == "error: atoms nested deeper than 100 levels at column 601\n"
+
+
+def _trivial_cables(depth):
+    return "Cable(" * depth + "T(2,3)" + ";2,1)" * depth
+
+
+def test_oversized_parameter_is_refused_fast(capsys):
+    # candidates grow with the parameters, so these are refused before any
+    # complex is built: a domain error, exit 1, no traceback
+    for expr, largest in [("Std(1025,-1025)", 1025), (_trivial_cables(11), 2048),
+                          (_trivial_cables(30), 2 ** 30), ("Std(65536,-65536)", 65536)]:
+        start = time.perf_counter()
+        assert run(["inv", "--expr", expr]) == 1
+        assert time.perf_counter() - start < 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == f"error: recipe has a parameter {largest}, over the limit of 1024\n"
+
+
+def test_parameter_at_the_bound_still_answers(capsys):
+    for expr in ("Std(1024,-1024)", _trivial_cables(10)):
+        assert run(["rep", "--expr", expr]) == 0
+        out, _ = out_of(capsys)
+        assert out == "1024,-1024\n"
+
+
+def test_file_with_oversized_torsion_is_refused(capsys, tmp_path):
+    f = tmp_path / "c.cx"
+    assert run(["std", "1,-1025,1025,-1", "-o", str(f)]) == 0
+    assert run(["rep", str(f)]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: complex has a torsion order 1025, over the limit of 1024\n"
+
+
+def _std_file(tmp_path, name, length):
+    """A file holding C(1, -1, 1, -1, ...) of *length* parameters."""
+    f = tmp_path / name
+    assert run(["std", ",".join(["1", "-1"] * (length // 2)), "-o", str(f)]) == 0
+    return f
+
+
+def test_oversized_tensor_is_refused(capsys, tmp_path):
+    # 101 * 100 = 10100 generators, refused before the product is built
+    a, b = _std_file(tmp_path, "a.cx", 100), _std_file(tmp_path, "b.cx", 98)
+    b.write_text(b.read_text() + "gen extra 0 0\n")
+    start = time.perf_counter()
+    assert run(["tensor", str(a), str(b)]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: tensor product has 10100 generators, over the limit of 10000\n"
+
+
+def test_tensor_guard_boundary(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(alexander, "MAX_RECIPE_GENS", 9)
+    a, b = _std_file(tmp_path, "a.cx", 2), _std_file(tmp_path, "b.cx", 4)
+    assert run(["tensor", str(a), str(a)]) == 0
+    assert out_of(capsys)[0].count("gen ") == 9
+    assert run(["tensor", str(a), str(b)]) == 1
+    assert out_of(capsys)[1] == "error: tensor product has 15 generators, over the limit of 9\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -289,7 +289,10 @@ def test_sweep_matches_rescan_on_products(monkeypatch):
 
 class _InverseScanReduction(_Reduction):
     """Also keeps each declared generator over the final basis, by the scan
-    that substitutes b_p = b_p' + v^delta b_q into every expression."""
+    that substitutes b_p = b_p' + v^delta b_q into every expression.
+
+    dual holds only the coordinates a basis change touched; vector reads the
+    identity's {j: 0} for the others, so every (j, g) pair is compared."""
 
     checked = 0
 
@@ -308,7 +311,7 @@ class _InverseScanReduction(_Reduction):
         n = len(self.c.gens)
         for j in range(n):
             for g in range(n):
-                assert self.dual[j].get(g) == self.inverse[g].get(j), (j, g)
+                assert self.vector(self.dual, j).get(g) == self.inverse[g].get(j), (j, g)
         _InverseScanReduction.checked += 1
         return out
 

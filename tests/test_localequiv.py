@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import box, direct_sum, scramble
+from knotcalc import localmaps
 from knotcalc.alexander import eval_recipe, recipe_factors
 from knotcalc.algebra import dual, reduce, tensor, tensor_many, unit_complex
 from knotcalc.errors import LengthCapExceededError, NotKnotLikeError, VerificationFailedError
@@ -313,3 +314,34 @@ def test_flipping_any_feasibility_answer_fails_certification(monkeypatch):
             with pytest.raises((VerificationFailedError, LengthCapExceededError)):
                 run()
             monkeypatch.undo()
+
+
+def _is_standard_domain(dom):
+    """Whether dom is a standard complex C(rep): generators x0 .. xn."""
+    return all(g.name == f"x{i}" for i, g in enumerate(dom.gens))
+
+
+@pytest.mark.parametrize("direction", ["both", "forward", "backward"])
+def test_certification_cannot_be_skipped(monkeypatch, direction):
+    # the forward witness read off the greedy's own echelon form and the
+    # backward one from a fresh solve are each checked against the
+    # definition, also under python -O: failing either check must raise.
+    # On a product the forward map's domain is C(rep) and the backward
+    # map's is the product, so each can be failed alone.
+    check = localmaps._check_witness
+    calls = []
+
+    def failing(dom, *args):
+        forward = _is_standard_domain(dom)
+        calls.append(forward)
+        if direction == "both" or forward == (direction == "forward"):
+            return False
+        return check(dom, *args)
+
+    monkeypatch.setattr(localmaps, "_check_witness", failing)
+    product = tensor(build_standard((2, -2)), build_standard((1, -1)))
+    for run in (lambda: standard_rep(product), lambda: eval_recipe("T(3,4) - T(2,5) + T(2,3)")):
+        calls.clear()
+        with pytest.raises(VerificationFailedError):
+            run()
+        assert calls and calls[-1] == (direction != "backward")

@@ -4,10 +4,25 @@ import pytest
 
 from conftest import box, direct_sum
 from knotcalc import localmaps
-from knotcalc.algebra import Bigrading, dual, mono_for_grading, reduce, tensor, unit_complex
-from knotcalc.errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
+from knotcalc.algebra import (
+    UNIT,
+    Bigrading,
+    apply_map,
+    dual,
+    mono_for_grading,
+    reduce,
+    tensor,
+    unit_complex,
+)
+from knotcalc.errors import (
+    BudgetExceededError,
+    NotKnotLikeError,
+    UnknownGeneratorError,
+    VerificationFailedError,
+)
 from knotcalc.homology import MOD_U, apply_shift, element_grading
 from knotcalc.localmaps import (
+    LocalMapWitness,
     brute_force_local_map,
     count_unknowns,
     exists_local_map,
@@ -199,6 +214,96 @@ def test_witness_verification_rejects_tampering():
         v_shift=w.v_shift,
     )
     assert not verify_local_map(s, c, broken)
+
+
+# --- the sparse definition check against the every-source loop ---------------
+
+
+def _check_witness_every_source(dom, dom_tower, tgt, relaxed, witness):
+    """The definition check that tests the chain condition at every source."""
+    f = {}
+    for src_name, terms in witness.assignment:
+        s = dom.index(src_name)
+        f[s] = {}
+        want = dom.gens[s].grading + Bigrading(0, witness.v_shift)
+        for m, tgt_name in terms:
+            t = tgt.c.index(tgt_name)
+            if m.grading() + tgt.c.gens[t].grading != want:
+                return False
+            f[s][t] = m
+    for s in range(len(dom.gens)):
+        kind = relaxed[1] if relaxed and relaxed[0] == s else None
+        lhs = apply_map(tgt.c.diff, f.get(s, {}), kind)
+        if lhs != apply_map(f, apply_map(dom.diff, {s: UNIT}, kind)):
+            return False
+    image_mod_u = {}
+    for g, k in dom_tower.items():
+        for t, m in f.get(g, {}).items():
+            if m.kind == "U":
+                continue
+            exp = k + m.exponent if m.kind == "V" else k
+            if t in image_mod_u and image_mod_u[t] == exp:
+                del image_mod_u[t]
+            elif t in image_mod_u:
+                return False
+            else:
+                image_mod_u[t] = exp
+    coeff = {}
+    for t, vexp in image_mod_u.items():
+        if t in tgt.tower_dual:
+            total = vexp + tgt.tower_dual[t]
+            coeff[total] = coeff.get(total, 0) ^ 1
+    return {e: v for e, v in coeff.items() if v} == {0: 1}
+
+
+def _small_instances():
+    """(dom, dom_tower, tgt, relaxed) for full maps between SMALL standard
+    complexes and a nine-generator product, both ways, and for short maps
+    from prefixes of SMALL."""
+    prepared = [prepare_target(build_standard(p)) for p in SMALL]
+    product = prepare_target(reduce(tensor(build_standard((2, -2)), build_standard((1, -1)))))
+    pairs = [*itertools.product(prepared, prepared), *((product, t) for t in prepared),
+             *((t, product) for t in prepared)]
+    for src, tgt in pairs:
+        yield src.c, src.tower, tgt, None
+    for p, tgt in itertools.product(SMALL, prepared):
+        for k in range(1, len(p) + 1):
+            yield build_standard(p[:k], v_anchor=0), {0: 0}, tgt, (k, "V" if k % 2 == 0 else "U")
+
+
+def test_sparse_check_matches_every_source_loop():
+    verdicts = {True: 0, False: 0}
+    for dom, dom_tower, tgt, relaxed in _small_instances():
+        v_shift, slots = localmaps._slots(dom, dom_tower, tgt)
+        for mask in range(1 << len(slots)):
+            w = localmaps._witness_from_mask(dom, tgt.c, slots, mask, v_shift)
+            got = localmaps._check_witness(dom, dom_tower, tgt, relaxed, w)
+            assert got == _check_witness_every_source(dom, dom_tower, tgt, relaxed, w)
+            verdicts[got] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 1000
+
+
+def test_sparse_check_rejects_a_map_nonzero_only_on_a_target():
+    # C(1,-1): x1 -> U x0 and x1 -> V x2.  Sending x0 to itself and the rest
+    # to 0 meets the tower condition and the chain condition at x0 and x2,
+    # but at x1, where f is 0, f(d x1) = U x0 while d f(x1) = 0.
+    c = prepare_target(build_standard((1, -1)))
+    assert c.c.diff[1] and 0 in c.c.diff[1]
+    w = LocalMapWitness(assignment=(("x0", ((UNIT, "x0"),)), ("x1", ()), ("x2", ())), v_shift=0)
+    assert not _check_witness_every_source(c.c, c.tower, c, None, w)
+    assert not localmaps._check_witness(c.c, c.tower, c, None, w)
+    # the identity itself passes both
+    ident = LocalMapWitness(
+        assignment=tuple((g.name, ((UNIT, g.name),)) for g in c.c.gens), v_shift=0
+    )
+    assert localmaps._check_witness(c.c, c.tower, c, None, ident)
+
+
+def test_sparse_check_still_looks_up_every_source_name():
+    c = prepare_target(build_standard((1, -1)))
+    w = LocalMapWitness(assignment=(("x0", ((UNIT, "x0"),)), ("nope", ())), v_shift=0)
+    with pytest.raises(UnknownGeneratorError):
+        localmaps._check_witness(c.c, c.tower, c, None, w)
 
 
 def test_bad_solver_witness_raises(monkeypatch):
