@@ -12,9 +12,8 @@ standard-representative machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from . import parsing
 from .algebra import tensor
@@ -213,8 +212,7 @@ def cable_delta(p: int, q: int, inner: LaurentPoly) -> LaurentPoly:
     return inner.substitute_power(p) * torus_delta(p, q)
 
 
-@dataclass(frozen=True)
-class StaircaseData:
+class StaircaseData(NamedTuple):
     """Exponent sequence b_0 > b_1 > ... and gaps c_i = b_{2i-2} - b_{2i-1}."""
 
     b: tuple[int, ...]
@@ -286,12 +284,8 @@ def atom_params(atom: parsing.Atom) -> Params:
     if isinstance(atom, (parsing.Torus, parsing.CableAtom, parsing.DAlias)):
         return staircase_params(_atom_delta(atom))
     if isinstance(atom, parsing.Thin):
-        t = atom.tau
-        sign = 1 if t > 0 else -1
-        out = []
-        for i in range(abs(t)):
-            out.extend((sign, -sign))
-        return tuple(out)
+        sign = 1 if atom.tau > 0 else -1
+        return (sign, -sign) * abs(atom.tau)
     if isinstance(atom, parsing.StdLiteral):
         return tuple(atom.params)
     raise TypeError(f"unknown atom {atom!r}")
@@ -307,6 +301,17 @@ def atom_params(atom: parsing.Atom) -> Params:
 MAX_RECIPE_GENS = 10_000
 
 
+def _grown_size(size: int, length: int, mult: int) -> int:
+    """size times (length + 1) ** mult; RecipeTooLargeError once it passes MAX_RECIPE_GENS."""
+    for _ in range(mult if length else 0):
+        size *= length + 1
+        if size > MAX_RECIPE_GENS:
+            raise RecipeTooLargeError(
+                f"recipe needs at least {size} generators, over the limit of {MAX_RECIPE_GENS}"
+            )
+    return size
+
+
 def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
     """Parameter lists of every tensor factor named by a recipe expression.
 
@@ -320,20 +325,19 @@ def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
     factors: list[Params] = []
     size = 1
     for sign, mult, atom in expr.terms:
-        p = atom_params(atom)
-        largest = max(map(abs, p), default=0)
-        if largest > MAX_PARAMETER:
-            raise ParameterTooLargeError(
-                f"recipe has a parameter {largest}, over the limit of {MAX_PARAMETER}"
-            )
+        if isinstance(atom, parsing.Thin):  # sized from its 2|t| parameters before they are built
+            size = _grown_size(size, 2 * abs(atom.tau), mult)
+            p = atom_params(atom)
+        else:
+            p = atom_params(atom)
+            largest = max(map(abs, p), default=0)
+            if largest > MAX_PARAMETER:
+                raise ParameterTooLargeError(
+                    f"recipe has a parameter {largest}, over the limit of {MAX_PARAMETER}"
+                )
+            size = _grown_size(size, len(p), mult)
         if sign < 0:
             p = negate(p)
-        for _ in range(mult if p else 0):
-            size *= len(p) + 1
-            if size > MAX_RECIPE_GENS:
-                raise RecipeTooLargeError(
-                    f"recipe needs at least {size} generators, over the limit of {MAX_RECIPE_GENS}"
-                )
         if len(factors) + mult > MAX_RECIPE_GENS:
             raise RecipeTooLargeError(
                 f"recipe names {len(factors) + mult} factors, over the limit of {MAX_RECIPE_GENS}"

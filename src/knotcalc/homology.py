@@ -14,8 +14,7 @@ sitting in gr_U = 0 (mod U side) and gr_V = 0 (mod V side).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import gf2
 from .algebra import Bigrading, Complex, Generator, xor_term
@@ -47,8 +46,7 @@ def element_grading(c: Complex, side: str, e: Element) -> Bigrading:
     return grades.pop()
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     """Result of simplifying one side of a complex.
 
     tower_generator and the pair members are elements of the quotient module
@@ -204,8 +202,7 @@ def simplify(c: Complex, side: str) -> TowerReport:
     )
 
 
-@dataclass(frozen=True)
-class KnotLikeReport:
+class KnotLikeReport(NamedTuple):
     is_knot_like: bool
     applied_shift: tuple[int, int]
     reasons: tuple[str, ...]

@@ -29,11 +29,10 @@ number of candidates grows with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple, Optional
 
-from .algebra import Complex, reduce
+from .algebra import Complex, FrozenRecord, reduce
 from .errors import LengthCapExceededError, ParameterTooLargeError, VerificationFailedError
 from .localmaps import LocalMapWitness, Prepared, PrefixSystem, map_between, prepare_target
 from .standard import EQ, GT, LT, Params, build_standard, lex_cmp
@@ -52,17 +51,24 @@ class PositionTrace(NamedTuple):
     accepted: Optional[int]
 
 
-@dataclass(frozen=True)
-class RepResult:
+class RepResult(FrozenRecord):
     """Standard representative parameters plus the certifying local maps.
 
-    prepared is the reduced, normalized input the maps were solved against.
+    prepared is the reduced, normalized input the maps were solved against;
+    it is left out of repr and comparison.
     """
 
-    params: Params
-    witnesses: tuple[LocalMapWitness, LocalMapWitness]
-    trace: tuple[PositionTrace, ...]
-    prepared: Prepared = field(repr=False, compare=False)
+    __slots__ = ("params", "witnesses", "trace", "prepared")
+    _compared = 3
+
+    def __init__(
+        self,
+        params: Params,
+        witnesses: tuple[LocalMapWitness, LocalMapWitness],
+        trace: tuple[PositionTrace, ...],
+        prepared: Prepared,
+    ):
+        self._set_fields(params, witnesses, trace, prepared)
 
 
 def standard_rep(c: Complex) -> RepResult:

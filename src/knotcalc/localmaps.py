@@ -35,12 +35,11 @@ definition directly; it is the independent oracle for the solver.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import gf2
-from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map
+from .algebra import UNIT, Bigrading, Complex, FrozenRecord, Monomial, apply_map
 from .errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
 from .homology import MOD_U, apply_shift, check_knot_like, element_grading
 from .standard import Params, arrow, build_standard, step
@@ -48,8 +47,7 @@ from .standard import Params, arrow, build_standard, step
 Slot = tuple[int, int, Monomial]  # (source index, target index, monomial)
 
 
-@dataclass(frozen=True)
-class LocalMapWitness:
+class LocalMapWitness(NamedTuple):
     """A concrete map assignment certifying S <= C.
 
     assignment maps each source generator name to its image, a sum of
@@ -61,8 +59,7 @@ class LocalMapWitness:
     v_shift: int
 
 
-@dataclass(frozen=True)
-class Prepared:
+class Prepared(FrozenRecord):
     """A normalized knot-like complex with its tower data.
 
     The same value serves as the source or the target of a local map.
@@ -72,16 +69,23 @@ class Prepared:
     are left out of repr and comparison.
     """
 
-    c: Complex
-    q: int  # gr_V of the mod-U tower top
-    etas_u: tuple[int, ...]  # U-arrow torsion orders (from the mod-V report)
-    etas_v: tuple[int, ...]  # V-arrow torsion orders (from the mod-U report)
-    tower: dict[int, int] = field(repr=False, compare=False)
-    tower_dual: dict[int, int] = field(repr=False, compare=False)
-    # target indices bucketed by gr_U as sorted (gr_V, index), and by gr_V
-    # as sorted (gr_U, index): _slots reads the feasible slots off these
-    by_gru: dict[int, list[tuple[int, int]]] = field(repr=False, compare=False)
-    by_grv: dict[int, list[tuple[int, int]]] = field(repr=False, compare=False)
+    __slots__ = ("c", "q", "etas_u", "etas_v", "tower", "tower_dual", "by_gru", "by_grv")
+    _compared = 4
+
+    def __init__(
+        self,
+        c: Complex,
+        q: int,  # gr_V of the mod-U tower top
+        etas_u: tuple[int, ...],  # U-arrow torsion orders (from the mod-V report)
+        etas_v: tuple[int, ...],  # V-arrow torsion orders (from the mod-U report)
+        tower: dict[int, int],
+        tower_dual: dict[int, int],
+        # target indices bucketed by gr_U as sorted (gr_V, index), and by gr_V
+        # as sorted (gr_U, index): _slots reads the feasible slots off these
+        by_gru: dict[int, list[tuple[int, int]]],
+        by_grv: dict[int, list[tuple[int, int]]],
+    ):
+        self._set_fields(c, q, etas_u, etas_v, tower, tower_dual, by_gru, by_grv)
 
 
 def prepare_target(c: Complex) -> Prepared:
@@ -353,7 +357,6 @@ def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]
     return _solve(build_standard(p, v_anchor=0), {0: 0}, tgt, (n, "V" if n % 2 == 0 else "U"))
 
 
-@dataclass(eq=False, repr=False)
 class PrefixSystem:
     """The local-map systems from the standard complexes of one parameter
     prefix, kept in GF(2) echelon form for the greedy search.
@@ -371,12 +374,17 @@ class PrefixSystem:
     standard_rep pairs with a checked map back.
     """
 
-    tgt: Prepared
-    params: Params
-    want: Bigrading  # the grading of f(x_n)
-    by_source: list[SourceSlots]
-    nbits: int  # the number of slots in by_source, the next free bit
-    form: Optional[gf2.Echelon]
+    def __init__(
+        self,
+        tgt: Prepared,
+        params: Params,
+        want: Bigrading,  # the grading of f(x_n)
+        by_source: list[SourceSlots],
+        nbits: int,  # the number of slots in by_source, the next free bit
+        form: Optional[gf2.Echelon],
+    ):
+        self.tgt, self.params, self.want = tgt, params, want
+        self.by_source, self.nbits, self.form = by_source, nbits, form
 
     @classmethod
     def empty(cls, tgt: Prepared) -> "PrefixSystem":

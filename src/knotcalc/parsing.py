@@ -27,8 +27,7 @@ Recipe grammar:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .algebra import UNIT, Complex, Monomial, mono, validate
 from .errors import ParseError
@@ -111,39 +110,33 @@ def serialize_complex(c: Complex) -> str:
 # Recipe expressions
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(NamedTuple):
     p: int
     q: int
 
 
-@dataclass(frozen=True)
-class CableAtom:
+class CableAtom(NamedTuple):
     inner: "Atom"
     p: int
     q: int
 
 
-@dataclass(frozen=True)
-class Thin:
+class Thin(NamedTuple):
     tau: int
 
 
-@dataclass(frozen=True)
-class StdLiteral:
+class StdLiteral(NamedTuple):
     params: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DAlias:
+class DAlias(NamedTuple):
     pass
 
 
 Atom = Union[Torus, CableAtom, Thin, StdLiteral, DAlias]
 
 
-@dataclass(frozen=True)
-class KnotExpr:
+class KnotExpr(NamedTuple):
     """Signed combination of atoms: (sign, multiplicity, atom) terms."""
 
     terms: tuple[tuple[int, int, Atom], ...]

@@ -17,10 +17,12 @@ parameter sequence with trailing zeros.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import Bigrading, Complex, Monomial, validate
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Params = tuple[int, ...]
 
@@ -78,8 +80,9 @@ def build_standard(params: Sequence[int], v_anchor: Optional[int] = None) -> Com
     )
 
 
-def bang_key(a: int) -> Fraction:
-    return Fraction(1, a) if a else Fraction(0)
+def bang_key(a: int) -> tuple[int, int]:
+    """An exact sort key for the unusual order: it orders integers as 1/a does."""
+    return ((a > 0) - (a < 0), -a)
 
 
 def bang_cmp(a: int, b: int) -> int:
@@ -132,6 +135,8 @@ def N_of(params: Sequence[int]) -> int:
 
 def gc_lower(params: Sequence[int]) -> Fraction:
     """Lower bound N/2 for the concordance genus."""
+    from fractions import Fraction  # here, off the import path of the CLI, which never calls this
+
     return Fraction(N_of(params), 2)
 
 

@@ -23,6 +23,7 @@ from knotcalc.errors import (
     RecipeTooLargeError,
 )
 from knotcalc.localequiv import MAX_PARAMETER, standard_rep
+from knotcalc.parsing import Thin
 from knotcalc.standard import build_standard, is_symmetric, phi, tau_of
 
 
@@ -303,6 +304,21 @@ def test_recipe_size_guard_boundary(monkeypatch):
     assert len(recipe_factors("15*Std()")) == 15
     with pytest.raises(RecipeTooLargeError, match=r"at least 45 generators, over the limit of 15"):
         eval_recipe("T(2,3) - T(2,5) + D")
+
+
+def test_long_thin_atom_is_refused_before_it_is_built(monkeypatch):
+    # Thin(t) has 2|t| parameters, so its size is known without building them
+    built = []
+    build = alexander.atom_params
+    monkeypatch.setattr(alexander, "atom_params", lambda atom: built.append(atom) or build(atom))
+    for expr, size in [("Thin(1000000)", 2000001), ("Thin(-1000000)", 2000001),
+                       ("Thin(5000)", 10001), ("T(2,3) + Thin(2500)", 15003), ("4*Thin(10)", 194481)]:
+        with pytest.raises(RecipeTooLargeError,
+                           match=rf"at least {size} generators, over the limit of 10000$"):
+            recipe_factors(expr)
+        assert not any(isinstance(atom, Thin) for atom in built), expr
+    assert recipe_factors("Thin(4999)") == [(1, -1) * 4999]
+    assert recipe_factors("D - 2*Thin(2)") == [(1, -1), (-1, 1, -1, 1), (-1, 1, -1, 1)]
 
 
 def _trivial_cables(depth):

@@ -184,6 +184,19 @@ def test_oversized_parameter_is_refused_fast(capsys):
         assert err == f"error: recipe has a parameter {largest}, over the limit of 1024\n"
 
 
+def test_long_thin_atom_is_refused_fast(capsys):
+    # 2|t| + 1 generators, counted without building the parameters
+    for expr, size in [("Thin(1000000)", 2000001), ("Thin(-1000000)", 2000001), ("Thin(5000)", 10001)]:
+        start = time.perf_counter()
+        assert run(["inv", "--expr", expr]) == 1
+        assert time.perf_counter() - start < 0.1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == f"error: recipe needs at least {size} generators, over the limit of 10000\n"
+    assert run(["rep", "--expr", "Thin(2)"]) == 0
+    assert out_of(capsys) == ("1,-1,1,-1\n", "")
+
+
 def test_parameter_at_the_bound_still_answers(capsys):
     for expr in ("Std(1024,-1024)", _trivial_cables(10)):
         assert run(["rep", "--expr", expr]) == 0
@@ -251,3 +264,14 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tau"] == 1
+
+
+def test_import_adds_no_dataclasses_or_fractions():
+    # start-up time is import time; the CLI needs none of these
+    import subprocess
+    import sys
+
+    code = ("import sys; before = set(sys.modules); import knotcalc.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} - before & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

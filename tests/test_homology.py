@@ -11,6 +11,7 @@ from knotcalc.errors import MultipleTowersError, NotReducedError
 from knotcalc.homology import (
     MOD_U,
     MOD_V,
+    TowerReport,
     _Reduction,
     apply_shift,
     check_knot_like,
@@ -343,7 +344,7 @@ def test_tower_dual_is_dual_to_the_final_basis(pool):
     for c in pool():
         for side in (MOD_U, MOD_V):
             r = _simplify_outcome(c, side)
-            if not isinstance(r, tuple):
+            if isinstance(r, TowerReport):
                 reports.append(r)
     assert reports
     for r in reports:

@@ -11,6 +11,7 @@ from knotcalc.standard import (
     N_of,
     P_of,
     bang_cmp,
+    bang_key,
     build_standard,
     format_params,
     gc_lower,
@@ -85,17 +86,25 @@ def test_built_standard_is_reduced_and_anchored(p):
 # --- the unusual order --------------------------------------------------------
 
 
+def _fraction_key(a):
+    """The oracle: the order as the usual order on the keys 1/a, with 1/0 = 0."""
+    return Fraction(1, a) if a else Fraction(0)
+
+
 def test_bang_chain():
     chain = [-1, -2, -3, 0, 3, 2, 1]
     for a, b in zip(chain, chain[1:]):
         assert bang_cmp(a, b) == LT
     assert bang_cmp(0, 0) == EQ
     assert bang_cmp(3, 2) == LT
+    ints = [*range(-40, 41), -10**12, -1025, 1025, 10**12]
+    assert sorted(ints, key=bang_key) == sorted(ints, key=_fraction_key)
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20))
 def test_bang_trichotomy(a, b):
     c1, c2 = bang_cmp(a, b), bang_cmp(b, a)
+    assert (c1 == LT) == (_fraction_key(a) < _fraction_key(b))
     assert c1 == -c2
     assert (c1 == EQ) == (a == b)
 
