@@ -135,10 +135,10 @@ def parse_poly(text: str) -> LaurentPoly:
         first = False
         coeff = None
         j = i
-        while j < len(s) and s[j].isdigit():
+        while j < len(s) and s[j].isdecimal():
             j += 1
         if j > i:
-            coeff = int(s[i:j])
+            coeff = parsing.int_literal(s[i:j], column=cols[i])
             i = j
         exp = 0
         if i < len(s) and s[i] == "t":
@@ -147,11 +147,11 @@ def parse_poly(text: str) -> LaurentPoly:
             if i < len(s) and s[i] == "^":
                 i += 1
                 j = i
-                while j < len(s) and s[j].isdigit():
+                while j < len(s) and s[j].isdecimal():
                     j += 1
                 if j == i:
                     raise ParseError("missing exponent", column=cols[i])
-                exp = int(s[i:j])
+                exp = parsing.int_literal(s[i:j], column=cols[i])
                 i = j
             if coeff is None:
                 coeff = 1
@@ -329,6 +329,12 @@ def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
             size = _grown_size(size, 2 * abs(atom.tau), mult)
             p = atom_params(atom)
         else:
+            if isinstance(atom, parsing.Torus) and min(atom) >= 2:
+                # sized before its polynomial is built: T(p,q), p < q, has at least
+                # q - 1 parameters, as each |a| <= p - 1 and they sum to (p - 1)(q - 1)
+                if gcd(*atom) != 1:
+                    raise NotCoprimeError(*atom)
+                _grown_size(size, max(atom) - 1, mult)
             p = atom_params(atom)
             largest = max(map(abs, p), default=0)
             if largest > MAX_PARAMETER:
@@ -360,8 +366,8 @@ def eval_recipe(expr: Union[str, parsing.KnotExpr]) -> RepResult:
     wrong step raises before its result feeds the next one.  Empty factors
     C() are the unit of the tensor product and are skipped.
 
-    The returned witnesses, trace and prepared complex are those of the last
-    step; with at most one non-empty factor they are of that factor alone.
+    The returned witnesses and trace are those of the last step; with at
+    most one non-empty factor they are of that factor alone.
     """
     first, *rest = [p for p in recipe_factors(expr) if p] or [()]
     if not rest:

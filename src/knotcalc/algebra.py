@@ -105,36 +105,6 @@ class Generator(NamedTuple):
     grading: Bigrading
 
 
-class FrozenRecord:
-    """Base of an immutable record whose fields are its __slots__, set once by
-    __init__: ==, hash and repr cover the first _compared of them."""
-
-    __slots__ = ()
-    _compared = 0
-
-    def _set_fields(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__[: self._compared])
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
-        return f"{self.__class__.__name__}({shown})"
-
-
 class Complex:
     """An immutable bigraded complex over R.
 
@@ -291,15 +261,6 @@ def validate(
     c = Complex(tuple(gens), diff)
     _check_d_squared(c)
     return c
-
-
-def revalidate(c: Complex) -> Complex:
-    """Re-run all checks on an existing complex (cheap safety net)."""
-    return validate(
-        [(g.name, tuple(g.grading)) for g in c.gens],
-        [(c.gens[s].name, [(m, c.gens[t].name) for t, m in sorted(row.items())])
-         for s, row in sorted(c.diff.items())],
-    )
 
 
 def reduce(c: Complex) -> Complex:

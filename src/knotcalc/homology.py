@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from . import gf2
 from .algebra import Bigrading, Complex, Generator, xor_term
-from .errors import MultipleTowersError, NotReducedError, VerificationFailedError
+from .errors import MultipleTowersError, NotKnotLikeError, NotReducedError, VerificationFailedError
 
 MOD_U = "mod_u"  # work in C/U with the V-differential
 MOD_V = "mod_v"  # work in C/V with the U-differential
@@ -250,12 +250,19 @@ def apply_shift(c: Complex, shift: tuple[int, int]) -> Complex:
     return Complex(tuple(Generator(g.name, g.grading + shift) for g in c.gens), c.diff)
 
 
+def normalized_report(c: Complex) -> tuple[Complex, KnotLikeReport]:
+    """*c* shifted so both towers sit at grading zero, and the knot-like
+    report the shift comes from; NotKnotLikeError if c is not knot-like."""
+    report = check_knot_like(c, allow_shift=True)
+    if not report.is_knot_like:
+        raise NotKnotLikeError(report.reasons)
+    return apply_shift(c, report.applied_shift), report
+
+
 def normalize(c: Complex) -> Complex:
     """Shift gradings so both towers sit at grading zero; NotKnotLikeError if
     the complex is not knot-like."""
-    from .localmaps import prepare_target  # localmaps builds on this module
-
-    return prepare_target(c).c
+    return normalized_report(c)[0]
 
 
 def torsion_bounds(c: Complex) -> tuple[int, int]:

@@ -32,10 +32,10 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple, Optional
 
-from .algebra import Complex, FrozenRecord, reduce
+from .algebra import Complex, reduce
 from .errors import LengthCapExceededError, ParameterTooLargeError, VerificationFailedError
-from .localmaps import LocalMapWitness, Prepared, PrefixSystem, map_between, prepare_target
-from .standard import EQ, GT, LT, Params, build_standard, lex_cmp
+from .localmaps import LocalMapWitness, PrefixSystem, map_between, prepare_target
+from .standard import Params, build_standard, lex_cmp
 
 
 # The largest torsion order standard_rep accepts, and so the largest
@@ -51,24 +51,12 @@ class PositionTrace(NamedTuple):
     accepted: Optional[int]
 
 
-class RepResult(FrozenRecord):
-    """Standard representative parameters plus the certifying local maps.
+class RepResult(NamedTuple):
+    """Standard representative parameters plus the certifying local maps."""
 
-    prepared is the reduced, normalized input the maps were solved against;
-    it is left out of repr and comparison.
-    """
-
-    __slots__ = ("params", "witnesses", "trace", "prepared")
-    _compared = 3
-
-    def __init__(
-        self,
-        params: Params,
-        witnesses: tuple[LocalMapWitness, LocalMapWitness],
-        trace: tuple[PositionTrace, ...],
-        prepared: Prepared,
-    ):
-        self._set_fields(params, witnesses, trace, prepared)
+    params: Params
+    witnesses: tuple[LocalMapWitness, LocalMapWitness]
+    trace: tuple[PositionTrace, ...]
 
 
 def standard_rep(c: Complex) -> RepResult:
@@ -127,24 +115,10 @@ def standard_rep(c: Complex) -> RepResult:
     backward = map_between(tgt, s)
     if backward is None:
         raise VerificationFailedError(f"representative {rep} failed certification")
-    return RepResult(params=rep, witnesses=(forward, backward), trace=tuple(trace), prepared=tgt)
+    return RepResult(params=rep, witnesses=(forward, backward), trace=tuple(trace))
 
 
-def compare(c1: Complex, c2: Complex, cross_check: bool = False) -> int:
-    """Total-order comparison of local classes: -1, 0, or 1.
-
-    With cross_check=True the lexicographic answer is confirmed by direct
-    two-sided local-map tests between the inputs.
-    """
-    r1 = standard_rep(c1)
-    r2 = standard_rep(c2)
-    result = lex_cmp(r1.params, r2.params)
-    if cross_check:
-        fwd = map_between(r1.prepared, r2.prepared) is not None
-        bwd = map_between(r2.prepared, r1.prepared) is not None
-        direct = {(True, True): EQ, (True, False): LT, (False, True): GT}.get((fwd, bwd))
-        if direct != result:
-            raise VerificationFailedError(
-                f"lexicographic order {result} disagrees with direct maps {(fwd, bwd)}"
-            )
-    return result
+def compare(c1: Complex, c2: Complex) -> int:
+    """Total-order comparison of local classes: -1, 0, or 1, the
+    lexicographic order of their standard representatives."""
+    return lex_cmp(standard_rep(c1).params, standard_rep(c2).params)

@@ -39,12 +39,14 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from . import gf2
-from .algebra import UNIT, Bigrading, Complex, FrozenRecord, Monomial, apply_map
-from .errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
-from .homology import MOD_U, apply_shift, check_knot_like, element_grading
+from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map
+from .errors import BudgetExceededError, VerificationFailedError
+from .homology import MOD_U, element_grading, normalized_report
 from .standard import Params, arrow, build_standard, step
 
-Slot = tuple[int, int, Monomial]  # (source index, target index, monomial)
+# The slots of one source as (target index, bit, monomial), the bit being the
+# slot's position in the map's whole system.
+SourceSlots = list[tuple[int, int, Monomial]]
 
 
 class LocalMapWitness(NamedTuple):
@@ -59,33 +61,25 @@ class LocalMapWitness(NamedTuple):
     v_shift: int
 
 
-class Prepared(FrozenRecord):
+class Prepared(NamedTuple):
     """A normalized knot-like complex with its tower data.
 
     The same value serves as the source or the target of a local map.
     tower is the mod-U tower element and tower_dual its coordinate on each
     generator, both as generator index -> V-exponent (see
-    TowerReport.tower_dual); like the buckets they follow from c, so they
-    are left out of repr and comparison.
+    TowerReport.tower_dual).
     """
 
-    __slots__ = ("c", "q", "etas_u", "etas_v", "tower", "tower_dual", "by_gru", "by_grv")
-    _compared = 4
-
-    def __init__(
-        self,
-        c: Complex,
-        q: int,  # gr_V of the mod-U tower top
-        etas_u: tuple[int, ...],  # U-arrow torsion orders (from the mod-V report)
-        etas_v: tuple[int, ...],  # V-arrow torsion orders (from the mod-U report)
-        tower: dict[int, int],
-        tower_dual: dict[int, int],
-        # target indices bucketed by gr_U as sorted (gr_V, index), and by gr_V
-        # as sorted (gr_U, index): _slots reads the feasible slots off these
-        by_gru: dict[int, list[tuple[int, int]]],
-        by_grv: dict[int, list[tuple[int, int]]],
-    ):
-        self._set_fields(c, q, etas_u, etas_v, tower, tower_dual, by_gru, by_grv)
+    c: Complex
+    q: int  # gr_V of the mod-U tower top
+    etas_u: tuple[int, ...]  # U-arrow torsion orders (from the mod-V report)
+    etas_v: tuple[int, ...]  # V-arrow torsion orders (from the mod-U report)
+    tower: dict[int, int]
+    tower_dual: dict[int, int]
+    # target indices bucketed by gr_U as sorted (gr_V, index), and by gr_V
+    # as sorted (gr_U, index): _gen_slots reads the feasible slots off these
+    by_gru: dict[int, list[tuple[int, int]]]
+    by_grv: dict[int, list[tuple[int, int]]]
 
 
 def prepare_target(c: Complex) -> Prepared:
@@ -94,10 +88,7 @@ def prepare_target(c: Complex) -> Prepared:
     Raises NotReducedError on a non-reduced complex and NotKnotLikeError
     when the tower conditions fail.
     """
-    report = check_knot_like(c, allow_shift=True)
-    if not report.is_knot_like:
-        raise NotKnotLikeError(report.reasons)
-    cn = apply_shift(c, report.applied_shift)
+    cn, report = normalized_report(c)
     mod_u = report.mod_u
     q = mod_u.tower_top_grading.grv + report.applied_shift[1]
     by_gru: dict[int, list[tuple[int, int]]] = {}
@@ -120,21 +111,21 @@ def prepare_target(c: Complex) -> Prepared:
     )
 
 
-def _gen_slots(want: Bigrading, tgt: Prepared) -> list[tuple[int, Monomial]]:
-    """The feasible (target index, monomial) slots of one source whose image
-    has grading *want*, in the target order (gr_U, gr_V, index): the unit and
-    V^k slots share the wanted gr_U, the U^k slots have a larger one.
+def _gen_slots(want: Bigrading, tgt: Prepared, bit: int) -> SourceSlots:
+    """The feasible slots of one source whose image has grading *want*, in
+    the target order (gr_U, gr_V, index), their bits numbered from *bit*: the
+    unit and V^k slots share the wanted gr_U, the U^k slots have a larger one.
     """
     wu, wv = want
-    out: list[tuple[int, Monomial]] = []
+    out: SourceSlots = []
     same_u = tgt.by_gru.get(wu, ())
     for gv, t in same_u[bisect_left(same_u, (wv, 0)):]:
         if (gv - wv) % 2 == 0:
-            out.append((t, Monomial("V", (gv - wv) // 2) if gv != wv else UNIT))
+            out.append((t, bit + len(out), Monomial("V", (gv - wv) // 2) if gv != wv else UNIT))
     same_v = tgt.by_grv.get(wv, ())
     for gu, t in same_v[bisect_right(same_v, (wu, len(tgt.c.gens))):]:
         if (gu - wu) % 2 == 0:
-            out.append((t, Monomial("U", (gu - wu) // 2)))
+            out.append((t, bit + len(out), Monomial("U", (gu - wu) // 2)))
     return out
 
 
@@ -143,20 +134,19 @@ def _v_shift(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> int:
     return tgt.q - element_grading(dom, MOD_U, dom_tower).grv
 
 
-def _slots(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> tuple[int, list[Slot]]:
-    """The V-shift pinned by tower-top alignment, and the grading-feasible
-    slots, per source in the target order."""
+def _slots(
+    dom: Complex, dom_tower: dict[int, int], tgt: Prepared
+) -> tuple[int, list[SourceSlots], int]:
+    """The V-shift pinned by tower-top alignment, the grading-feasible slots
+    of each source, and the number of slots."""
     v_shift = _v_shift(dom, dom_tower, tgt)
-    out: list[Slot] = []
-    for s, g in enumerate(dom.gens):
-        want = Bigrading(g.grading.gru, g.grading.grv + v_shift)
-        out.extend((s, t, m) for t, m in _gen_slots(want, tgt))
-    return v_shift, out
-
-
-# The slots of one source as (target index, bit, monomial), the bit being the
-# slot's position in the whole slot list.
-SourceSlots = list[tuple[int, int, Monomial]]
+    by_source: list[SourceSlots] = []
+    nbits = 0
+    for g in dom.gens:
+        source = _gen_slots(Bigrading(g.grading.gru, g.grading.grv + v_shift), tgt, nbits)
+        by_source.append(source)
+        nbits += len(source)
+    return v_shift, by_source, nbits
 
 
 def _source_rows(
@@ -222,20 +212,17 @@ def _solve(
     V-exponent).  relaxed, when given, is (generator index, kind): only the
     chain condition in direction *kind* is imposed at that generator.
     """
-    v_shift, slots = _slots(dom, dom_tower, tgt)
-    by_source: list[SourceSlots] = [[] for _ in dom.gens]
-    for i, (s, t, m) in enumerate(slots):
-        by_source[s].append((t, i, m))
+    v_shift, by_source, nbits = _slots(dom, dom_tower, tgt)
     system: list[tuple[int, int]] = []
     for s in range(len(dom.gens)):
         kind = relaxed[1] if relaxed and relaxed[0] == s else None
         system += _source_rows(s, dom.diff.get(s, {}), by_source, tgt, kind)
     system.append(_tower_row(dom_tower, by_source, tgt))
 
-    solution = gf2.solve_affine(system, len(slots))
+    solution = gf2.solve_affine(system, nbits)
     if solution is None:
         return None
-    return _checked_witness(dom, dom_tower, tgt, relaxed, slots, solution, v_shift)
+    return _checked_witness(dom, dom_tower, tgt, relaxed, by_source, solution, v_shift)
 
 
 def _checked_witness(
@@ -243,27 +230,24 @@ def _checked_witness(
     dom_tower: dict[int, int],
     tgt: Prepared,
     relaxed: Optional[tuple[int, str]],
-    slots: list[Slot],
+    by_source: Sequence[SourceSlots],
     mask: int,
     v_shift: int,
 ) -> LocalMapWitness:
-    """The witness a solution *mask* over *slots* stands for, checked against
-    the definition; VerificationFailedError if the check fails."""
-    witness = _witness_from_mask(dom, tgt.c, slots, mask, v_shift)
+    """The witness a solution *mask* over the slots stands for, checked
+    against the definition; VerificationFailedError if the check fails."""
+    witness = _witness_from_mask(dom, tgt.c, by_source, mask, v_shift)
     if not _check_witness(dom, dom_tower, tgt, relaxed, witness):
         raise VerificationFailedError("solver produced a bad witness")
     return witness
 
 
 def _witness_from_mask(
-    dom: Complex, tgt: Complex, slots: list[Slot], mask: int, v_shift: int
+    dom: Complex, tgt: Complex, by_source: Sequence[SourceSlots], mask: int, v_shift: int
 ) -> LocalMapWitness:
-    images: dict[int, list[tuple[Monomial, str]]] = {}
-    for i, (s, t, m) in enumerate(slots):
-        if (mask >> i) & 1:
-            images.setdefault(s, []).append((m, tgt.gens[t].name))
     assignment = tuple(
-        (dom.gens[s].name, tuple(images.get(s, ()))) for s in range(len(dom.gens))
+        (g.name, tuple((m, tgt.gens[t].name) for t, bit, m in source if mask >> bit & 1))
+        for g, source in zip(dom.gens, by_source)
     )
     return LocalMapWitness(assignment=assignment, v_shift=v_shift)
 
@@ -339,11 +323,6 @@ def map_between(src: Prepared, tgt: Prepared) -> Optional[LocalMapWitness]:
     return _solve(src.c, src.tower, tgt, relaxed=None)
 
 
-def map_from_standard(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]:
-    """Witness for a local map C(params) -> tgt, or None (params of even length)."""
-    return _solve(build_standard(params), {0: 0}, tgt, relaxed=None)
-
-
 def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]:
     """Witness for a short local map C(params) ~> tgt, or None.
 
@@ -390,7 +369,7 @@ class PrefixSystem:
     def empty(cls, tgt: Prepared) -> "PrefixSystem":
         """The systems of the empty prefix, whose C() is x_0 alone."""
         want = Bigrading(0, tgt.q)
-        by_source = [[(t, bit, m) for bit, (t, m) in enumerate(_gen_slots(want, tgt))]]
+        by_source = [_gen_slots(want, tgt, 0)]
         form = gf2.Echelon().extend([_tower_row({0: 0}, by_source, tgt)])
         return cls(tgt, (), want, by_source, len(by_source[0]), form)
 
@@ -421,7 +400,7 @@ class PrefixSystem:
         n = len(self.params)
         params = (*self.params, b)
         want = self.want + step(n + 1, b)
-        new = [(t, self.nbits + j, m) for j, (t, m) in enumerate(_gen_slots(want, self.tgt))]
+        new = _gen_slots(want, self.tgt, self.nbits)
         by_source = [*self.by_source, new]
         if b > 0:
             form = self.closed
@@ -441,7 +420,8 @@ class PrefixSystem:
         return self.form.extend(rows) is not None
 
     def has_full_map(self) -> bool:
-        """Whether map_from_standard(params, tgt) finds a map."""
+        """Whether map_between(prepare_target(build_standard(params)), tgt)
+        finds a map."""
         return self.closed is not None
 
     def full_map(self, src: Prepared) -> LocalMapWitness:
@@ -457,10 +437,9 @@ class PrefixSystem:
         """
         if self.closed is None:
             raise VerificationFailedError(f"representative {self.params} failed certification")
-        slots = [(s, t, m) for s, source in enumerate(self.by_source) for t, _, m in source]
         v_shift = _v_shift(src.c, src.tower, self.tgt)
         return _checked_witness(
-            src.c, src.tower, self.tgt, None, slots, self.closed.solution(), v_shift
+            src.c, src.tower, self.tgt, None, self.by_source, self.closed.solution(), v_shift
         )
 
 
@@ -486,13 +465,6 @@ def verify_local_map(s: Complex, c: Complex, witness: LocalMapWitness) -> bool:
     return _check_witness(src.c, src.tower, tgt, None, witness)
 
 
-def count_unknowns(s: Complex, c: Complex) -> int:
-    """Number of free bits the solver would use for exists_local_map(s, c)."""
-    tgt = prepare_target(c)
-    src = prepare_target(s)
-    return len(_slots(src.c, src.tower, tgt)[1])
-
-
 def brute_force_local_map(
     s: Complex, c: Complex, budget: int = 24
 ) -> Optional[LocalMapWitness]:
@@ -504,11 +476,11 @@ def brute_force_local_map(
     """
     tgt = prepare_target(c)
     src = prepare_target(s)
-    v_shift, slots = _slots(src.c, src.tower, tgt)
-    if len(slots) > budget:
-        raise BudgetExceededError(len(slots), budget)
-    for mask in range(1 << len(slots)):
-        witness = _witness_from_mask(src.c, tgt.c, slots, mask, v_shift)
+    v_shift, by_source, nbits = _slots(src.c, src.tower, tgt)
+    if nbits > budget:
+        raise BudgetExceededError(nbits, budget)
+    for mask in range(1 << nbits):
+        witness = _witness_from_mask(src.c, tgt.c, by_source, mask, v_shift)
         if _check_witness(src.c, src.tower, tgt, None, witness):
             return witness
     return None

@@ -37,13 +37,22 @@ _D_RE = re.compile(r"d\s+(\S+)\s*=\s*(.*)$")
 _COEFFICIENT_RE = re.compile(r"([UV])\^(\d+)|1")
 
 
-def _coefficient(token: str) -> Optional[Monomial]:
+def int_literal(digits: str, line: Optional[int] = None, column: Optional[int] = None) -> int:
+    """The value of a decimal literal; ParseError at *line* or *column* when
+    it has more digits than Python converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("integer literal too long", line, column) from None
+
+
+def _coefficient(token: str, line: int) -> Optional[Monomial]:
     """The monomial a term's coefficient names, or None for a bad coefficient."""
     m = _COEFFICIENT_RE.fullmatch(token)
     if m is None:
         return None
     kind, exponent = m.groups()
-    return mono(kind, int(exponent)) if kind else UNIT
+    return mono(kind, int_literal(exponent, line)) if kind else UNIT
 
 
 def parse_complex_file(text: str) -> Complex:
@@ -62,7 +71,7 @@ def parse_complex_file(text: str) -> Complex:
             if not m:
                 raise ParseError(f"bad gen line {raw!r}", line=lineno)
             name, gu, gv = m.groups()
-            generators.append((name, (int(gu), int(gv))))
+            generators.append((name, (int_literal(gu, lineno), int_literal(gv, lineno))))
         elif line.startswith("d"):
             m = _D_RE.match(line)
             if not m:
@@ -82,7 +91,7 @@ def parse_complex_file(text: str) -> Complex:
                         if token in coefficients:
                             monomial = coefficients[token]
                         else:
-                            monomial = coefficients[token] = _coefficient(token)
+                            monomial = coefficients[token] = _coefficient(token, lineno)
                         if monomial is not None:
                             terms.append((monomial, name))
                             continue
@@ -170,11 +179,11 @@ class _Scanner:
         start = self.pos
         if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] in ("+", "-"):
             raise ParseError("expected an integer", column=start + 1)
-        return int(self.text[start:self.pos])
+        return int_literal(self.text[start:self.pos], column=start + 1)
 
     def word(self) -> str:
         self.skip_ws()
@@ -243,7 +252,7 @@ def _parse_term(sc: _Scanner) -> tuple[int, Atom]:
     sc.skip_ws()
     save = sc.pos
     mult = 1
-    if sc.peek().isdigit():
+    if sc.peek().isdecimal():
         mult = sc.integer(signed=False)
         if sc.peek() == "*":
             sc.expect("*")

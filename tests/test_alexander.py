@@ -23,7 +23,7 @@ from knotcalc.errors import (
     RecipeTooLargeError,
 )
 from knotcalc.localequiv import MAX_PARAMETER, standard_rep
-from knotcalc.parsing import Thin
+from knotcalc.parsing import Thin, Torus
 from knotcalc.standard import build_standard, is_symmetric, phi, tau_of
 
 
@@ -319,6 +319,33 @@ def test_long_thin_atom_is_refused_before_it_is_built(monkeypatch):
         assert not any(isinstance(atom, Thin) for atom in built), expr
     assert recipe_factors("Thin(4999)") == [(1, -1) * 4999]
     assert recipe_factors("D - 2*Thin(2)") == [(1, -1), (-1, 1, -1, 1), (-1, 1, -1, 1)]
+
+
+def test_large_torus_atom_is_refused_before_its_polynomial(monkeypatch):
+    # T(p,q) has at least max(p,q) - 1 parameters, known without torus_delta
+    def no_polynomial(p, q):
+        raise AssertionError(f"torus_delta({p}, {q}) was called")
+
+    monkeypatch.setattr(alexander, "torus_delta", no_polynomial)
+    for expr, size in [("T(2,10001)", 10001), ("T(10001,2)", 10001), ("2*T(3,5003)", 5003 ** 2)]:
+        with pytest.raises(RecipeTooLargeError,
+                           match=rf"at least {size} generators, over the limit of 10000$"):
+            recipe_factors(expr)
+    with pytest.raises(NotCoprimeError, match=r"gcd\(3, 5001\) != 1"):
+        recipe_factors("2*T(3,5001)")
+    monkeypatch.undo()
+    assert [len(p) for p in recipe_factors("T(2,9999)")] == [9998]
+    assert recipe_factors("T(1,10001) + T(10001,1)") == [(), ()]
+
+
+@given(st.integers(2, 12), st.integers(3, 60))
+def test_torus_parameters_are_at_least_q_minus_1(p, q):
+    if p >= q or gcd(p, q) != 1:
+        return
+    params = alexander.atom_params(Torus(p, q))
+    assert len(params) >= q - 1
+    assert max(map(abs, params)) <= p - 1
+    assert sum(map(abs, params)) == (p - 1) * (q - 1)
 
 
 def _trivial_cables(depth):

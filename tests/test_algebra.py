@@ -15,7 +15,6 @@ from knotcalc.algebra import (
     mono_for_grading,
     mono_mul,
     reduce,
-    revalidate,
     tensor,
     unit_complex,
     validate,
@@ -28,7 +27,7 @@ from knotcalc.errors import (
     UnknownGeneratorError,
 )
 from knotcalc.homology import apply_shift
-from knotcalc.parsing import serialize_complex
+from knotcalc.parsing import parse_complex_file, serialize_complex
 from knotcalc.standard import build_standard
 
 
@@ -181,6 +180,11 @@ def _d_squared_by_apply_map(c):
         if apply_map(c.diff, c.diff[s]):
             return c.gens[s].name
     return None
+
+
+def revalidate(c):
+    """Re-run every check of validate on an existing complex."""
+    return parse_complex_file(serialize_complex(c))
 
 
 def _d_squared_witness(c):

@@ -30,6 +30,9 @@ from knotcalc.standard import build_standard
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
 
+# A literal over Python's 4,300-digit limit for converting a string to int
+LONG = "1" * 5000
+
 
 # --- complex files ---------------------------------------------------------------
 
@@ -62,6 +65,10 @@ def test_bad_lines_have_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_complex_file("gen a 0 0\ngen b 1 1\nd b = U a\n")
     assert e.value.line == 3
+    for text, line in [(f"gen x {LONG} 0\n", 1), (f"gen a 0 0\ngen b 1 1\nd b = U^{LONG} a\n", 3)]:
+        with pytest.raises(ParseError) as e:
+            parse_complex_file(text)
+        assert str(e.value) == f"integer literal too long at line {line}"
 
 
 def test_duplicate_d_line_rejected():
@@ -252,6 +259,16 @@ def test_parse_errors():
         parse_knot_expr("0*T(2,3)")
     with pytest.raises(ParseError, match="expected an atom at column 10$"):
         parse_knot_expr("3*T(2,3)+")
+    # superscript digits are not decimal digits; \u0663 (Arabic-Indic 3) is
+    for text, message in [("T(\u00b2,3)", "expected an integer at column 3"),
+                          ("\u00b2*T(2,3)", "expected an atom at column 1"),
+                          ("T(2,3\u00b9)", "expected ')', got '\u00b9' at column 6"),
+                          (f"T(2,{LONG})", "integer literal too long at column 5"),
+                          (f"{LONG}*T(2,3)", "integer literal too long at column 1")]:
+        with pytest.raises(ParseError) as e:
+            parse_knot_expr(text)
+        assert str(e.value) == message, text
+    assert parse_knot_expr("T(2,\u0663)").terms == ((1, 1, Torus(2, 3)),)
 
 
 def test_poly_errors_carry_columns():
@@ -260,11 +277,30 @@ def test_poly_errors_carry_columns():
         ("t^ + 1", "missing exponent", 4),
         ("2t 3", "expected '+' or '-'", 4),
         ("  ", "empty polynomial", 3),
+        ("t^\u00b2+1", "missing exponent", 3),
+        ("\u00b2t+1", "expected a term", 1),
+        ("t^2 + 2\u00b2", "expected '+' or '-'", 8),
+        (f"t^{LONG}+1", "integer literal too long", 3),
+        (f"1 - {LONG}t", "integer literal too long", 5),
     ]:
         with pytest.raises(ParseError) as e:
             parse_poly(text)
         assert str(e.value) == f"{message} at column {column}"
         assert e.value.column == column and e.value.line is None
+
+
+_FUZZ_ALPHABET = st.sampled_from(
+    list("TCableThinStdD(),;*+-^ t0123456789") + ["\u00b2", "\u00b3", "\u00b9", "\u0663", "\uff11"]
+)
+
+
+@given(st.one_of(st.text(_FUZZ_ALPHABET, max_size=40), st.text(max_size=20)))
+def test_parsers_return_or_raise_parse_errors_in_range(text):
+    for parse in (parse_knot_expr, parse_poly):
+        try:
+            parse(text)
+        except ParseError as e:
+            assert e.line is None and 1 <= e.column <= len(text) + 1, (parse.__name__, text)
 
 
 def test_whitespace_tolerance():

@@ -15,8 +15,8 @@ RECORDS = [
     (TowerReport, ("side", "tower_generator", "tower_top_grading", "torsion_pairs", "tower_dual"), 5),
     (KnotLikeReport, ("is_knot_like", "applied_shift", "reasons", "mod_u", "mod_v"), 5),
     (LocalMapWitness, ("assignment", "v_shift"), 2),
-    (Prepared, ("c", "q", "etas_u", "etas_v", "tower", "tower_dual", "by_gru", "by_grv"), 4),
-    (RepResult, ("params", "witnesses", "trace", "prepared"), 3),
+    (Prepared, ("c", "q", "etas_u", "etas_v", "tower", "tower_dual", "by_gru", "by_grv"), 8),
+    (RepResult, ("params", "witnesses", "trace"), 3),
     (Torus, ("p", "q"), 2),
     (CableAtom, ("inner", "p", "q"), 3),
     (Thin, ("tau",), 1),
@@ -62,7 +62,6 @@ def test_equality_hash_and_repr_cover_the_compared_fields(cls, names, compared):
 def test_rep_results_of_one_complex_are_equal():
     c = build_standard((1, -2, 2, -1))
     first, second = standard_rep(c), standard_rep(c)
-    assert first.prepared is not second.prepared
+    assert first.witnesses is not second.witnesses
     assert first == second
     assert hash(first) == hash(second)
-    assert "prepared" not in repr(first)
