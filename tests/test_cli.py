@@ -172,8 +172,9 @@ def _trivial_cables(depth):
 
 
 def test_oversized_parameter_is_refused_fast(capsys):
-    # candidates grow with the parameters, so these are refused before any
-    # complex is built: a domain error, exit 1, no traceback
+    # a parameter over the limit (which exists for the torus atoms, whose
+    # cost grows with their parameters) is refused before any complex is
+    # built, whatever the atom: a domain error, exit 1, no traceback
     for expr, largest in [("Std(1025,-1025)", 1025), (_trivial_cables(11), 2048),
                           (_trivial_cables(30), 2 ** 30), ("Std(65536,-65536)", 65536)]:
         start = time.perf_counter()

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import box, direct_sum, scramble
 from knotcalc import localmaps
@@ -242,10 +244,29 @@ def _oracle_pool():
         yield tensor_many(build_standard(p) for p in recipe_factors(recipe))
 
 
+def _one_shot_answer(prefix, b, tgt):
+    """Whether candidate b passes after prefix: a short map for b != 0, the
+    stop test (a map from C(prefix)) for b == 0."""
+    return short_map((*prefix, b), tgt) is not None if b else _has_map_from_standard(prefix, tgt)
+
+
 def test_greedy_matches_one_shot_solves():
+    # the search probes some candidates of each position, not all of them,
+    # so its trace is checked probe by probe against the one-shot answers
     for c in _oracle_pool():
         r = standard_rep(c)
-        assert (r.params, r.witnesses, r.trace) == _greedy_by_one_shot_solves(c)
+        params, witnesses, trace = _greedy_by_one_shot_solves(c)
+        assert (r.params, r.witnesses) == (params, witnesses)
+        accepted = [(t.position, t.accepted) for t in trace]
+        assert [(t.position, t.accepted) for t in r.trace] == accepted
+        tgt = prepare_target(reduce(c))
+        known = {(t.position, b): ok for t in trace for b, ok in t.candidates}
+        for t in r.trace:
+            prefix = params[: t.position - 1]
+            for b, ok in t.candidates:
+                if (t.position, b) not in known:
+                    known[t.position, b] = _one_shot_answer(prefix, b, tgt)
+                assert ok == known[t.position, b], (prefix, b)
 
 
 def _random_prefix(rng, rep, bound):
@@ -258,7 +279,9 @@ def _random_prefix(rng, rep, bound):
     return tuple(p)
 
 
-def test_prefix_system_feasibility_matches_one_shot_solves():
+def _drawn_prefixes():
+    """Per target: its prepared form, the bound of the draws, and twelve
+    prefixes of its representative with their last few entries redrawn."""
     rng = random.Random(11)
     targets = [
         tensor(build_standard((2, -2)), build_standard((1, -1))),
@@ -270,8 +293,12 @@ def test_prefix_system_feasibility_matches_one_shot_solves():
         tgt = prepare_target(reduce(c))
         rep = standard_rep(c).params
         bound = max(*tgt.etas_u, *tgt.etas_v, 1)
-        for _ in range(12):
-            prefix = _random_prefix(rng, rep, bound)
+        yield tgt, bound, [_random_prefix(rng, rep, bound) for _ in range(12)]
+
+
+def test_prefix_system_feasibility_matches_one_shot_solves():
+    for tgt, bound, drawn in _drawn_prefixes():
+        for prefix in drawn:
             system = PrefixSystem.empty(tgt)
             for a in prefix:
                 system = system.then(a)
@@ -281,6 +308,67 @@ def test_prefix_system_feasibility_matches_one_shot_solves():
                 assert system.then(b).has_short_map() == want, (prefix, b)
             if len(prefix) % 2 == 0:
                 assert system.has_full_map() == _has_map_from_standard(prefix, tgt), prefix
+
+
+def _assert_down_set(prefix, bound, tgt):
+    """The candidates that pass after prefix, listed ascending in the order
+    -1 < -2 < ... < -bound < 0 < bound < ... < 2 < 1 (0, the stop test, at
+    even prefixes only), are a down-set: no candidate fails below one that
+    passes."""
+    stop = [0] if len(prefix) % 2 == 0 else []
+    order = [*range(-1, -bound - 1, -1), *stop, *range(bound, 0, -1)]
+    answers = [_one_shot_answer(prefix, b, tgt) for b in order]
+    assert answers == sorted(answers, reverse=True), (prefix, list(zip(order, answers)))
+
+
+def test_feasibility_is_a_down_set_in_the_order():
+    # standard_rep bisects each sign's block of candidates, which finds the
+    # largest passing candidate only if this holds
+    for tgt, bound, drawn in _drawn_prefixes():
+        for prefix in sorted({p[:k] for p in drawn for k in range(len(p) + 1)}):
+            _assert_down_set(prefix, bound, tgt)
+    for c in _oracle_pool():
+        tgt = prepare_target(reduce(c))
+        m_u, m_v = max(tgt.etas_u, default=0), max(tgt.etas_v, default=0)
+        rep = standard_rep(c).params
+        for k in range(len(rep) + 1):
+            _assert_down_set(rep[:k], m_v if k % 2 else m_u, tgt)
+
+
+def test_probes_per_position_are_logarithmic_in_the_bound():
+    # one block is bisected per position, in at most ceil(log2 M) probes;
+    # the fixed probes are 1, M, the stop test, -2 and -M (or -1), so c = 5.
+    # This is within 2 * ceil(log2 M) + 5 for every M >= 1, and far below
+    # the 2M + 1 candidates of a scan over the whole window.
+    for recipe in ["T(100,101)", "T(200,201)", "Std(1000,-1,2,-1000) - Std(999,-3,3,-999)"]:
+        c = tensor_many(build_standard(p) for p in recipe_factors(recipe))
+        tgt = prepare_target(reduce(c))
+        m_u, m_v = max(tgt.etas_u, default=0), max(tgt.etas_v, default=0)
+        assert max(m_u, m_v) >= 99
+        for t in standard_rep(c).trace:
+            bound = max(m_u if t.position % 2 else m_v, 1)
+            assert len(t.candidates) <= math.ceil(math.log2(bound)) + 5, (recipe, t)
+
+
+_standard_tuples = st.lists(
+    st.integers(-6, 6).filter(bool), min_size=0, max_size=6
+).map(lambda xs: tuple(xs[: len(xs) // 2 * 2]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_standard_tuples, _standard_tuples)
+def test_phi_is_a_homomorphism(a, b):
+    r = standard_rep(tensor(build_standard(a), build_standard(b)))
+    pa, pb = phi(a), phi(b)
+    want = {j: pa.get(j, 0) + pb.get(j, 0) for j in {*pa, *pb}}
+    assert phi(r.params) == {j: v for j, v in want.items() if v}, (a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_standard_tuples)
+def test_complex_times_its_dual_is_trivial(a):
+    c = build_standard(a)
+    assert standard_rep(tensor(c, dual(c))).params == ()
 
 
 def test_folded_recipe_matches_monolithic_product():
