@@ -35,13 +35,6 @@ class Bigrading(NamedTuple):
     def __sub__(self, other):
         return Bigrading(self.gru - other[0], self.grv - other[1])
 
-    def alexander(self) -> int:
-        """Alexander degree (gr_U - gr_V)/2; defined only when parities agree."""
-        d = self.gru - self.grv
-        if d % 2:
-            raise ValueError(f"Alexander degree undefined for grading {self}")
-        return d // 2
-
 
 class Monomial(NamedTuple):
     """A monomial 1, U^a, or V^b of R.  kind is one of '1', 'U', 'V'."""

@@ -2,8 +2,10 @@
 
 Rows are Python integers used as bit masks, so a row operation is a single
 XOR regardless of width.  This is all the linear algebra the local-map
-solver needs: an echelon form that can be extended by more rows, and one
-solution of the affine system A x = b it stands for.
+solver needs: an echelon form that grows in place by more rows, reduces
+more rows against it or tests whether they are consistent with it without
+changing it, and gives one solution of the affine system A x = b it stands
+for.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ class Echelon:
 
     Each pivot row's pivot is its lowest set bit, so the set of pivots, and
     with free variables set to 0 the solution, depend only on the rows'
-    span, not on the order the rows came in.  A value is never changed:
-    extend returns a new one, so a form can be shared by many extensions.
+    span, not on the order the rows came in.
     """
 
     __slots__ = ("pivots", "pivmask")
@@ -26,16 +27,20 @@ class Echelon:
         self.pivots: dict[int, tuple[int, int]] = {}
         self.pivmask = 0
 
-    def extend(self, rows: Iterable[tuple[int, int]]) -> Optional["Echelon"]:
-        """This form with (mask, rhs) rows added, or None if some row reduces
-        to 0 = 1.
+    def reduced(self, rows: Iterable[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
+        """The pivot rows that (mask, rhs) rows add to this form, each with
+        its pivot at its lowest bit and no bit at an earlier pivot, so that
+        extend or consistent takes them with no elimination; None if some
+        row reduces to 0 = 1.  The form is not changed.
 
         A row is reduced only at the pivot positions it hits, lowest first; a
         pivot row has no bits below its pivot, so no lower position is hit
-        again.
+        again.  The form's pivots come first: a new pivot row has no bit at
+        any of them, so reducing by new rows brings none back.
         """
-        pivots = dict(self.pivots)
-        pivmask = self.pivmask
+        pivots, pivmask = self.pivots, self.pivmask
+        new: dict[int, tuple[int, int]] = {}
+        newmask = 0
         for mask, rhs in rows:
             hit = mask & pivmask
             while hit:
@@ -43,17 +48,36 @@ class Echelon:
                 mask ^= pmask
                 rhs ^= prhs
                 hit = mask & pivmask
+            hit = mask & newmask
+            while hit:
+                pmask, prhs = new[(hit & -hit).bit_length() - 1]
+                mask ^= pmask
+                rhs ^= prhs
+                hit = mask & newmask
             if mask == 0:
                 if rhs:
                     return None
                 continue
             low = mask & -mask
-            pivots[low.bit_length() - 1] = (mask, rhs)
-            pivmask |= low
-        out = Echelon()
-        out.pivots = pivots
-        out.pivmask = pivmask
-        return out
+            new[low.bit_length() - 1] = (mask, rhs)
+            newmask |= low
+        return list(new.values())
+
+    def extend(self, rows: Iterable[tuple[int, int]]) -> bool:
+        """Add (mask, rhs) rows in place; False, with the form unchanged, if
+        some row reduces to 0 = 1."""
+        new = self.reduced(rows)
+        if new is None:
+            return False
+        for mask, rhs in new:
+            low = mask & -mask
+            self.pivots[low.bit_length() - 1] = (mask, rhs)
+            self.pivmask |= low
+        return True
+
+    def consistent(self, rows: Iterable[tuple[int, int]]) -> bool:
+        """Whether extend(rows) would succeed; the form is not changed."""
+        return self.reduced(rows) is not None
 
     def solution(self) -> int:
         """The solution with every free variable 0, as a bit mask."""
@@ -80,10 +104,12 @@ def solve_affine(rows: list[tuple[int, int]], nvars: int) -> int | None:
         system is inconsistent.  The solution is deterministic: pivots are
         taken at the lowest set bit of each reduced row.
     """
-    form = Echelon().extend(rows)
-    return None if form is None else form.solution()
+    form = Echelon()
+    return form.solution() if form.extend(rows) else None
 
 
 def rank(masks: list[int]) -> int:
     """GF(2) rank of a list of bit-mask rows."""
-    return len(Echelon().extend((mask, 0) for mask in masks).pivots)
+    form = Echelon()
+    form.extend((mask, 0) for mask in masks)
+    return len(form.pivots)

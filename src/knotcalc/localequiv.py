@@ -9,22 +9,22 @@ the next parameter is the largest b in the unusual order
 for which a short local map from C(a_1 .. a_k, b) exists, where M is a
 torsion order of the complex.  The candidates that admit one are taken to
 form a down-set in that order (the tests check this against one-shot
-solves), so each position probes 1, then M, and bisects between them; then
-(at even k) the stop test; then -2, -M, and bisects between those: O(log M)
-probes per position.  The stop test asks for a full local map from
-C(a_1 .. a_k), which is exactly the condition that the remaining parameters
-are all zero; it also absorbs the degenerate case where every sufficiently
-negative candidate admits a short map with the final generator sent to
-zero.  The candidates'
-linear systems share the prefix's rows, which localmaps.PrefixSystem keeps
-in echelon form across candidates and positions, and each candidate is
-decided by the consistency of its system alone.  The computed
-representative is certified at the end by local maps in both directions,
-each checked against the definition: the map from its standard complex is
-read off the echelon form that the passing stop test holds
-(PrefixSystem.full_map), and the map back is solved for.  Since a local
-class holds exactly one standard complex, that certification fails
-whenever any answer on the way was wrong, or the down-set assumption
+solves).  Listed from greatest to least, 1 .. M, then (at even k) 0 for the
+stop test, then -M .. -1, they first fail and then pass, so one bisection
+finds the first that passes: at most ceil(log2(2M + 2)) probes per
+position.  The stop test asks for a full local map from C(a_1 .. a_k),
+which is exactly the condition that the remaining parameters are all zero;
+it also absorbs the degenerate case where every sufficiently negative
+candidate admits a short map with the final generator sent to zero.  The
+candidates' linear systems share the prefix's rows, which
+localmaps.PrefixSystem keeps in one echelon form that grows in place with
+the prefix, and each candidate is decided by the consistency of its own
+rows with that form.  The computed representative is certified at the end
+by local maps in both directions, each checked against the definition: the
+map from its standard complex is read off the echelon form with the stop
+test's rows added (PrefixSystem.full_map), and the map back is solved for.
+Since a local class holds exactly one standard complex, that certification
+fails whenever any answer on the way was wrong, or the down-set assumption
 failed, so no candidate needs a certificate of its own.
 
 A torsion order over MAX_PARAMETER is refused before the search.
@@ -32,7 +32,8 @@ A torsion order over MAX_PARAMETER is refused before the search.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from bisect import bisect_left
+from typing import NamedTuple, Optional
 
 from .algebra import Complex, reduce
 from .errors import LengthCapExceededError, ParameterTooLargeError, VerificationFailedError
@@ -45,8 +46,8 @@ from .standard import Params, build_standard, lex_cmp
 # position, so a large parameter alone is cheap, but the limit still bounds
 # the torus atoms T(p,p+1): their representatives are 2(p - 1) long with
 # parameters up to p - 1, and their cost grows faster than their size.
-# T(1025,1026), the largest admitted, takes about a second on a 2-vCPU
-# host; the generator limit alone would admit T(4999,5000), about 36 s.
+# T(1025,1026), the largest admitted, takes about 0.6 s on a 2-vCPU host;
+# the generator limit alone would admit T(4999,5000), about 7 s.
 MAX_PARAMETER = 1024
 
 
@@ -83,11 +84,11 @@ def standard_rep(c: Complex) -> RepResult:
         )
     cap = 4 * len(c.gens) + 4
 
-    system = PrefixSystem.empty(tgt)
+    system = PrefixSystem(tgt)
     trace: list[PositionTrace] = []
     while True:
         position = len(system.params) + 1
-        found, grown, tested = _next_parameter(system, m_u if position % 2 == 1 else m_v)
+        found, tested = _next_parameter(system, m_u if position % 2 == 1 else m_v)
         trace.append(PositionTrace(position, tested, found or None))
         if found == 0:  # the stop test passed
             break
@@ -97,11 +98,9 @@ def standard_rep(c: Complex) -> RepResult:
             raise VerificationFailedError(
                 f"no candidate accepted at position {position} of {list(system.params)}"
             )
-        system = grown
+        system.push(found)
         if len(system.params) > cap:
-            raise LengthCapExceededError(
-                f"representative exceeded length cap {cap}"
-            )
+            raise LengthCapExceededError(f"representative exceeded length cap {cap}")
 
     rep = system.params
     s = prepare_target(build_standard(rep))
@@ -114,49 +113,22 @@ def standard_rep(c: Complex) -> RepResult:
 
 def _next_parameter(
     system: PrefixSystem, bound: int
-) -> tuple[Optional[int], Optional[PrefixSystem], tuple[tuple[int, bool], ...]]:
-    """The largest candidate after system's prefix that passes (0 for the
-    stop test, None if none does), the system it grows, and every
-    (candidate, passed) probe in the order tested.  Each sign's block is
-    settled by its ends and a bisection between them; if -2 fails, only -1
-    is left."""
-    grown: dict[int, PrefixSystem] = {}
+) -> tuple[Optional[int], tuple[tuple[int, bool], ...]]:
+    """The greatest candidate after system's prefix that passes (0 for the
+    stop test, None if none does), and every (candidate, passed) probe in
+    the order tested.  Listed from greatest to least, the candidates fail
+    and then pass, so one bisection finds the first that passes."""
+    stop = (0,) if len(system.params) % 2 == 0 else ()
+    candidates = (*range(1, bound + 1), *stop, *range(-bound, 0))
     tested: list[tuple[int, bool]] = []
 
     def passes(b: int) -> bool:
-        if b:
-            grown[b] = system.then(b)
-            ok = grown[b].has_short_map()
-        else:
-            ok = system.has_full_map()
+        ok = system.passes(b)
         tested.append((b, ok))
         return ok
 
-    found: Optional[int] = None
-    if bound and passes(1):
-        found = 1
-    elif bound > 1 and passes(bound):
-        found = _least_passing(passes, 1, bound)
-    elif len(system.params) % 2 == 0 and passes(0):
-        found = 0
-    elif bound > 1 and passes(-2):
-        found = -bound if bound == 2 or passes(-bound) else _least_passing(passes, -bound, -2)
-    elif bound and passes(-1):
-        found = -1
-    return found, grown.get(found), tuple(tested)
-
-
-def _least_passing(passes: Callable[[int], bool], lo: int, hi: int) -> int:
-    """The least b in (lo, hi] that passes, by bisection, given that hi
-    passes, lo does not, and within one sign's block every b above a
-    passing one passes too (greater in value is lower in the order)."""
-    while hi - lo > 1:
-        mid = (lo + hi + 1) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    i = bisect_left(candidates, True, key=passes)
+    return (candidates[i] if i < len(candidates) else None), tuple(tested)
 
 
 def compare(c1: Complex, c2: Complex) -> int:

@@ -19,14 +19,15 @@ is returned, and a bad one raises VerificationFailedError.
 
 PrefixSystem serves the greedy search of localequiv: the candidates
 C(a_1 .. a_k, b) share the prefix's slots and its chain conditions at
-x_0 .. x_{k-1}, so it keeps those in echelon form and adds only each
-candidate's own rows.  Each candidate is decided by whether its system is
-consistent, with no witness built.  Only the final representative gets
-one: the stop test already holds the full map's system in echelon form,
-and full_map reads the checked forward witness off it.  The greedy
-certifies its result with that map and a checked map back; a wrong answer
-on the way would give a standard complex that is not locally equivalent to
-the input, so that certification would fail.
+x_0 .. x_{k-1}, so it keeps those in one echelon form that grows in place
+as the prefix does, and tests each candidate's own rows against it.  Each
+candidate is decided by whether its system is consistent, with no witness
+built.  Only the final representative gets one: after the passing stop
+test, full_map adds the full map's last rows to the form and reads the
+checked forward witness off it.  The greedy certifies its result with that
+map and a checked map back; a wrong answer on the way would give a
+standard complex that is not locally equivalent to the input, so that
+certification would fail.
 
 brute_force_local_map enumerates every bit assignment and checks the
 definition directly; it is the independent oracle for the solver.
@@ -35,13 +36,12 @@ definition directly; it is the independent oracle for the solver.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from . import gf2
 from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map
 from .errors import BudgetExceededError, VerificationFailedError
-from .homology import MOD_U, element_grading, normalized_report
+from .homology import normalized_report
 from .standard import Params, arrow, build_standard, step
 
 # The slots of one source as (target index, bit, monomial), the bit being the
@@ -129,24 +129,16 @@ def _gen_slots(want: Bigrading, tgt: Prepared, bit: int) -> SourceSlots:
     return out
 
 
-def _v_shift(dom: Complex, dom_tower: dict[int, int], tgt: Prepared) -> int:
-    """The V-shift of a map dom -> tgt, pinned by tower-top alignment."""
-    return tgt.q - element_grading(dom, MOD_U, dom_tower).grv
-
-
-def _slots(
-    dom: Complex, dom_tower: dict[int, int], tgt: Prepared
-) -> tuple[int, list[SourceSlots], int]:
-    """The V-shift pinned by tower-top alignment, the grading-feasible slots
-    of each source, and the number of slots."""
-    v_shift = _v_shift(dom, dom_tower, tgt)
+def _slots(dom: Complex, v_shift: int, tgt: Prepared) -> tuple[list[SourceSlots], int]:
+    """The grading-feasible slots of each source of a map dom -> tgt with
+    the given V-shift, and the number of slots."""
     by_source: list[SourceSlots] = []
     nbits = 0
     for g in dom.gens:
         source = _gen_slots(Bigrading(g.grading.gru, g.grading.grv + v_shift), tgt, nbits)
         by_source.append(source)
         nbits += len(source)
-    return v_shift, by_source, nbits
+    return by_source, nbits
 
 
 def _source_rows(
@@ -203,16 +195,19 @@ def _tower_row(
 def _solve(
     dom: Complex,
     dom_tower: dict[int, int],
+    v_shift: int,
     tgt: Prepared,
     relaxed: Optional[tuple[int, str]],
 ) -> Optional[LocalMapWitness]:
     """Build and solve the linear system for a (short) local map dom -> tgt.
 
     dom_tower is the mod-U tower element of the domain (generator index ->
-    V-exponent).  relaxed, when given, is (generator index, kind): only the
-    chain condition in direction *kind* is imposed at that generator.
+    V-exponent), and v_shift the V-shift that aligns its grading with the
+    target's tower top.  relaxed, when given, is (generator index, kind):
+    only the chain condition in direction *kind* is imposed at that
+    generator.
     """
-    v_shift, by_source, nbits = _slots(dom, dom_tower, tgt)
+    by_source, nbits = _slots(dom, v_shift, tgt)
     system: list[tuple[int, int]] = []
     for s in range(len(dom.gens)):
         kind = relaxed[1] if relaxed and relaxed[0] == s else None
@@ -320,7 +315,7 @@ def _check_witness(
 
 def map_between(src: Prepared, tgt: Prepared) -> Optional[LocalMapWitness]:
     """Witness for a local map src -> tgt between prepared complexes, or None."""
-    return _solve(src.c, src.tower, tgt, relaxed=None)
+    return _solve(src.c, src.tower, tgt.q - src.q, tgt, relaxed=None)
 
 
 def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]:
@@ -333,114 +328,120 @@ def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]
     """
     p = tuple(params)
     n = len(p)
-    return _solve(build_standard(p, v_anchor=0), {0: 0}, tgt, (n, "V" if n % 2 == 0 else "U"))
+    domain = build_standard(p, v_anchor=0)  # its tower top x_0 has gr_V 0
+    return _solve(domain, {0: 0}, tgt.q, tgt, (n, "V" if n % 2 == 0 else "U"))
 
 
 class PrefixSystem:
-    """The local-map systems from the standard complexes of one parameter
-    prefix, kept in GF(2) echelon form for the greedy search.
+    """The local-map systems of a parameter prefix p, in one GF(2) echelon
+    form that grows in place as the greedy search of localequiv extends p.
 
     After the tower-top V-shift, the short map from C(p) or C(p, b) (anchored
     at gr(x_0) = (0, 0)) and the full map from C(p) want the same gradings, so
     the slots of x_0 .. x_n (n = len(p)) and their bits are the same in all of
-    them.  form is the echelon form of the tower equation and the full chain
-    conditions at x_0 .. x_{n-1}, or None when those are inconsistent; each
-    system adds only its rows at x_n and at a new final generator.
+    them.  form holds the tower equation and the full chain conditions at
+    x_0 .. x_{n-1}; once those are inconsistent, feasible is False and form
+    stops growing.  Each system adds only its rows at x_n and at a new final
+    generator x_{n+1}.  The full map from C(p) and every C(p, b) with b > 0
+    share the rows at x_n, which are reduced against form once per position.
 
-    The queries decide consistency alone; no solution is back-substituted and
-    no witness built.  full_map builds the one witness the caller needs, the
-    checked forward map of the final representative, which localequiv's
-    standard_rep pairs with a checked map back.
+    passes decides a candidate by the consistency of its rows alone; no
+    solution is back-substituted and no witness built.  full_map builds the
+    one witness the caller needs, the checked forward map of the final
+    representative, which localequiv's standard_rep pairs with a checked
+    map back.
     """
 
-    def __init__(
-        self,
-        tgt: Prepared,
-        params: Params,
-        want: Bigrading,  # the grading of f(x_n)
-        by_source: list[SourceSlots],
-        nbits: int,  # the number of slots in by_source, the next free bit
-        form: Optional[gf2.Echelon],
-    ):
-        self.tgt, self.params, self.want = tgt, params, want
-        self.by_source, self.nbits, self.form = by_source, nbits, form
-
-    @classmethod
-    def empty(cls, tgt: Prepared) -> "PrefixSystem":
+    def __init__(self, tgt: Prepared):
         """The systems of the empty prefix, whose C() is x_0 alone."""
-        want = Bigrading(0, tgt.q)
-        by_source = [_gen_slots(want, tgt, 0)]
-        form = gf2.Echelon().extend([_tower_row({0: 0}, by_source, tgt)])
-        return cls(tgt, (), want, by_source, len(by_source[0]), form)
+        self.tgt = tgt
+        self.params: Params = ()
+        self.want = Bigrading(0, tgt.q)  # the grading of f(x_n)
+        self.by_source = [_gen_slots(self.want, tgt, 0)]
+        self.nbits = len(self.by_source[0])  # the next free bit
+        self.form = gf2.Echelon()
+        self.feasible = self.form.extend([_tower_row({0: 0}, self.by_source, tgt)])
+        self._closing: Optional[list[tuple[int, int]]] = None  # see _closing_rows
+        # the last candidate that passed: b, its slots of x_{n+1}, its rows at x_n
+        self._passed: Optional[tuple[int, SourceSlots, list[tuple[int, int]]]] = None
 
-    def _rows_at_last(
-        self, by_source: list[SourceSlots], params: Params, kind: Optional[str]
-    ) -> list[tuple[int, int]]:
-        """The chain condition at x_n in C(params), params extending self.params."""
+    def _rows_at_last(self, b: int) -> list[tuple[int, int]]:
+        """The full chain condition at x_n in C(params, b), or in C(params)
+        for b = 0.  For b < 0 the slots of x_{n+1} must be in by_source."""
         n = len(self.params)
         row: dict[int, Monomial] = {}
-        for i in (n, n + 1):
-            if 1 <= i <= len(params):
-                s, t, m = arrow(i, params[i - 1])
-                if s == n:
-                    row[t] = m
-        return _source_rows(n, row, by_source, self.tgt, kind)
+        if n and self.params[-1] > 0:
+            row[n - 1] = arrow(n, self.params[-1])[2]
+        if b < 0:
+            row[n + 1] = arrow(n + 1, b)[2]
+        return _source_rows(n, row, self.by_source, self.tgt, None)
 
-    @cached_property
-    def closed(self) -> Optional[gf2.Echelon]:
-        """form plus the full chain condition at x_n with no arrow out of
-        x_n to a next generator: the full map from C(p), and the prefix form
-        of every C(p, b) with b > 0."""
-        if self.form is None:
-            return None
-        return self.form.extend(self._rows_at_last(self.by_source, self.params, None))
+    def _closing_rows(self) -> list[tuple[int, int]]:
+        """_rows_at_last(0) reduced against form, or the row 0 = 1 if they
+        are inconsistent with it; built once per position."""
+        if self._closing is None:
+            closing = self.form.reduced(self._rows_at_last(0))
+            self._closing = [(0, 1)] if closing is None else closing
+        return self._closing
 
-    def then(self, b: int) -> "PrefixSystem":
-        """The systems of the prefix extended by b."""
+    def _append(self, b: int) -> list[tuple[int, int]]:
+        """Append the slots of x_{n+1} in C(params, b) to by_source, and
+        return the full chain condition at x_n there."""
         n = len(self.params)
-        params = (*self.params, b)
-        want = self.want + step(n + 1, b)
-        new = _gen_slots(want, self.tgt, self.nbits)
-        by_source = [*self.by_source, new]
-        if b > 0:
-            form = self.closed
-        elif self.form is None:
-            form = None
-        else:  # the arrow x_n -> x_{n+1} enters the condition at x_n
-            form = self.form.extend(self._rows_at_last(by_source, params, None))
-        return PrefixSystem(self.tgt, params, want, by_source, self.nbits + len(new), form)
+        self.by_source.append(_gen_slots(self.want + step(n + 1, b), self.tgt, self.nbits))
+        return self._closing_rows() if b > 0 else self._rows_at_last(b)
 
-    def has_short_map(self) -> bool:
-        """Whether short_map(params, tgt) finds a map."""
-        if self.form is None:
+    def passes(self, b: int) -> bool:
+        """For b != 0, whether short_map((*params, b), tgt) finds a map; for
+        b = 0, the stop test: whether map_between(prepare_target(
+        build_standard(params)), tgt) finds one.  form is not changed."""
+        if not self.feasible:
             return False
+        if b == 0:
+            return self.form.consistent(self._closing_rows())
         n = len(self.params)
-        kind = "V" if n % 2 == 0 else "U"
-        rows = self._rows_at_last(self.by_source, self.params, kind)
-        return self.form.extend(rows) is not None
+        at_n = self._append(b)
+        # the relaxed condition at x_{n+1}, in the direction of its arrow
+        s, t, m = arrow(n + 1, b)
+        last = _source_rows(n + 1, {t: m} if s == n + 1 else {}, self.by_source, self.tgt, m.kind)
+        new = self.by_source.pop()
+        if not self.form.consistent(at_n + last):
+            return False
+        self._passed = (b, new, at_n)
+        return True
 
-    def has_full_map(self) -> bool:
-        """Whether map_between(prepare_target(build_standard(params)), tgt)
-        finds a map."""
-        return self.closed is not None
+    def push(self, b: int) -> None:
+        """Extend the prefix by b: add the slots of x_{n+1} and the full
+        chain condition at x_n in C(params, b).  If that condition is
+        inconsistent with form, the system becomes infeasible."""
+        if self._passed is not None and self._passed[0] == b:
+            _, new, at_n = self._passed
+            self.by_source.append(new)
+        else:
+            at_n = self._append(b)
+            new = self.by_source[-1]
+        self.params += (b,)
+        self.want += step(len(self.params), b)
+        self.nbits += len(new)
+        self.feasible = self.feasible and self.form.extend(at_n)
+        self._closing = self._passed = None
 
     def full_map(self, src: Prepared) -> LocalMapWitness:
-        """The witness map_between(src, tgt) returns, read off closed, where
-        src is prepare_target(build_standard(params)); it is checked against
-        the definition, and VerificationFailedError is raised if there is none
-        or the check fails.
+        """The witness map_between(src, tgt) returns, where src is
+        prepare_target(build_standard(params)); it is checked against the
+        definition, and VerificationFailedError is raised if there is none
+        or the check fails.  This adds the rows at x_n to form, which ends
+        the search.
 
-        closed is the echelon form of that map's system: the same slots and
-        bits, and rows with the same span.  Its pivots, and its solution with
-        every free bit 0, depend only on the span, so the witness is the one
-        a fresh solve would give.
+        form is then the echelon form of that map's system: the same slots
+        and bits, and rows with the same span.  Its pivots, and its solution
+        with every free bit 0, depend only on the span, so the witness is
+        the one a fresh solve would give.
         """
-        if self.closed is None:
+        if not (self.feasible and self.form.extend(self._closing_rows())):
             raise VerificationFailedError(f"representative {self.params} failed certification")
-        v_shift = _v_shift(src.c, src.tower, self.tgt)
-        return _checked_witness(
-            src.c, src.tower, self.tgt, None, self.by_source, self.closed.solution(), v_shift
-        )
+        mask, v_shift = self.form.solution(), self.tgt.q - src.q
+        return _checked_witness(src.c, src.tower, self.tgt, None, self.by_source, mask, v_shift)
 
 
 def exists_local_map(s: Complex, c: Complex) -> Optional[LocalMapWitness]:
@@ -476,7 +477,8 @@ def brute_force_local_map(
     """
     tgt = prepare_target(c)
     src = prepare_target(s)
-    v_shift, by_source, nbits = _slots(src.c, src.tower, tgt)
+    v_shift = tgt.q - src.q
+    by_source, nbits = _slots(src.c, v_shift, tgt)
     if nbits > budget:
         raise BudgetExceededError(nbits, budget)
     for mask in range(1 << nbits):

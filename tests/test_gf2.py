@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from knotcalc.gf2 import rank, solve_affine
+from knotcalc.gf2 import Echelon, rank, solve_affine
 
 
 def test_single_equation():
@@ -104,3 +104,50 @@ def test_solve_matches_scan_on_planted_systems(masks, planted, flips):
 @given(_masks)
 def test_rank_matches_scan(masks):
     assert rank(masks) == _rank_by_scan(masks)
+
+
+# --- the form grown in place: extend is atomic, the queries change nothing ----
+
+
+def _planted(masks, planted, flips=()):
+    return [(m, (m & planted).bit_count() % 2 ^ (i in flips)) for i, m in enumerate(masks)]
+
+
+@given(_masks, _masks, st.integers(0, 2**_WIDE - 1), st.lists(st.integers(0, 15), max_size=2))
+def test_extend_is_atomic_and_consistent_changes_nothing(base, more, planted, flips):
+    # a consistent form, then rows that break it at the flipped rows or not
+    form, fresh = Echelon(), Echelon()
+    assert form.extend(_planted(base, planted)) and fresh.extend(_planted(base, planted))
+    before = (dict(form.pivots), form.pivmask)
+    rows = _planted(more, planted, flips)
+    ok = form.consistent(rows)
+    reduced = form.reduced(rows)
+    assert (form.pivots, form.pivmask) == before
+    assert (reduced is not None) == ok
+    assert fresh.extend(rows) == ok
+    if not ok:
+        assert (fresh.pivots, fresh.pivmask) == before
+    assert form.extend(rows) == ok
+    assert (form.pivots, form.pivmask) == (fresh.pivots, fresh.pivmask)
+    if not ok:
+        assert flips and solve_affine(_planted(base, planted) + rows, _WIDE) is None
+        return
+    got = form.solution()
+    assert all((m & got).bit_count() % 2 == r for m, r in _planted(base, planted) + rows)
+    # the reduced rows miss the old pivots and add the same pivot rows
+    assert all(mask & before[1] == 0 for mask, _ in reduced)
+    again = Echelon()
+    assert again.extend(_planted(base, planted)) and again.extend(reduced)
+    assert (again.pivots, again.pivmask) == (form.pivots, form.pivmask)
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(0, 2**_WIDE - 1) | st.integers(0, 2**8 - 1),
+                                   st.integers(0, 1)), max_size=6), max_size=4))
+def test_extend_in_batches_matches_one_solve(batches):
+    # each batch is added only if consistent with the form so far
+    form, kept = Echelon(), []
+    for rows in batches:
+        assert form.consistent(rows) == (solve_affine(kept + rows, _WIDE) is not None)
+        if form.extend(rows):
+            kept += rows
+    assert form.solution() == solve_affine(kept, _WIDE)

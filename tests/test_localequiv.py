@@ -53,10 +53,13 @@ def test_rep_trace_records_candidates():
     r = standard_rep(build_standard((2, -2)))
     first = r.trace[0]
     assert first.position == 1
-    assert first.candidates[0] == (1, False)
+    # a bisection of 1, 2, 0, -2, -1 (greatest to least): the middle, then
+    # toward the greater candidates while they pass
+    assert first.candidates == ((0, True), (2, True), (1, False))
     assert first.accepted == 2
     last = r.trace[-1]
     assert last.accepted is None  # termination via the stop test
+    assert last.candidates == ((0, True), (2, False))
 
 
 def test_rep_normalizes_input():
@@ -298,16 +301,20 @@ def _drawn_prefixes():
 
 def test_prefix_system_feasibility_matches_one_shot_solves():
     for tgt, bound, drawn in _drawn_prefixes():
+        window = [b for b in range(-bound - 1, bound + 2) if b]
         for prefix in drawn:
-            system = PrefixSystem.empty(tgt)
+            # infeasible prefixes included: push marks them, passes then fails
+            system = PrefixSystem(tgt)
             for a in prefix:
-                system = system.then(a)
+                for b in window:  # probes leave a candidate for push to reuse
+                    system.passes(b)
+                system.push(a)
             assert system.params == prefix
-            for b in [b for b in range(-bound - 1, bound + 2) if b]:
+            for b in window:
                 want = short_map((*prefix, b), tgt) is not None
-                assert system.then(b).has_short_map() == want, (prefix, b)
+                assert system.passes(b) == want, (prefix, b)
             if len(prefix) % 2 == 0:
-                assert system.has_full_map() == _has_map_from_standard(prefix, tgt), prefix
+                assert system.passes(0) == _has_map_from_standard(prefix, tgt), prefix
 
 
 def _assert_down_set(prefix, bound, tgt):
@@ -322,7 +329,7 @@ def _assert_down_set(prefix, bound, tgt):
 
 
 def test_feasibility_is_a_down_set_in_the_order():
-    # standard_rep bisects each sign's block of candidates, which finds the
+    # standard_rep bisects the candidates of each position, which finds the
     # largest passing candidate only if this holds
     for tgt, bound, drawn in _drawn_prefixes():
         for prefix in sorted({p[:k] for p in drawn for k in range(len(p) + 1)}):
@@ -336,10 +343,8 @@ def test_feasibility_is_a_down_set_in_the_order():
 
 
 def test_probes_per_position_are_logarithmic_in_the_bound():
-    # one block is bisected per position, in at most ceil(log2 M) probes;
-    # the fixed probes are 1, M, the stop test, -2 and -M (or -1), so c = 5.
-    # This is within 2 * ceil(log2 M) + 5 for every M >= 1, and far below
-    # the 2M + 1 candidates of a scan over the whole window.
+    # one bisection of the at most 2M + 1 candidates per position takes at
+    # most ceil(log2(2M + 2)) probes, far below a scan over the whole window
     for recipe in ["T(100,101)", "T(200,201)", "Std(1000,-1,2,-1000) - Std(999,-3,3,-999)"]:
         c = tensor_many(build_standard(p) for p in recipe_factors(recipe))
         tgt = prepare_target(reduce(c))
@@ -347,7 +352,7 @@ def test_probes_per_position_are_logarithmic_in_the_bound():
         assert max(m_u, m_v) >= 99
         for t in standard_rep(c).trace:
             bound = max(m_u if t.position % 2 else m_v, 1)
-            assert len(t.candidates) <= math.ceil(math.log2(bound)) + 5, (recipe, t)
+            assert len(t.candidates) <= math.ceil(math.log2(2 * bound + 2)), (recipe, t)
 
 
 _standard_tuples = st.lists(
@@ -388,14 +393,13 @@ def test_flipping_any_feasibility_answer_fails_certification(monkeypatch):
     # result, so any single wrong answer must make it raise, also under
     # python -O; eval_recipe certifies every step of its fold, so a wrong
     # answer in any step must make it raise too
-    answers = {name: getattr(PrefixSystem, name) for name in ("has_short_map", "has_full_map")}
+    passes = PrefixSystem.passes
 
     def flip_answer(flip):
         asked = itertools.count()
-        for name, answer in answers.items():
-            monkeypatch.setattr(
-                PrefixSystem, name, lambda self, f=answer: f(self) ^ (next(asked) == flip)
-            )
+        monkeypatch.setattr(
+            PrefixSystem, "passes", lambda self, b: passes(self, b) ^ (next(asked) == flip)
+        )
         return asked
 
     runs = []

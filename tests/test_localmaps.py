@@ -135,8 +135,10 @@ def _slots_by_scan(dom, dom_tower, tgt):
     return v_shift, by_source, bit
 
 
-def _assert_slots_match(dom, dom_tower, tgt):
-    v_shift, by_source, nbits = localmaps._slots(dom, dom_tower, tgt)
+def _assert_slots_match(dom, dom_tower, tgt, v_shift):
+    # v_shift is the solver's shortcut, tgt.q - src.q or tgt.q for a short
+    # map's domain; the scan derives it from the domain's tower instead
+    by_source, nbits = localmaps._slots(dom, v_shift, tgt)
     assert nbits  # the comparison is not vacuous
     assert (v_shift, by_source, nbits) == _slots_by_scan(dom, dom_tower, tgt)
 
@@ -144,7 +146,7 @@ def _assert_slots_match(dom, dom_tower, tgt):
 def test_slots_match_scan_on_standard_pairs():
     prepared = [prepare_target(build_standard(p)) for p in SMALL]
     for src, tgt in itertools.product(prepared, prepared):
-        _assert_slots_match(src.c, src.tower, tgt)
+        _assert_slots_match(src.c, src.tower, tgt, tgt.q - src.q)
 
 
 def test_slots_match_scan_on_shifted_products():
@@ -154,7 +156,7 @@ def test_slots_match_scan_on_shifted_products():
         for p, q in itertools.combinations(pool, 2)
     ]
     for src, tgt in itertools.product(products, products + [prepare_target(build_standard((1, -1)))]):
-        _assert_slots_match(src.c, src.tower, tgt)
+        _assert_slots_match(src.c, src.tower, tgt, tgt.q - src.q)
 
 
 def test_slots_match_scan_on_short_map_domains():
@@ -162,7 +164,7 @@ def test_slots_match_scan_on_short_map_domains():
     targets.append(prepare_target(tensor(build_standard((2, -2)), build_standard((1, -1)))))
     for tgt in targets:
         for p in [(1,), (-2,), (1, -1), (2, -1, 1), (1, -2, 2, -1), (-1, 2, 1, -2, 3)]:
-            _assert_slots_match(build_standard(p, v_anchor=0), {0: 0}, tgt)
+            _assert_slots_match(build_standard(p, v_anchor=0), {0: 0}, tgt, tgt.q)
 
 
 # --- oracle --------------------------------------------------------------------
@@ -276,7 +278,8 @@ def _small_instances():
 def test_sparse_check_matches_every_source_loop():
     verdicts = {True: 0, False: 0}
     for dom, dom_tower, tgt, relaxed in _small_instances():
-        v_shift, by_source, nbits = localmaps._slots(dom, dom_tower, tgt)
+        v_shift = tgt.q - element_grading(dom, MOD_U, dom_tower).grv
+        by_source, nbits = localmaps._slots(dom, v_shift, tgt)
         for mask in range(1 << nbits):
             w = localmaps._witness_from_mask(dom, tgt.c, by_source, mask, v_shift)
             got = localmaps._check_witness(dom, dom_tower, tgt, relaxed, w)
