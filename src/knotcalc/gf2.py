@@ -2,10 +2,9 @@
 
 Rows are Python integers used as bit masks, so a row operation is a single
 XOR regardless of width.  This is all the linear algebra the local-map
-solver needs: an echelon form that grows in place by more rows, reduces
-more rows against it or tests whether they are consistent with it without
-changing it, and gives one solution of the affine system A x = b it stands
-for.
+solver needs: an echelon form that grows in place by more rows, tests
+whether more rows are consistent with it without changing it, and gives one
+solution of the affine system A x = b it stands for.
 """
 
 from __future__ import annotations
@@ -27,11 +26,12 @@ class Echelon:
         self.pivots: dict[int, tuple[int, int]] = {}
         self.pivmask = 0
 
-    def reduced(self, rows: Iterable[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
-        """The pivot rows that (mask, rhs) rows add to this form, each with
-        its pivot at its lowest bit and no bit at an earlier pivot, so that
-        extend or consistent takes them with no elimination; None if some
-        row reduces to 0 = 1.  The form is not changed.
+    def _reduce(
+        self, rows: Iterable[tuple[int, int]]
+    ) -> Optional[tuple[dict[int, tuple[int, int]], int]]:
+        """The pivot rows that (mask, rhs) rows add to this form, by pivot
+        position, and the mask of their pivots; None if some row reduces to
+        0 = 1.  The form is not changed.
 
         A row is reduced only at the pivot positions it hits, lowest first; a
         pivot row has no bits below its pivot, so no lower position is hit
@@ -61,23 +61,21 @@ class Echelon:
             low = mask & -mask
             new[low.bit_length() - 1] = (mask, rhs)
             newmask |= low
-        return list(new.values())
+        return new, newmask
 
     def extend(self, rows: Iterable[tuple[int, int]]) -> bool:
         """Add (mask, rhs) rows in place; False, with the form unchanged, if
         some row reduces to 0 = 1."""
-        new = self.reduced(rows)
-        if new is None:
+        reduced = self._reduce(rows)
+        if reduced is None:
             return False
-        for mask, rhs in new:
-            low = mask & -mask
-            self.pivots[low.bit_length() - 1] = (mask, rhs)
-            self.pivmask |= low
+        self.pivots.update(reduced[0])
+        self.pivmask |= reduced[1]
         return True
 
     def consistent(self, rows: Iterable[tuple[int, int]]) -> bool:
         """Whether extend(rows) would succeed; the form is not changed."""
-        return self.reduced(rows) is not None
+        return self._reduce(rows) is not None
 
     def solution(self) -> int:
         """The solution with every free variable 0, as a bit mask."""

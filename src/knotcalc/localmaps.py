@@ -147,9 +147,9 @@ def _source_rows(
     by_source: Sequence[SourceSlots],
     tgt: Prepared,
     kind: Optional[str],
-) -> list[tuple[int, int]]:
-    """The chain condition d f(s) = f(d s) at source s as (mask, 0) rows,
-    one per target generator it reaches.
+) -> dict[int, int]:
+    """The chain condition d f(s) = f(d s) at source s as one row (mask, 0)
+    per target generator it reaches, by target generator.
 
     dom_row is d(s) in the domain.  With *kind* given only the arrows of that
     kind count, on both sides (the relaxed condition at a short map's final
@@ -168,14 +168,18 @@ def _source_rows(
                 rows[u] = rows.get(u, 0) ^ (1 << bit)
     # f(d s): push the domain differential through the slots of s'
     for sp, e in dom_row.items():
-        k1 = e.kind
-        if kind and k1 != kind:
-            continue
-        for t2, bit, m2 in by_source[sp]:
-            k2 = m2.kind
-            if k1 == k2 or k1 == "1" or k2 == "1":
-                rows[t2] = rows.get(t2, 0) ^ (1 << bit)
-    return [(mask, 0) for mask in rows.values()]
+        if not kind or e.kind == kind:
+            _compose(rows, e.kind, by_source[sp])
+    return rows
+
+
+def _compose(rows: dict[int, int], k1: str, slots: SourceSlots) -> None:
+    """Add to *rows* the slots whose monomials survive UV = 0 after an arrow
+    of kind k1: the image of that arrow under f."""
+    for t, bit, m in slots:
+        k2 = m.kind
+        if k1 == k2 or k1 == "1" or k2 == "1":
+            rows[t] = rows.get(t, 0) ^ (1 << bit)
 
 
 def _tower_row(
@@ -211,7 +215,8 @@ def _solve(
     system: list[tuple[int, int]] = []
     for s in range(len(dom.gens)):
         kind = relaxed[1] if relaxed and relaxed[0] == s else None
-        system += _source_rows(s, dom.diff.get(s, {}), by_source, tgt, kind)
+        rows = _source_rows(s, dom.diff.get(s, {}), by_source, tgt, kind)
+        system += [(mask, 0) for mask in rows.values()]
     system.append(_tower_row(dom_tower, by_source, tgt))
 
     solution = gf2.solve_affine(system, nbits)
@@ -343,7 +348,8 @@ class PrefixSystem:
     x_0 .. x_{n-1}; once those are inconsistent, feasible is False and form
     stops growing.  Each system adds only its rows at x_n and at a new final
     generator x_{n+1}.  The full map from C(p) and every C(p, b) with b > 0
-    share the rows at x_n, which are reduced against form once per position.
+    share the rows at x_n, built once per position; the arrow x_n -> x_{n+1}
+    of a b < 0 adds one term to them.
 
     passes decides a candidate by the consistency of its rows alone; no
     solution is back-substituted and no witness built.  full_map builds the
@@ -361,35 +367,30 @@ class PrefixSystem:
         self.nbits = len(self.by_source[0])  # the next free bit
         self.form = gf2.Echelon()
         self.feasible = self.form.extend([_tower_row({0: 0}, self.by_source, tgt)])
-        self._closing: Optional[list[tuple[int, int]]] = None  # see _closing_rows
+        self._open_position()
+
+    def _open_position(self) -> None:
+        """Build closing, the full chain condition at x_n with no arrow out
+        of x_n, by target generator, and closed, its rows; forget the last
+        candidate that passed."""
+        n = len(self.params)
+        row = {n - 1: arrow(n, self.params[-1])[2]} if n and self.params[-1] > 0 else {}
+        self.closing = _source_rows(n, row, self.by_source, self.tgt, None)
+        self.closed = [(mask, 0) for mask in self.closing.values()]
         # the last candidate that passed: b, its slots of x_{n+1}, its rows at x_n
         self._passed: Optional[tuple[int, SourceSlots, list[tuple[int, int]]]] = None
-
-    def _rows_at_last(self, b: int) -> list[tuple[int, int]]:
-        """The full chain condition at x_n in C(params, b), or in C(params)
-        for b = 0.  For b < 0 the slots of x_{n+1} must be in by_source."""
-        n = len(self.params)
-        row: dict[int, Monomial] = {}
-        if n and self.params[-1] > 0:
-            row[n - 1] = arrow(n, self.params[-1])[2]
-        if b < 0:
-            row[n + 1] = arrow(n + 1, b)[2]
-        return _source_rows(n, row, self.by_source, self.tgt, None)
-
-    def _closing_rows(self) -> list[tuple[int, int]]:
-        """_rows_at_last(0) reduced against form, or the row 0 = 1 if they
-        are inconsistent with it; built once per position."""
-        if self._closing is None:
-            closing = self.form.reduced(self._rows_at_last(0))
-            self._closing = [(0, 1)] if closing is None else closing
-        return self._closing
 
     def _append(self, b: int) -> list[tuple[int, int]]:
         """Append the slots of x_{n+1} in C(params, b) to by_source, and
         return the full chain condition at x_n there."""
         n = len(self.params)
-        self.by_source.append(_gen_slots(self.want + step(n + 1, b), self.tgt, self.nbits))
-        return self._closing_rows() if b > 0 else self._rows_at_last(b)
+        new = _gen_slots(self.want + step(n + 1, b), self.tgt, self.nbits)
+        self.by_source.append(new)
+        if b > 0:
+            return self.closed
+        rows = dict(self.closing)  # and the image of the arrow x_n -> x_{n+1}
+        _compose(rows, arrow(n + 1, b)[2].kind, new)
+        return [(mask, 0) for mask in rows.values()]
 
     def passes(self, b: int) -> bool:
         """For b != 0, whether short_map((*params, b), tgt) finds a map; for
@@ -398,14 +399,14 @@ class PrefixSystem:
         if not self.feasible:
             return False
         if b == 0:
-            return self.form.consistent(self._closing_rows())
+            return self.form.consistent(self.closed)
         n = len(self.params)
         at_n = self._append(b)
         # the relaxed condition at x_{n+1}, in the direction of its arrow
         s, t, m = arrow(n + 1, b)
         last = _source_rows(n + 1, {t: m} if s == n + 1 else {}, self.by_source, self.tgt, m.kind)
         new = self.by_source.pop()
-        if not self.form.consistent(at_n + last):
+        if not self.form.consistent([*at_n, *((mask, 0) for mask in last.values())]):
             return False
         self._passed = (b, new, at_n)
         return True
@@ -424,7 +425,7 @@ class PrefixSystem:
         self.want += step(len(self.params), b)
         self.nbits += len(new)
         self.feasible = self.feasible and self.form.extend(at_n)
-        self._closing = self._passed = None
+        self._open_position()
 
     def full_map(self, src: Prepared) -> LocalMapWitness:
         """The witness map_between(src, tgt) returns, where src is
@@ -438,7 +439,7 @@ class PrefixSystem:
         with every free bit 0, depend only on the span, so the witness is
         the one a fresh solve would give.
         """
-        if not (self.feasible and self.form.extend(self._closing_rows())):
+        if not (self.feasible and self.form.extend(self.closed)):
             raise VerificationFailedError(f"representative {self.params} failed certification")
         mask, v_shift = self.form.solution(), self.tgt.q - src.q
         return _checked_witness(src.c, src.tower, self.tgt, None, self.by_source, mask, v_shift)
