@@ -46,7 +46,7 @@ from .standard import Params, build_standard, lex_cmp
 # position, so a large parameter alone is cheap, but the limit still bounds
 # the torus atoms T(p,p+1): their representatives are 2(p - 1) long with
 # parameters up to p - 1, and their cost grows faster than their size.
-# T(1025,1026), the largest admitted, takes about 0.6 s on a 2-vCPU host;
+# T(1025,1026), the largest admitted, takes about 0.7 s on a 2-vCPU host;
 # the generator limit alone would admit T(4999,5000), about 7 s.
 MAX_PARAMETER = 1024
 
@@ -100,7 +100,9 @@ def standard_rep(c: Complex) -> RepResult:
             )
         system.push(found)
         if len(system.params) > cap:
-            raise LengthCapExceededError(f"representative exceeded length cap {cap}")
+            raise LengthCapExceededError(
+                f"representative exceeded length cap {cap}"
+            )
 
     rep = system.params
     s = prepare_target(build_standard(rep))

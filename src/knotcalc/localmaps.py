@@ -148,8 +148,8 @@ def _source_rows(
     tgt: Prepared,
     kind: Optional[str],
 ) -> dict[int, int]:
-    """The chain condition d f(s) = f(d s) at source s as one row (mask, 0)
-    per target generator it reaches, by target generator.
+    """The chain condition d f(s) = f(d s) at source s as one mask per
+    target generator it reaches, each standing for the row (mask, 0).
 
     dom_row is d(s) in the domain.  With *kind* given only the arrows of that
     kind count, on both sides (the relaxed condition at a short map's final
@@ -371,12 +371,12 @@ class PrefixSystem:
 
     def _open_position(self) -> None:
         """Build closing, the full chain condition at x_n with no arrow out
-        of x_n, by target generator, and closed, its rows; forget the last
-        candidate that passed."""
+        of x_n, by target generator, and closing_rows, its rows; forget the
+        last candidate that passed."""
         n = len(self.params)
         row = {n - 1: arrow(n, self.params[-1])[2]} if n and self.params[-1] > 0 else {}
         self.closing = _source_rows(n, row, self.by_source, self.tgt, None)
-        self.closed = [(mask, 0) for mask in self.closing.values()]
+        self.closing_rows = [(mask, 0) for mask in self.closing.values()]
         # the last candidate that passed: b, its slots of x_{n+1}, its rows at x_n
         self._passed: Optional[tuple[int, SourceSlots, list[tuple[int, int]]]] = None
 
@@ -387,7 +387,7 @@ class PrefixSystem:
         new = _gen_slots(self.want + step(n + 1, b), self.tgt, self.nbits)
         self.by_source.append(new)
         if b > 0:
-            return self.closed
+            return self.closing_rows
         rows = dict(self.closing)  # and the image of the arrow x_n -> x_{n+1}
         _compose(rows, arrow(n + 1, b)[2].kind, new)
         return [(mask, 0) for mask in rows.values()]
@@ -399,7 +399,7 @@ class PrefixSystem:
         if not self.feasible:
             return False
         if b == 0:
-            return self.form.consistent(self.closed)
+            return self.form.consistent(self.closing_rows)
         n = len(self.params)
         at_n = self._append(b)
         # the relaxed condition at x_{n+1}, in the direction of its arrow
@@ -439,7 +439,7 @@ class PrefixSystem:
         with every free bit 0, depend only on the span, so the witness is
         the one a fresh solve would give.
         """
-        if not (self.feasible and self.form.extend(self.closed)):
+        if not (self.feasible and self.form.extend(self.closing_rows)):
             raise VerificationFailedError(f"representative {self.params} failed certification")
         mask, v_shift = self.form.solution(), self.tgt.q - src.q
         return _checked_witness(src.c, src.tower, self.tgt, None, self.by_source, mask, v_shift)
