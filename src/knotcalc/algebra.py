@@ -122,6 +122,16 @@ class Complex:
         except KeyError:
             raise UnknownGeneratorError(name) from None
 
+    def shift_gradings(self, shift: tuple[int, int]) -> "Complex":
+        """The complex with every grading moved by *shift*; it shares the
+        differential and the index of names with this one."""
+        du, dv = shift
+        out = Complex.__new__(Complex)
+        out.gens = tuple(Generator(name, Bigrading(gu + du, gv + dv)) for name, (gu, gv) in self.gens)
+        out.diff = self.diff
+        out._index = self._index
+        return out
+
     def edges(self) -> Iterator[tuple[int, int, Monomial]]:
         """All arrows (source index, target index, monomial), in declaration order."""
         for s in range(len(self.gens)):
@@ -264,20 +274,24 @@ def reduce(c: Complex) -> Complex:
     Gaussian formula d'(y) = d(y) + <d(y), a> * d(x).  Unit arrows are
     cancelled greedily in declaration order (least source, then least
     target), so the output is deterministic.
-    The result is chain homotopy equivalent to the input.
+    The result is chain homotopy equivalent to the input.  An input with no
+    unit arrow is already reduced: it is returned itself, not a copy, after
+    the same d^2 check.
     """
+    # every unit arrow ever present as a heap of (source, target); stale
+    # entries are skipped
+    units = [(s, t) for s, row in c.diff.items() for t, m in row.items() if m.kind == "1"]
+    if not units:
+        _check_d_squared(c)
+        return c
+    heapq.heapify(units)
     gens = list(c.gens)
     diff = {s: dict(row) for s, row in c.diff.items()}
-    # sources that have pointed at each target, and every unit arrow ever
-    # present as a heap of (source, target); stale entries are skipped
+    # the sources that have pointed at each target
     into: dict[int, set[int]] = {}
-    units: list[tuple[int, int]] = []
     for s, row in diff.items():
-        for t, m in row.items():
+        for t in row:
             into.setdefault(t, set()).add(s)
-            if m.kind == "1":
-                units.append((s, t))
-    heapq.heapify(units)
 
     while units:
         x, a = heapq.heappop(units)

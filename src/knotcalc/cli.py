@@ -35,6 +35,21 @@ def _load(path: str) -> algebra.Complex:
         return parsing.parse_complex_file(fh.read())
 
 
+def _refuse_over_limit(what: str, size: int) -> None:
+    if size > alexander.MAX_RECIPE_GENS:
+        raise RecipeTooLargeError(
+            f"{what} has {size} generators, over the limit of {alexander.MAX_RECIPE_GENS}"
+        )
+
+
+def _load_bounded(path: str) -> algebra.Complex:
+    """Load a complex file that reduce or the solver will run on, refusing
+    one with more than alexander.MAX_RECIPE_GENS generators first."""
+    c = _load(path)
+    _refuse_over_limit(f"complex file {path}", len(c.gens))
+    return c
+
+
 def _emit(c: algebra.Complex, out: Optional[str]) -> None:
     text = parsing.serialize_complex(c)
     if out:
@@ -78,7 +93,7 @@ def _print_invariants(inv: dict, as_json: bool) -> None:
 def _rep_params(args) -> standard.Params:
     if args.expr is not None:
         return alexander.eval_recipe(args.expr).params
-    return localequiv.standard_rep(_load(args.file)).params
+    return localequiv.standard_rep(_load_bounded(args.file)).params
 
 
 @functools.cache  # parse_args keeps no state in the parser, so one serves every run
@@ -156,17 +171,12 @@ def run(argv: Sequence[str]) -> int:
             print(f"ok: {len(c.gens)} generators, {sum(1 for _ in c.edges())} arrows, "
                   f"reduced={'true' if c.is_reduced else 'false'}")
         elif args.command == "reduce":
-            _emit(algebra.reduce(_load(args.file)), args.output)
+            _emit(algebra.reduce(_load_bounded(args.file)), args.output)
         elif args.command == "dual":
             _emit(algebra.dual(_load(args.file)), args.output)
         elif args.command == "tensor":
             a, b = _load(args.a), _load(args.b)
-            size = len(a.gens) * len(b.gens)
-            if size > alexander.MAX_RECIPE_GENS:
-                raise RecipeTooLargeError(
-                    f"tensor product has {size} generators, over the limit of "
-                    f"{alexander.MAX_RECIPE_GENS}"
-                )
+            _refuse_over_limit("tensor product", len(a.gens) * len(b.gens))
             _emit(algebra.tensor(a, b), args.output)
         elif args.command == "std":
             params = standard.parse_params(args.params)
@@ -176,7 +186,7 @@ def run(argv: Sequence[str]) -> int:
         elif args.command == "inv":
             _print_invariants(_invariants(_rep_params(args)), args.json)
         elif args.command == "cmp":
-            order = localequiv.compare(_load(args.a), _load(args.b))
+            order = localequiv.compare(_load_bounded(args.a), _load_bounded(args.b))
             print({-1: "<", 0: "~", 1: ">"}[order])
         elif args.command == "shift":
             params = standard.parse_params(args.params)

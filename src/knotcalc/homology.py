@@ -17,7 +17,7 @@ import heapq
 from typing import NamedTuple, Optional
 
 from . import gf2
-from .algebra import Bigrading, Complex, Generator, xor_term
+from .algebra import Bigrading, Complex, xor_term
 from .errors import MultipleTowersError, NotKnotLikeError, NotReducedError, VerificationFailedError
 
 MOD_U = "mod_u"  # work in C/U with the V-differential
@@ -68,18 +68,6 @@ class TowerReport(NamedTuple):
         return tuple(eta for _, _, eta in self.torsion_pairs)
 
 
-def _side_differential(c: Complex, side: str) -> dict[int, dict[int, int]]:
-    kind = "V" if side == MOD_U else "U"
-    d: dict[int, dict[int, int]] = {}
-    for s, row in c.diff.items():
-        for t, m in row.items():
-            if m.kind == kind:
-                d.setdefault(s, {})[t] = m.exponent
-            elif m.kind == "1":
-                raise NotReducedError("simplify requires a reduced complex")
-    return d
-
-
 class _Reduction:
     """Mutable state for the Smith-style sweep on one quotient complex."""
 
@@ -91,14 +79,22 @@ class _Reduction:
         # stored only once a basis change touches them (see vector)
         self.basis: dict[int, Element] = {}
         self.dual: dict[int, Element] = {}
-        self.rows: dict[int, dict[int, int]] = _side_differential(c, side)
+        # the quotient differential by row and by column: arrows of the
+        # surviving variable's kind, by exponent; the other kind is 0 here
+        self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, dict[int, int]] = {}
         # every entry (exp, row, col) ever added; sweep skips the stale ones
         self.heap: list[tuple[int, int, int]] = []
-        for i, row in self.rows.items():
-            for j, e in row.items():
-                self.cols.setdefault(j, {})[i] = e
-                self.heap.append((e, i, j))
+        kind = "V" if side == MOD_U else "U"
+        for i, row in c.diff.items():
+            for j, m in row.items():
+                if m.kind == kind:
+                    e = m.exponent
+                    self.rows.setdefault(i, {})[j] = e
+                    self.cols.setdefault(j, {})[i] = e
+                    self.heap.append((e, i, j))
+                elif m.kind == "1":
+                    raise NotReducedError("simplify requires a reduced complex")
         heapq.heapify(self.heap)
 
     def _xor_entry(self, i: int, j: int, exp: int) -> None:
@@ -147,12 +143,15 @@ class _Reduction:
             eta, i0, j0 = heapq.heappop(self.heap)
             if i0 not in active or j0 not in active or self.rows[i0].get(j0) != eta:
                 continue
-            for i in sorted(self.cols.get(j0, {})):
-                if i != i0:
-                    self.add_multiple(i, i0, self.cols[j0][i] - eta)
-            for j in sorted(self.rows.get(i0, {})):
-                if j != j0:
-                    self.add_multiple(j0, j, self.rows[i0][j] - eta)
+            # clear the pivot's column, then its row, unless both hold the
+            # pivot alone
+            if len(self.cols[j0]) > 1 or len(self.rows[i0]) > 1:
+                for i in sorted(self.cols[j0]):
+                    if i != i0:
+                        self.add_multiple(i, i0, self.cols[j0][i] - eta)
+                for j in sorted(self.rows[i0]):
+                    if j != j0:
+                        self.add_multiple(j0, j, self.rows[i0][j] - eta)
             if (self.rows.get(i0) != {j0: eta} or self.cols.get(j0) != {i0: eta}
                     or self.cols.get(i0) or self.rows.get(j0)):
                 raise VerificationFailedError(f"pivot ({i0}, {j0}) is not an isolated pair")
@@ -163,13 +162,18 @@ class _Reduction:
         return pairs, isolated
 
 
-def _invertible_mod_variable(basis: dict[int, Element], n: int) -> bool:
-    """Whether basis elements 0 .. n-1 stay independent with the variable set
-    to 0; an element not in *basis* is its declared generator, the row 1 << j."""
-    masks = [1 << j for j in range(n)]
-    for j, vec in basis.items():
-        masks[j] = sum(1 << g for g, e in vec.items() if e == 0)
-    return gf2.rank(masks) == n
+def _invertible_mod_variable(basis: dict[int, Element]) -> bool:
+    """Whether basis elements 0 .. n-1 (n the number of declared generators)
+    stay independent with the variable set to 0; an element not in *basis*
+    is its declared generator, the row 1 << j.
+
+    Only the stored elements are ranked, restricted to the stored indices S.
+    With the rows and columns outside S put first, the matrix is block
+    triangular: the unit rows 1 << j (j not in S) form an identity block,
+    so it is invertible exactly when its S x S block is.
+    """
+    masks = [sum(1 << g for g, e in vec.items() if e == 0 and g in basis) for vec in basis.values()]
+    return gf2.rank(masks) == len(masks)
 
 
 def simplify(c: Complex, side: str) -> TowerReport:
@@ -185,7 +189,7 @@ def simplify(c: Complex, side: str) -> TowerReport:
     n = len(c.gens)
     if 2 * len(pairs) + len(isolated) != n:
         raise VerificationFailedError("the sweep lost generators")
-    if not _invertible_mod_variable(red.basis, n):
+    if not _invertible_mod_variable(red.basis):
         raise VerificationFailedError("basis change lost rank")
     if len(isolated) != 1:
         raise MultipleTowersError(len(isolated), side)
@@ -247,7 +251,7 @@ def apply_shift(c: Complex, shift: tuple[int, int]) -> Complex:
     """Return the complex with every grading moved by the given global shift."""
     if tuple(shift) == (0, 0):
         return c
-    return Complex(tuple(Generator(g.name, g.grading + shift) for g in c.gens), c.diff)
+    return c.shift_gradings(shift)
 
 
 def normalized_report(c: Complex) -> tuple[Complex, KnotLikeReport]:

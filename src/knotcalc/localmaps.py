@@ -8,6 +8,12 @@ alignment, so a candidate map is a choice of one bit per grading-feasible
 (source generator, monomial * target generator) slot.  The chain-map
 conditions are linear in those bits and the tower condition contributes a
 single affine equation, so existence reduces to one GF(2) linear solve.
+A one-shot solve finds its slots from the target's side: the sources with a
+slot to a target generator are a prefix of one of the domain's grading
+buckets.  Rows are built only at those sources and at the sources with an
+arrow into them; elsewhere the chain condition has no term.  So the map
+back from the reduced input to its standard representative, hundreds of
+sources into a few targets, costs what its slots touch.
 
 Short maps relax the chain condition at the final generator x_n of a
 truncated standard complex: only the part of the condition in the direction
@@ -47,6 +53,9 @@ from .standard import Params, arrow, build_standard, step
 # The slots of one source as (target index, bit, monomial), the bit being the
 # slot's position in the map's whole system.
 SourceSlots = list[tuple[int, int, Monomial]]
+# generator indices by gr_U as sorted (gr_V, index), and by gr_V as sorted
+# (gr_U, index); see _grading_buckets
+Buckets = tuple[dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]
 
 
 class LocalMapWitness(NamedTuple):
@@ -76,8 +85,8 @@ class Prepared(NamedTuple):
     etas_v: tuple[int, ...]  # V-arrow torsion orders (from the mod-U report)
     tower: dict[int, int]
     tower_dual: dict[int, int]
-    # target indices bucketed by gr_U as sorted (gr_V, index), and by gr_V
-    # as sorted (gr_U, index): _gen_slots reads the feasible slots off these
+    # _grading_buckets(c): _gen_slots and _slots read the feasible slots off
+    # these, on the target's side and on the domain's
     by_gru: dict[int, list[tuple[int, int]]]
     by_grv: dict[int, list[tuple[int, int]]]
 
@@ -91,14 +100,7 @@ def prepare_target(c: Complex) -> Prepared:
     cn, report = normalized_report(c)
     mod_u = report.mod_u
     q = mod_u.tower_top_grading.grv + report.applied_shift[1]
-    by_gru: dict[int, list[tuple[int, int]]] = {}
-    by_grv: dict[int, list[tuple[int, int]]] = {}
-    for t, g in enumerate(cn.gens):
-        gu, gv = g.grading
-        by_gru.setdefault(gu, []).append((gv, t))
-        by_grv.setdefault(gv, []).append((gu, t))
-    for bucket in (*by_gru.values(), *by_grv.values()):
-        bucket.sort()
+    by_gru, by_grv = _grading_buckets(cn)
     return Prepared(
         c=cn,
         q=q,
@@ -109,6 +111,19 @@ def prepare_target(c: Complex) -> Prepared:
         by_gru=by_gru,
         by_grv=by_grv,
     )
+
+
+def _grading_buckets(c: Complex) -> Buckets:
+    """The generator indices of *c* bucketed by gr_U as sorted (gr_V, index),
+    and by gr_V as sorted (gr_U, index)."""
+    by_gru: dict[int, list[tuple[int, int]]] = {}
+    by_grv: dict[int, list[tuple[int, int]]] = {}
+    for t, (_, (gu, gv)) in enumerate(c.gens):
+        by_gru.setdefault(gu, []).append((gv, t))
+        by_grv.setdefault(gv, []).append((gu, t))
+    for bucket in (*by_gru.values(), *by_grv.values()):
+        bucket.sort()
+    return by_gru, by_grv
 
 
 def _gen_slots(want: Bigrading, tgt: Prepared, bit: int) -> SourceSlots:
@@ -129,16 +144,53 @@ def _gen_slots(want: Bigrading, tgt: Prepared, bit: int) -> SourceSlots:
     return out
 
 
-def _slots(dom: Complex, v_shift: int, tgt: Prepared) -> tuple[list[SourceSlots], int]:
+def _slots(
+    dom: Complex, buckets: Buckets, v_shift: int, tgt: Prepared
+) -> tuple[list[SourceSlots], int]:
     """The grading-feasible slots of each source of a map dom -> tgt with
-    the given V-shift, and the number of slots."""
-    by_source: list[SourceSlots] = []
+    the given V-shift, and the number of slots; buckets is
+    _grading_buckets(dom).
+
+    The slots are found from the target's side.  A target generator t at
+    grading (u, v) has unit and V^k slots from the sources at gr_U = u with
+    gr_V + v_shift <= v, and U^k slots from the sources at
+    gr_V + v_shift = v with gr_U < u: a prefix of one domain bucket each.
+    The bits are numbered as _gen_slots numbers them source by source.
+    """
+    dom_gru, dom_grv = buckets
+    n = len(dom.gens)
+    found: dict[int, list[tuple[int, Monomial]]] = {}
+    # every source gets its unit and V^k slots, in target order (gr_V, index),
+    # before any U^k slot, in target order (gr_U, index)
+    for u, targets in tgt.by_gru.items():
+        sources = dom_gru.get(u)
+        if sources:
+            for v, t in targets:
+                top = v - v_shift
+                for gv, s in sources[:bisect_right(sources, (top, n))]:
+                    if (top - gv) % 2 == 0:
+                        m = Monomial("V", (top - gv) // 2) if gv != top else UNIT
+                        found.setdefault(s, []).append((t, m))
+    for v, targets in tgt.by_grv.items():
+        sources = dom_grv.get(v - v_shift)
+        if sources:
+            for u, t in targets:
+                for gu, s in sources[:bisect_left(sources, (u, 0))]:
+                    if (u - gu) % 2 == 0:
+                        found.setdefault(s, []).append((t, Monomial("U", (u - gu) // 2)))
+    by_source: list[SourceSlots] = [[] for _ in range(n)]
     nbits = 0
-    for g in dom.gens:
-        source = _gen_slots(Bigrading(g.grading.gru, g.grading.grv + v_shift), tgt, nbits)
-        by_source.append(source)
-        nbits += len(source)
+    for s in sorted(found):
+        by_source[s] = [(t, nbits + i, m) for i, (t, m) in enumerate(found[s])]
+        nbits += len(found[s])
     return by_source, nbits
+
+
+def _touching(dom: Complex, support: set[int]) -> set[int]:
+    """The sources in *support* or with an arrow into it: the only sources
+    where the chain condition d f(s) = f(d s) of a map that is 0 outside
+    *support* has a term."""
+    return support.union(s for s, row in dom.diff.items() if not support.isdisjoint(row))
 
 
 def _source_rows(
@@ -198,6 +250,7 @@ def _tower_row(
 
 def _solve(
     dom: Complex,
+    buckets: Buckets,
     dom_tower: dict[int, int],
     v_shift: int,
     tgt: Prepared,
@@ -205,15 +258,17 @@ def _solve(
 ) -> Optional[LocalMapWitness]:
     """Build and solve the linear system for a (short) local map dom -> tgt.
 
-    dom_tower is the mod-U tower element of the domain (generator index ->
-    V-exponent), and v_shift the V-shift that aligns its grading with the
-    target's tower top.  relaxed, when given, is (generator index, kind):
-    only the chain condition in direction *kind* is imposed at that
-    generator.
+    buckets is _grading_buckets(dom), dom_tower the mod-U tower element of
+    the domain (generator index -> V-exponent), and v_shift the V-shift that
+    aligns its grading with the target's tower top.  relaxed, when given, is
+    (generator index, kind): only the chain condition in direction *kind* is
+    imposed at that generator.
+
+    Rows are built only at the sources _touching the slots, in index order.
     """
-    by_source, nbits = _slots(dom, v_shift, tgt)
+    by_source, nbits = _slots(dom, buckets, v_shift, tgt)
     system: list[tuple[int, int]] = []
-    for s in range(len(dom.gens)):
+    for s in sorted(_touching(dom, {s for s, slots in enumerate(by_source) if slots})):
         kind = relaxed[1] if relaxed and relaxed[0] == s else None
         rows = _source_rows(s, dom.diff.get(s, {}), by_source, tgt, kind)
         system += [(mask, 0) for mask in rows.values()]
@@ -246,7 +301,8 @@ def _witness_from_mask(
     dom: Complex, tgt: Complex, by_source: Sequence[SourceSlots], mask: int, v_shift: int
 ) -> LocalMapWitness:
     assignment = tuple(
-        (g.name, tuple((m, tgt.gens[t].name) for t, bit, m in source if mask >> bit & 1))
+        (g.name, tuple((m, tgt.gens[t].name) for t, bit, m in source if mask >> bit & 1)
+         if source else ())
         for g, source in zip(dom.gens, by_source)
     )
     return LocalMapWitness(assignment=assignment, v_shift=v_shift)
@@ -265,8 +321,8 @@ def _check_witness(
 ) -> bool:
     """Check a candidate map directly against the definition.
 
-    The chain condition d f(s) = f(d s) is tested only at sources where
-    f(s) or f on some target of d(s) is nonzero; elsewhere both sides are 0.
+    The chain condition d f(s) = f(d s) is tested only at the sources
+    _touching the support of f; elsewhere both sides are 0.
     """
     f: dict[int, dict[int, Monomial]] = {}
     for src_name, terms in witness.assignment:
@@ -281,10 +337,7 @@ def _check_witness(
                 return False
             image[t] = m
 
-    nonzero = {s for s, image in f.items() if image}
-    for s in range(len(dom.gens)):
-        if s not in nonzero and nonzero.isdisjoint(dom.diff.get(s, ())):
-            continue
+    for s in _touching(dom, {s for s, image in f.items() if image}):
         kind = relaxed[1] if relaxed and relaxed[0] == s else None
         lhs = apply_map(tgt.c.diff, f.get(s, {}), kind)  # d f(s)
         rhs = apply_map(f, apply_map(dom.diff, {s: UNIT}, kind))  # f(d s)
@@ -320,7 +373,7 @@ def _check_witness(
 
 def map_between(src: Prepared, tgt: Prepared) -> Optional[LocalMapWitness]:
     """Witness for a local map src -> tgt between prepared complexes, or None."""
-    return _solve(src.c, src.tower, tgt.q - src.q, tgt, relaxed=None)
+    return _solve(src.c, (src.by_gru, src.by_grv), src.tower, tgt.q - src.q, tgt, relaxed=None)
 
 
 def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]:
@@ -334,7 +387,8 @@ def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]
     p = tuple(params)
     n = len(p)
     domain = build_standard(p, v_anchor=0)  # its tower top x_0 has gr_V 0
-    return _solve(domain, {0: 0}, tgt.q, tgt, (n, "V" if n % 2 == 0 else "U"))
+    relaxed = (n, "V" if n % 2 == 0 else "U")
+    return _solve(domain, _grading_buckets(domain), {0: 0}, tgt.q, tgt, relaxed)
 
 
 class PrefixSystem:
@@ -479,7 +533,7 @@ def brute_force_local_map(
     tgt = prepare_target(c)
     src = prepare_target(s)
     v_shift = tgt.q - src.q
-    by_source, nbits = _slots(src.c, v_shift, tgt)
+    by_source, nbits = _slots(src.c, (src.by_gru, src.by_grv), v_shift, tgt)
     if nbits > budget:
         raise BudgetExceededError(nbits, budget)
     for mask in range(1 << nbits):

@@ -7,6 +7,7 @@ from conftest import box, direct_sum, scramble
 from knotcalc.algebra import (
     Bigrading,
     Complex,
+    Generator,
     Monomial,
     UNIT,
     apply_map,
@@ -236,6 +237,16 @@ def test_reduce_cancels_acyclic_pair():
 def test_reduce_fixed_point_on_standard():
     c = build_standard((1, -1))
     assert _shape(reduce(c)) == _shape(c)
+
+
+def test_reduce_without_unit_arrows_returns_its_input_after_the_d_squared_check():
+    c = build_standard((1, -2, 2, -1))
+    assert reduce(c) is c  # nothing to cancel, nothing copied
+    # a -> b -> c by V then V: one path, so d^2(a) = V^2 c; Complex skips validate
+    gens = tuple(Generator(name, Bigrading(0, v)) for name, v in (("a", 0), ("b", -3), ("c", -6)))
+    bad = Complex(gens, {0: {1: mono("V", 1)}, 1: {2: mono("V", 1)}})
+    with pytest.raises(DSquaredNonzeroError, match="starting at generator 'a'"):
+        reduce(bad)
 
 
 def test_reduce_composite_arrow():

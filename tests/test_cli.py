@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 from pathlib import Path
 
-from knotcalc import alexander
+from hypothesis import given, settings, strategies as st
+
+from knotcalc import algebra, alexander, localequiv
 from knotcalc.cli import run
+from knotcalc.parsing import serialize_complex
+from knotcalc.standard import build_standard
 
 DATA = Path(__file__).parent / "data"
 
@@ -244,6 +252,26 @@ def test_tensor_guard_boundary(capsys, tmp_path, monkeypatch):
     assert out_of(capsys)[1] == "error: tensor product has 15 generators, over the limit of 9\n"
 
 
+def test_oversized_files_are_refused_before_any_work(capsys, tmp_path, monkeypatch):
+    # C(1,-1,1,-1) has 5 generators and C(1,-1,1,-1,1,-1) has 7
+    monkeypatch.setattr(alexander, "MAX_RECIPE_GENS", 5)
+    small, big = _std_file(tmp_path, "small.cx", 4), _std_file(tmp_path, "big.cx", 6)
+    for argv in (["rep", small], ["inv", small], ["cmp", small, small], ["reduce", small]):
+        assert run([str(a) for a in argv]) == 0
+    out_of(capsys)
+
+    def no_work(*args):
+        raise AssertionError("ran on an oversized file")
+
+    monkeypatch.setattr(algebra, "reduce", no_work)
+    monkeypatch.setattr(localequiv, "standard_rep", no_work)
+    refusal = f"error: complex file {big} has 7 generators, over the limit of 5\n"
+    for argv in (["rep", big], ["inv", big, "--json"], ["cmp", small, big], ["cmp", big, small],
+                 ["reduce", big]):
+        assert run([str(a) for a in argv]) == 1
+        assert out_of(capsys) == ("", refusal)
+
+
 def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2
@@ -278,3 +306,93 @@ def test_import_adds_no_dataclasses_or_fractions():
             "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} - before & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# --- fuzzing every subcommand ----------------------------------------------
+
+_PARAMS = st.lists(st.integers(-4, 4), max_size=6).map(lambda p: ",".join(map(str, p)))
+_ATOM = st.one_of(
+    st.sampled_from(["D", "T(2,3)", "T(3,4)", "Thin(2)", "Thin(-1)", "Std()"]),
+    st.builds("T({},{})".format, st.integers(0, 5), st.integers(0, 5)),
+    st.builds("Cable(D;{},{})".format, st.integers(0, 4), st.integers(0, 5)),
+    _PARAMS.map("Std({})".format),
+)
+_EXPR = st.one_of(
+    st.builds("{} {} {}".format, _ATOM, st.sampled_from("+-"), _ATOM),
+    st.builds("{}*{}".format, st.integers(0, 3), _ATOM),
+    # a prefix of a recipe, as a mistyped one is often cut short
+    st.tuples(_ATOM, st.integers(0, 12)).map(lambda t: t[0][: t[1]]),
+)
+_FILE = st.sampled_from(["a.cx", "b.cx", "missing.cx"])
+_INT = st.integers(-3, 9).map(str)
+_POLY = st.sampled_from(["t^2-t+1", "t^4-t^3+t^2-t+1", "1", "t^2 - t +", "2t+1", "t^3-t+1"])
+_OUT = st.sampled_from([[], ["-o", "out.cx"]])
+_FILE_OR_EXPR = st.one_of(_FILE.map(lambda f: [f]), _EXPR.map(lambda e: ["--expr", e]))
+# each command's arguments in their usual shape, so that most runs get past
+# the argument parser
+_ARGS = {
+    "validate": _FILE.map(lambda f: [f]),
+    "reduce": st.builds(lambda f, o: [f, *o], _FILE, _OUT),
+    "dual": st.builds(lambda f, o: [f, *o], _FILE, _OUT),
+    "tensor": st.builds(lambda a, b, o: [a, b, *o], _FILE, _FILE, _OUT),
+    "std": st.builds(lambda p, o: [p, *o], _PARAMS, _OUT),
+    "rep": _FILE_OR_EXPR,
+    "inv": st.builds(lambda a, j: a + j, _FILE_OR_EXPR, st.sampled_from([[], ["--json"]])),
+    "cmp": st.builds(lambda a, b: [a, b], _FILE, _FILE),
+    "shift": st.builds(lambda m, p, f: [m, p, *f], _INT, _PARAMS,
+                       st.sampled_from([[], ["--u"], ["--v"], ["--u", "--v"]])),
+    "alex": st.one_of(st.builds(lambda p, q: ["torus", p, q], _INT, _INT),
+                      st.builds(lambda p, q, f: ["cable", p, q, f], _INT, _INT, _POLY)),
+    "lspace": _POLY.map(lambda f: [f]),
+}
+# stray arguments: any of the above, or short random text with no path
+# separator, so that "-o" followed by it writes inside the working directory
+_TOKEN = st.one_of(
+    st.sampled_from(sorted(_ARGS) + ["torus", "a.cx", "--json", "--expr", "-o"]),
+    _INT, _PARAMS, _EXPR, _POLY,
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/\\"), max_size=6),
+)
+_ARGV = st.sampled_from(sorted(_ARGS)).flatmap(
+    lambda c: st.builds(lambda args, extra: [c, *args, *extra], _ARGS[c],
+                        st.one_of(st.just([]), st.lists(_TOKEN, min_size=1, max_size=2)))
+)
+
+
+@st.composite
+def _complex_text(draw):
+    """A standard complex's file, edited by dropping or repeating lines, or
+    lines drawn from the file grammar with small names and gradings."""
+    if draw(st.booleans()):
+        lines = serialize_complex(build_standard(draw(st.sampled_from(
+            [(), (1, -1), (2, -1, 1, -2), (1, -2, 2, -1)])))).splitlines()
+        for k in draw(st.lists(st.integers(0, 20), max_size=2)):
+            if lines:
+                i = k % len(lines)
+                lines[i:i + 1] = [] if k % 2 else [lines[i]] * 2
+    else:
+        name = st.sampled_from("abcd")
+        gen = st.builds("gen {} {} {}".format, name, st.integers(-3, 3), st.integers(-3, 3))
+        term = st.builds("{} {}".format, st.sampled_from(["1", "U^1", "V^1", "U^2", "V^0"]), name)
+        arrow = st.builds("d {} = {}".format, name, st.lists(term, min_size=1, max_size=2)
+                          .map(" + ".join))
+        lines = draw(st.lists(st.one_of(gen, arrow), max_size=6))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=5000)
+@given(_ARGV, _complex_text(), _complex_text())
+def test_every_command_exits_0_1_or_2_without_a_traceback(argv, a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        # relative paths, -o included, resolve in the temporary directory
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            Path("a.cx").write_text(a, encoding="utf-8")
+            Path("b.cx").write_text(b, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import basis_change, box, direct_sum, scramble
 from knotcalc.algebra import Bigrading, mono, reduce, tensor, unit_complex, validate, xor_term
-from knotcalc import homology
+from knotcalc import gf2, homology
 from knotcalc.errors import MultipleTowersError, NotReducedError
 from knotcalc.homology import (
     MOD_U,
@@ -182,6 +182,28 @@ def test_simplify_dimension_preserved_per_grading():
     c = scramble(direct_sum(build_standard((1, -2, 2, -1)), box(3, 1, tag="k")), rng)
     r = simplify(reduce(c), MOD_U)
     assert 2 * len(r.torsion_pairs) + 1 == len(c.gens)
+
+
+# --- the rank check on the stored basis vectors ------------------------------
+
+
+def test_stored_vector_rank_matches_the_rank_of_all_rows():
+    # basis[j] for a few stored j over all n declared generators, exponents
+    # 0 (kept with the variable set to 0) or 1 (dropped); the other rows are
+    # the unit rows 1 << j
+    verdicts = {True: 0, False: 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        basis = {
+            j: {g: rng.choice((0, 0, 1)) for g in rng.sample(range(n), rng.randint(1, min(n, 3)))}
+            for j in rng.sample(range(n), rng.randint(0, n))
+        }
+        masks = [sum(1 << g for g, e in basis.get(j, {j: 0}).items() if e == 0) for j in range(n)]
+        got = homology._invertible_mod_variable(basis)
+        assert got == (gf2.rank(masks) == n), (seed, basis)
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 50
 
 
 # --- the heap sweep against the rescan rule ----------------------------------

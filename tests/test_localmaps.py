@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import box, direct_sum
-from knotcalc import localmaps
+from conftest import box, direct_sum, scramble
+from knotcalc import gf2, localmaps
+from knotcalc.alexander import recipe_factors
 from knotcalc.algebra import (
     UNIT,
     Bigrading,
@@ -13,6 +15,7 @@ from knotcalc.algebra import (
     reduce,
     tensor,
     unit_complex,
+    validate,
 )
 from knotcalc.errors import (
     BudgetExceededError,
@@ -29,6 +32,7 @@ from knotcalc.localmaps import (
     prepare_target,
     verify_local_map,
 )
+from knotcalc.localequiv import standard_rep
 from knotcalc.standard import GT, build_standard, lex_cmp
 
 # small parameter pool used for exhaustive cross-checks
@@ -138,7 +142,7 @@ def _slots_by_scan(dom, dom_tower, tgt):
 def _assert_slots_match(dom, dom_tower, tgt, v_shift):
     # v_shift is the solver's shortcut, tgt.q - src.q or tgt.q for a short
     # map's domain; the scan derives it from the domain's tower instead
-    by_source, nbits = localmaps._slots(dom, v_shift, tgt)
+    by_source, nbits = localmaps._slots(dom, localmaps._grading_buckets(dom), v_shift, tgt)
     assert nbits  # the comparison is not vacuous
     assert (v_shift, by_source, nbits) == _slots_by_scan(dom, dom_tower, tgt)
 
@@ -165,6 +169,55 @@ def test_slots_match_scan_on_short_map_domains():
     for tgt in targets:
         for p in [(1,), (-2,), (1, -1), (2, -1, 1), (1, -2, 2, -1), (-1, 2, 1, -2, 3)]:
             _assert_slots_match(build_standard(p, v_anchor=0), {0: 0}, tgt, tgt.q)
+
+
+def _backward_maps():
+    """(input, representative) prepared for standard_rep's map back: noisy
+    complexes (a standard complex, boxes and a contractible pair, scrambled)
+    and the fold steps of two recipes, each into its representative."""
+    inputs = []
+    for seed, p in enumerate([(1, -2, 2, -1), (2, -1, 1, -2), (1, -3, 2, -2, 3, -1)]):
+        c = direct_sum(build_standard(p), box(1 + seed, 2, tag="k"), box(2, 1, tag="m"),
+                       validate([("u", (3, 1)), ("w", (2, 0))], [("u", [(UNIT, "w")])]))
+        inputs.append(scramble(c, random.Random(seed)))
+    for recipe in ["Cable(D;2,5) - T(2,5)", "T(3,4) + T(2,5) - T(2,7)"]:
+        first, *rest = recipe_factors(recipe)
+        for p in rest:
+            inputs.append(tensor(build_standard(first), build_standard(p)))
+            first = standard_rep(inputs[-1]).params
+    for c in inputs:
+        yield prepare_target(reduce(c)), prepare_target(build_standard(standard_rep(c).params))
+
+
+def test_slots_match_scan_on_backward_maps():
+    for big, rep in _backward_maps():
+        assert len(big.c.gens) > 2 * len(rep.c.gens)
+        _assert_slots_match(big.c, big.tower, rep, rep.q - big.q)
+
+
+def test_backward_witness_matches_rows_at_every_source(monkeypatch):
+    real, solved = gf2.solve_affine, []
+
+    def recording(rows, nvars):
+        solved.append(rows)
+        return real(rows, nvars)
+
+    monkeypatch.setattr(gf2, "solve_affine", recording)
+    idle = 0
+    for big, rep in _backward_maps():
+        witness = localmaps.map_between(big, rep)
+        v_shift = rep.q - big.q
+        by_source, nbits = localmaps._slots(big.c, (big.by_gru, big.by_grv), v_shift, rep)
+        rows = []
+        for s in range(len(big.c.gens)):
+            at_s = localmaps._source_rows(s, big.c.diff.get(s, {}), by_source, rep, None)
+            rows += [(mask, 0) for mask in at_s.values()]
+            idle += not at_s
+        rows.append(localmaps._tower_row(big.tower, by_source, rep))
+        # the solver got every row, in the same order: the sources it skipped have none
+        assert solved.pop() == rows
+        assert witness == localmaps._witness_from_mask(big.c, rep.c, by_source, real(rows, nbits), v_shift)
+    assert idle  # the comparison is not vacuous
 
 
 # --- oracle --------------------------------------------------------------------
@@ -279,7 +332,7 @@ def test_sparse_check_matches_every_source_loop():
     verdicts = {True: 0, False: 0}
     for dom, dom_tower, tgt, relaxed in _small_instances():
         v_shift = tgt.q - element_grading(dom, MOD_U, dom_tower).grv
-        by_source, nbits = localmaps._slots(dom, v_shift, tgt)
+        by_source, nbits = localmaps._slots(dom, localmaps._grading_buckets(dom), v_shift, tgt)
         for mask in range(1 << nbits):
             w = localmaps._witness_from_mask(dom, tgt.c, by_source, mask, v_shift)
             got = localmaps._check_witness(dom, dom_tower, tgt, relaxed, w)
