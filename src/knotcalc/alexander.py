@@ -12,6 +12,7 @@ standard-representative machinery.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 from typing import Mapping, NamedTuple, Union
 
@@ -352,6 +353,58 @@ def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
     return factors
 
 
+def _fold_order(factors: list[Params]) -> list[Params]:
+    """The order eval_recipe folds *factors* in: a permutation of them.
+
+    phi adds over the tensor product, so each partial product's phi is known
+    before any step is solved; its weight sum_j |phi_j| bounds from below
+    the U-arrows of that product's representative, and so the next step's
+    size.  Ties go to the smaller step tensor, (len + 1) * (len + 1)
+    generators (after the first pair only the factor's length differs),
+    then to the earlier written position.
+
+    The whole-product guard of recipe_factors admits at most 8 non-empty
+    factors (3 ** 9 > MAX_RECIPE_GENS), so weighing the O(k ** 2) pairs
+    and candidates costs nothing next to the fold; a guard on each step
+    instead of the whole product would lift that bound.
+    """
+    if len(factors) <= 2:
+        return list(factors)
+    phis = [phi(p) for p in factors]
+
+    def weight(ks) -> int:
+        total: dict[int, int] = {}
+        for k in ks:
+            for j, v in phis[k].items():
+                total[j] = total.get(j, 0) + v
+        return sum(map(abs, total.values()))
+
+    def size(k: int) -> int:
+        return len(factors[k]) + 1
+
+    order = list(min(
+        combinations(range(len(factors)), 2),
+        key=lambda ij: (weight(ij), size(ij[0]) * size(ij[1]), ij),
+    ))
+    while len(order) < len(factors):
+        left = [k for k in range(len(factors)) if k not in order]
+        order.append(min(left, key=lambda k: (weight([*order, k]), size(k), k)))
+    return [factors[k] for k in order]
+
+
+def _fold(factors: list[Params]) -> RepResult:
+    """The standard representative of the tensor product of the non-empty
+    *factors*, folded one factor at a time in the order given."""
+    first, *rest = factors or [()]
+    if not rest:
+        return standard_rep(build_standard(first))
+    params = first
+    for p in rest:
+        result = standard_rep(tensor(build_standard(params), build_standard(p)))
+        params = result.params
+    return result
+
+
 def eval_recipe(expr: Union[str, parsing.KnotExpr]) -> RepResult:
     """Evaluate a recipe: the standard representative of the tensor product
     of its terms' complexes.
@@ -366,14 +419,15 @@ def eval_recipe(expr: Union[str, parsing.KnotExpr]) -> RepResult:
     wrong step raises before its result feeds the next one.  Empty factors
     C() are the unit of the tensor product and are skipped.
 
-    The returned witnesses and trace are those of the last step; with at
-    most one non-empty factor they are of that factor alone.
+    Local classes form an abelian group, so any order of the factors gives
+    the same representative, but a step costs more the longer the previous
+    step's representative is.  With three or more non-empty factors the
+    fold runs in the order _fold_order plans from the factors' phi
+    invariants: first the pair whose phi sum has the least weight
+    sum_j |phi_j|, then at each step the factor that keeps the running sum's
+    weight least.  With two or fewer it runs in written order.
+
+    The returned witnesses and trace are those of the last step in that
+    order; with at most one non-empty factor they are of that factor alone.
     """
-    first, *rest = [p for p in recipe_factors(expr) if p] or [()]
-    if not rest:
-        return standard_rep(build_standard(first))
-    params = first
-    for p in rest:
-        result = standard_rep(tensor(build_standard(params), build_standard(p)))
-        params = result.params
-    return result
+    return _fold(_fold_order([p for p in recipe_factors(expr) if p]))

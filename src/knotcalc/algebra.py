@@ -82,17 +82,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Optional[Monomial]:
     return Monomial(a.kind, a.exponent + b.exponent)
 
 
-def mono_for_grading(g: Bigrading) -> Optional[Monomial]:
-    """The unique monomial of grading *g*, or None if there is none."""
-    if g.gru == 0 and g.grv == 0:
-        return UNIT
-    if g.grv == 0 and g.gru < 0 and g.gru % 2 == 0:
-        return Monomial("U", -g.gru // 2)
-    if g.gru == 0 and g.grv < 0 and g.grv % 2 == 0:
-        return Monomial("V", -g.grv // 2)
-    return None
-
-
 class Generator(NamedTuple):
     name: str
     grading: Bigrading

@@ -1,10 +1,23 @@
-"""Shared builders: box complexes, basis scrambling, direct sums."""
+"""Shared builders: box complexes, basis scrambling, direct sums, and the
+monomial of a grading."""
 
 from __future__ import annotations
 
 import random
+from typing import Optional
 
-from knotcalc.algebra import Complex, Monomial, mono_for_grading, mono_mul, validate
+from knotcalc.algebra import UNIT, Bigrading, Complex, Monomial, mono_mul, validate
+
+
+def mono_for_grading(g: Bigrading) -> Optional[Monomial]:
+    """The unique monomial of grading *g*, or None if there is none."""
+    if g.gru == 0 and g.grv == 0:
+        return UNIT
+    if g.grv == 0 and g.gru < 0 and g.gru % 2 == 0:
+        return Monomial("U", -g.gru // 2)
+    if g.gru == 0 and g.grv < 0 and g.grv % 2 == 0:
+        return Monomial("V", -g.grv // 2)
+    return None
 
 
 def direct_sum(*cs: Complex) -> Complex:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import box, direct_sum, scramble
+from conftest import box, direct_sum, mono_for_grading, scramble
 from knotcalc.algebra import (
     Bigrading,
     Complex,
@@ -13,7 +13,6 @@ from knotcalc.algebra import (
     apply_map,
     dual,
     mono,
-    mono_for_grading,
     mono_mul,
     reduce,
     tensor,

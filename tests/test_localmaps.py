@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import box, direct_sum, scramble
+from conftest import box, direct_sum, mono_for_grading, scramble
 from knotcalc import gf2, localmaps
 from knotcalc.alexander import recipe_factors
 from knotcalc.algebra import (
@@ -11,7 +11,6 @@ from knotcalc.algebra import (
     Bigrading,
     apply_map,
     dual,
-    mono_for_grading,
     reduce,
     tensor,
     unit_complex,
