@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from . import parsing
-from .algebra import tensor
 from .errors import (
     NotCoprimeError,
     NotStaircaseError,
@@ -27,7 +26,8 @@ from .errors import (
     VerificationFailedError,
 )
 from .localequiv import MAX_PARAMETER, RepResult, standard_rep
-from .standard import Params, build_standard, negate, phi
+from .localmaps import prepare_standard
+from .standard import Params, negate, phi
 
 
 class LaurentPoly:
@@ -280,6 +280,21 @@ def _atom_delta(atom: parsing.Atom) -> LaurentPoly:
     raise NotStaircaseError(f"no Alexander polynomial for {atom!r} inside a cable")
 
 
+def _atom_degree(atom: parsing.Atom) -> Optional[int]:
+    """The degree of _atom_delta(atom), 2g, read off the atom: (p - 1)(q - 1)
+    for T(p,q), and 2p g(K) + (p - 1)(q - 1) for Cable(K;p,q).  None where
+    _atom_delta would raise instead."""
+    if isinstance(atom, parsing.DAlias):
+        return 2
+    if not isinstance(atom, (parsing.Torus, parsing.CableAtom)):
+        return None
+    p, q = atom.p, atom.q
+    if min(p, q) < 1 or gcd(p, q) != 1:
+        return None
+    inner = 0 if isinstance(atom, parsing.Torus) else _atom_degree(atom.inner)
+    return None if inner is None else p * inner + (p - 1) * (q - 1)
+
+
 def atom_params(atom: parsing.Atom) -> Params:
     """Standard parameters of a recipe atom."""
     if isinstance(atom, (parsing.Torus, parsing.CableAtom, parsing.DAlias)):
@@ -302,13 +317,16 @@ def atom_params(atom: parsing.Atom) -> Params:
 MAX_RECIPE_GENS = 10_000
 
 
-def _grown_size(size: int, length: int, mult: int) -> int:
-    """size times (length + 1) ** mult; RecipeTooLargeError once it passes MAX_RECIPE_GENS."""
+def _grown_size(size: int, length: int, mult: int, unless: str = "") -> int:
+    """size times (length + 1) ** mult; RecipeTooLargeError once it passes
+    MAX_RECIPE_GENS, its message naming *unless*, the other way the recipe
+    could be smaller, if given."""
     for _ in range(mult if length else 0):
         size *= length + 1
         if size > MAX_RECIPE_GENS:
             raise RecipeTooLargeError(
-                f"recipe needs at least {size} generators, over the limit of {MAX_RECIPE_GENS}"
+                f"recipe needs at least {size} generators{unless},"
+                f" over the limit of {MAX_RECIPE_GENS}"
             )
     return size
 
@@ -336,6 +354,12 @@ def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
                 if gcd(*atom) != 1:
                     raise NotCoprimeError(*atom)
                 _grown_size(size, max(atom) - 1, mult)
+            elif isinstance(atom, parsing.CableAtom) and (degree := _atom_degree(atom)):
+                # sized before its polynomial is built: its |parameters| sum to
+                # its degree, so it has at least degree / MAX_PARAMETER of them
+                # unless one is over that limit
+                least = -(-degree // MAX_PARAMETER)
+                _grown_size(size, least, mult, f" (or a parameter over {MAX_PARAMETER})")
             p = atom_params(atom)
             largest = max(map(abs, p), default=0)
             if largest > MAX_PARAMETER:
@@ -394,13 +418,17 @@ def _fold_order(factors: list[Params]) -> list[Params]:
 
 def _fold(factors: list[Params]) -> RepResult:
     """The standard representative of the tensor product of the non-empty
-    *factors*, folded one factor at a time in the order given."""
+    *factors*, folded one factor at a time in the order given.
+
+    Each step's complex is a product of two standard complexes, so its
+    tower data is read off the two factors (prepare_standard) with no
+    homology sweep."""
     first, *rest = factors or [()]
     if not rest:
-        return standard_rep(build_standard(first))
+        return standard_rep(prepare_standard(first))
     params = first
     for p in rest:
-        result = standard_rep(tensor(build_standard(params), build_standard(p)))
+        result = standard_rep(prepare_standard(params, p))
         params = result.params
     return result
 

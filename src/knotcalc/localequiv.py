@@ -33,12 +33,19 @@ A torsion order over MAX_PARAMETER is refused before the search.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .algebra import Complex, reduce
 from .errors import LengthCapExceededError, ParameterTooLargeError, VerificationFailedError
-from .localmaps import LocalMapWitness, PrefixSystem, map_between, prepare_target
-from .standard import Params, build_standard, lex_cmp
+from .localmaps import (
+    LocalMapWitness,
+    Prepared,
+    PrefixSystem,
+    map_between,
+    prepare_standard,
+    prepare_target,
+)
+from .standard import Params, lex_cmp
 
 
 # The largest torsion order standard_rep accepts, and so the largest
@@ -65,24 +72,26 @@ class RepResult(NamedTuple):
     trace: tuple[PositionTrace, ...]
 
 
-def standard_rep(c: Complex) -> RepResult:
+def standard_rep(c: Union[Complex, Prepared]) -> RepResult:
     """Compute the standard complex representative of the local class of *c*.
 
-    The input may be non-reduced or carry unnormalized gradings; it is
-    reduced and normalized internally.  Raises NotKnotLikeError when the
-    tower conditions fail, ParameterTooLargeError before the search when a
-    torsion order exceeds MAX_PARAMETER, and LengthCapExceededError or
-    VerificationFailedError only on internal invariant violations.
+    A Complex may be non-reduced or carry unnormalized gradings; it is
+    reduced and prepared with prepare_target, which sweeps its homology.  A
+    Prepared is taken as already reduced and normalized: a fold step passes
+    localmaps.prepare_standard's, read off its two factors' parameters.  The
+    representative is certified against prepare_standard(rep).  Raises
+    NotKnotLikeError when the tower conditions fail, ParameterTooLargeError
+    before the search when a torsion order exceeds MAX_PARAMETER, and
+    LengthCapExceededError or VerificationFailedError only on internal
+    invariant violations.
     """
-    c = reduce(c)
-    tgt = prepare_target(c)
-    m_u = max(tgt.etas_u, default=0)
-    m_v = max(tgt.etas_v, default=0)
+    tgt = c if isinstance(c, Prepared) else prepare_target(reduce(c))
+    m_u, m_v = tgt.m_u, tgt.m_v
     if max(m_u, m_v) > MAX_PARAMETER:
         raise ParameterTooLargeError(
             f"complex has a torsion order {max(m_u, m_v)}, over the limit of {MAX_PARAMETER}"
         )
-    cap = 4 * len(c.gens) + 4
+    cap = 4 * len(tgt.c.gens) + 4
 
     system = PrefixSystem(tgt)
     trace: list[PositionTrace] = []
@@ -104,8 +113,8 @@ def standard_rep(c: Complex) -> RepResult:
                 f"representative exceeded length cap {cap}"
             )
 
-    rep = system.params
-    s = prepare_target(build_standard(rep))
+    rep = tuple(system.params)
+    s = prepare_standard(rep)
     forward = system.full_map(s)
     backward = map_between(tgt, s)
     if backward is None:
@@ -119,18 +128,27 @@ def _next_parameter(
     """The greatest candidate after system's prefix that passes (0 for the
     stop test, None if none does), and every (candidate, passed) probe in
     the order tested.  Listed from greatest to least, the candidates fail
-    and then pass, so one bisection finds the first that passes."""
-    stop = (0,) if len(system.params) % 2 == 0 else ()
-    candidates = (*range(1, bound + 1), *stop, *range(-bound, 0))
+    and then pass, so one bisection finds the first that passes.
+
+    Candidate i of that list, 1 .. bound, then 0 after a prefix of even
+    length, then -bound .. -1, is computed only when the bisection probes it.
+    """
+    stop = len(system.params) % 2 == 0
+    n = 2 * bound + stop
+
+    def candidate(i: int) -> int:
+        return i + 1 if i < bound else 0 if stop and i == bound else i - n
+
     tested: list[tuple[int, bool]] = []
 
-    def passes(b: int) -> bool:
+    def passes(i: int) -> bool:
+        b = candidate(i)
         ok = system.passes(b)
         tested.append((b, ok))
         return ok
 
-    i = bisect_left(candidates, True, key=passes)
-    return (candidates[i] if i < len(candidates) else None), tuple(tested)
+    i = bisect_left(range(n), True, key=passes)
+    return (candidate(i) if i < n else None), tuple(tested)
 
 
 def compare(c1: Complex, c2: Complex) -> int:

@@ -45,7 +45,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional, Sequence
 
 from . import gf2
-from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map
+from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map, tensor
 from .errors import BudgetExceededError, VerificationFailedError
 from .homology import normalized_report
 from .standard import Params, arrow, build_standard, step
@@ -81,8 +81,8 @@ class Prepared(NamedTuple):
 
     c: Complex
     q: int  # gr_V of the mod-U tower top
-    etas_u: tuple[int, ...]  # U-arrow torsion orders (from the mod-V report)
-    etas_v: tuple[int, ...]  # V-arrow torsion orders (from the mod-U report)
+    m_u: int  # the largest U-arrow torsion order (mod V), or 0
+    m_v: int  # the largest V-arrow torsion order (mod U), or 0
     tower: dict[int, int]
     tower_dual: dict[int, int]
     # _grading_buckets(c): _gen_slots and _slots read the feasible slots off
@@ -104,10 +104,37 @@ def prepare_target(c: Complex) -> Prepared:
     return Prepared(
         c=cn,
         q=q,
-        etas_u=report.mod_v.etas,
-        etas_v=mod_u.etas,
+        m_u=max(report.mod_v.etas, default=0),
+        m_v=max(mod_u.etas, default=0),
         tower=dict(mod_u.tower_generator),
         tower_dual=dict(mod_u.tower_dual),
+        by_gru=by_gru,
+        by_grv=by_grv,
+    )
+
+
+def prepare_standard(a: Params, b: Optional[Params] = None) -> Prepared:
+    """prepare_target(C(a)), or prepare_target(C(a) (x) C(b)), read off the
+    parameters with no homology sweep and no shift.
+
+    Both towers of a standard complex, and so of a product of two, already
+    sit at grading 0.  The mod-U tower is generator 0 (x0, or x0|x0): it has
+    no V-arrow, so the sweep never touches it, and the tower and its dual
+    are both {0: 0}.  By the Kunneth formula over F[V] (F[U]), a product's
+    torsion orders mod U (mod V) are each factor's, as the other factor has
+    a tower, and minima of two of them; so the largest is the largest |a_i|
+    over both factors, at even (odd) positions.
+    """
+    factors = (a,) if b is None else (a, b)
+    c = build_standard(a) if b is None else tensor(build_standard(a), build_standard(b))
+    by_gru, by_grv = _grading_buckets(c)
+    return Prepared(
+        c=c,
+        q=c.gens[0].grading.grv,
+        m_u=max((abs(x) for p in factors for x in p[0::2]), default=0),
+        m_v=max((abs(x) for p in factors for x in p[1::2]), default=0),
+        tower={0: 0},
+        tower_dual={0: 0},
         by_gru=by_gru,
         by_grv=by_grv,
     )
@@ -415,7 +442,7 @@ class PrefixSystem:
     def __init__(self, tgt: Prepared):
         """The systems of the empty prefix, whose C() is x_0 alone."""
         self.tgt = tgt
-        self.params: Params = ()
+        self.params: list[int] = []  # grows in place: a tuple would be copied on every push
         self.want = Bigrading(0, tgt.q)  # the grading of f(x_n)
         self.by_source = [_gen_slots(self.want, tgt, 0)]
         self.nbits = len(self.by_source[0])  # the next free bit
@@ -448,8 +475,8 @@ class PrefixSystem:
 
     def passes(self, b: int) -> bool:
         """For b != 0, whether short_map((*params, b), tgt) finds a map; for
-        b = 0, the stop test: whether map_between(prepare_target(
-        build_standard(params)), tgt) finds one.  form is not changed."""
+        b = 0, the stop test: whether map_between(prepare_standard(params),
+        tgt) finds one.  form is not changed."""
         if not self.feasible:
             return False
         if b == 0:
@@ -475,7 +502,7 @@ class PrefixSystem:
         else:
             at_n = self._append(b)
             new = self.by_source[-1]
-        self.params += (b,)
+        self.params.append(b)
         self.want += step(len(self.params), b)
         self.nbits += len(new)
         self.feasible = self.feasible and self.form.extend(at_n)
@@ -483,10 +510,9 @@ class PrefixSystem:
 
     def full_map(self, src: Prepared) -> LocalMapWitness:
         """The witness map_between(src, tgt) returns, where src is
-        prepare_target(build_standard(params)); it is checked against the
-        definition, and VerificationFailedError is raised if there is none
-        or the check fails.  This adds the rows at x_n to form, which ends
-        the search.
+        prepare_standard(params); it is checked against the definition, and
+        VerificationFailedError is raised if there is none or the check
+        fails.  This adds the rows at x_n to form, which ends the search.
 
         form is then the echelon form of that map's system: the same slots
         and bits, and rows with the same span.  Its pivots, and its solution
@@ -494,7 +520,8 @@ class PrefixSystem:
         the one a fresh solve would give.
         """
         if not (self.feasible and self.form.extend(self.closing_rows)):
-            raise VerificationFailedError(f"representative {self.params} failed certification")
+            rep = tuple(self.params)
+            raise VerificationFailedError(f"representative {rep} failed certification")
         mask, v_shift = self.form.solution(), self.tgt.q - src.q
         return _checked_witness(src.c, src.tower, self.tgt, None, self.by_source, mask, v_shift)
 

@@ -23,7 +23,7 @@ from knotcalc.errors import (
     RecipeTooLargeError,
 )
 from knotcalc.localequiv import MAX_PARAMETER, standard_rep
-from knotcalc.parsing import Thin, Torus
+from knotcalc.parsing import Thin, Torus, parse_knot_expr
 from knotcalc.standard import build_standard, is_symmetric, phi, tau_of
 
 
@@ -336,6 +336,40 @@ def test_large_torus_atom_is_refused_before_its_polynomial(monkeypatch):
     monkeypatch.undo()
     assert [len(p) for p in recipe_factors("T(2,9999)")] == [9998]
     assert recipe_factors("T(1,10001) + T(10001,1)") == [(), ()]
+
+
+def test_large_cable_atom_is_refused_before_its_polynomial(monkeypatch):
+    # Cable(K;p,q) has degree 2p g(K) + (p - 1)(q - 1), the sum of its
+    # |parameters|, so it has at least degree / 1024 of them unless one is
+    # over the parameter limit; both are known without cable_delta
+    def no_polynomial(p, q, inner):
+        raise AssertionError(f"cable_delta({p}, {q}, ...) was called")
+
+    monkeypatch.setattr(alexander, "cable_delta", no_polynomial)
+    for expr, size in [("Cable(T(2,3);200,200001)", 38869), ("Cable(D;2000,2000001)", 3904302),
+                       ("2*Cable(Cable(D;2,3);50,100001)", 4787 ** 2),
+                       ("T(2,3) + 2*Cable(D;100,10001)", 3 * 968 * 968)]:
+        with pytest.raises(RecipeTooLargeError, match=rf"at least {size} generators"
+                           r" \(or a parameter over 1024\), over the limit of 10000$"):
+            recipe_factors(expr)
+    monkeypatch.undo()
+    # an atom that is not a well-formed cable keeps its own error
+    with pytest.raises(NotCoprimeError, match=r"gcd\(200, 200000\) != 1"):
+        recipe_factors("Cable(D;200,200000)")
+    assert recipe_factors("Cable(D;2,1001)") == [staircase_params(cable_delta(2, 1001, torus_delta(2, 3)))]
+
+
+@given(st.integers(2, 4), st.integers(1, 9), st.integers(1, 5), st.integers(1, 13))
+def test_cable_degree_is_read_off_the_atom(k, p, r, q):
+    atom = parse_knot_expr(f"Cable(Cable(T(2,{2 * k - 1});{r},{2 * r + 1});{p},{q})").terms[0][2]
+    if gcd(p, q) != 1:
+        assert alexander._atom_degree(atom) is None
+        return
+    delta = alexander._atom_delta(atom)
+    assert alexander._atom_degree(atom) == delta.degree()
+    if delta.degree():
+        # on a staircase the |parameters| sum to the degree
+        assert sum(map(abs, staircase_params(delta))) == delta.degree()
 
 
 @given(st.integers(2, 12), st.integers(3, 60))

@@ -182,15 +182,21 @@ def _trivial_cables(depth):
 def test_oversized_parameter_is_refused_fast(capsys):
     # a parameter over the limit (which exists for the torus atoms, whose
     # cost grows with their parameters) is refused before any complex is
-    # built, whatever the atom: a domain error, exit 1, no traceback
-    for expr, largest in [("Std(1025,-1025)", 1025), (_trivial_cables(11), 2048),
-                          (_trivial_cables(30), 2 ** 30), ("Std(65536,-65536)", 65536)]:
+    # built, whatever the atom: a domain error, exit 1, no traceback.  A
+    # cable is sized from its degree first: 2 ** 31 for _trivial_cables(30),
+    # which takes at least 2 ** 21 parameters unless one is over the limit
+    over = "error: recipe has a parameter {}, over the limit of 1024\n"
+    for expr, want in [("Std(1025,-1025)", over.format(1025)),
+                       (_trivial_cables(11), over.format(2048)),
+                       (_trivial_cables(30), "error: recipe needs at least 2097153 generators"
+                                             " (or a parameter over 1024), over the limit of 10000\n"),
+                       ("Std(65536,-65536)", over.format(65536))]:
         start = time.perf_counter()
         assert run(["inv", "--expr", expr]) == 1
         assert time.perf_counter() - start < 1
         out, err = out_of(capsys)
         assert out == ""
-        assert err == f"error: recipe has a parameter {largest}, over the limit of 1024\n"
+        assert err == want
 
 
 def test_long_thin_atom_is_refused_fast(capsys):

@@ -17,6 +17,7 @@ from knotcalc.localmaps import (
     PrefixSystem,
     exists_local_map,
     map_between,
+    prepare_standard,
     prepare_target,
     short_map,
     verify_local_map,
@@ -177,7 +178,7 @@ def _greedy_by_one_shot_solves(c):
     certification."""
     c = reduce(c)
     tgt = prepare_target(c)
-    m_u, m_v = max(tgt.etas_u, default=0), max(tgt.etas_v, default=0)
+    m_u, m_v = tgt.m_u, tgt.m_v
     params, trace = [], []
     while True:
         k = len(params)
@@ -296,7 +297,7 @@ def _drawn_prefixes():
     for c in targets:
         tgt = prepare_target(reduce(c))
         rep = standard_rep(c).params
-        bound = max(*tgt.etas_u, *tgt.etas_v, 1)
+        bound = max(tgt.m_u, tgt.m_v, 1)
         yield tgt, bound, [_random_prefix(rng, rep, bound) for _ in range(12)]
 
 
@@ -310,7 +311,7 @@ def test_prefix_system_feasibility_matches_one_shot_solves():
                 for b in window:  # probes leave a candidate for push to reuse
                     system.passes(b)
                 system.push(a)
-            assert system.params == prefix
+            assert tuple(system.params) == prefix
             for b in window:
                 want = short_map((*prefix, b), tgt) is not None
                 assert system.passes(b) == want, (prefix, b)
@@ -337,7 +338,7 @@ def test_feasibility_is_a_down_set_in_the_order():
             _assert_down_set(prefix, bound, tgt)
     for c in _oracle_pool():
         tgt = prepare_target(reduce(c))
-        m_u, m_v = max(tgt.etas_u, default=0), max(tgt.etas_v, default=0)
+        m_u, m_v = tgt.m_u, tgt.m_v
         rep = standard_rep(c).params
         for k in range(len(rep) + 1):
             _assert_down_set(rep[:k], m_v if k % 2 else m_u, tgt)
@@ -349,7 +350,7 @@ def test_probes_per_position_are_logarithmic_in_the_bound():
     for recipe in ["T(100,101)", "T(200,201)", "Std(1000,-1,2,-1000) - Std(999,-3,3,-999)"]:
         c = tensor_many(build_standard(p) for p in recipe_factors(recipe))
         tgt = prepare_target(reduce(c))
-        m_u, m_v = max(tgt.etas_u, default=0), max(tgt.etas_v, default=0)
+        m_u, m_v = tgt.m_u, tgt.m_v
         assert max(m_u, m_v) >= 99
         for t in standard_rep(c).trace:
             bound = max(m_u if t.position % 2 else m_v, 1)
@@ -401,6 +402,52 @@ def test_every_fold_order_matches_monolithic_product():
         assert 3 <= len(factors) <= 4
         for order in set(itertools.permutations(factors)):
             assert _fold(list(order)).params == _whole_rep(recipe), (recipe, order)
+
+
+# --- prepare_standard against the homology sweep --------------------------------
+
+
+def _read_fields(tgt):
+    """Every field of a Prepared that the solver reads."""
+    return (tgt.c.gens, tgt.c.diff, tgt.q, tgt.m_u, tgt.m_v, tgt.tower, tgt.tower_dual,
+            tgt.by_gru, tgt.by_grv)
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_form_step(a, b=None):
+    """Check prepare_standard(a[, b]) against prepare_target of C(a) or of
+    C(a) (x) C(b), field by field, and standard_rep of each against
+    standard_rep of that complex, witnesses and trace included; return the
+    representative's params."""
+    c = build_standard(a) if b is None else tensor(build_standard(a), build_standard(b))
+    closed = prepare_standard(a) if b is None else prepare_standard(a, b)
+    assert _read_fields(closed) == _read_fields(prepare_target(c)), (a, b)
+    r = standard_rep(closed)
+    assert r == standard_rep(c), (a, b)
+    return r.params
+
+
+def test_closed_form_matches_the_sweep_on_every_fold_step():
+    # every step of every fold order the permutation test runs, and of both
+    # orders of each slice-family member, and every lone factor
+    for recipe in WIDE_RECIPES + ["2*T(4,5) - T(3,4) - T(2,5)"] + DEEP_RECIPES:
+        factors = recipe_factors(recipe)
+        for p in factors:
+            _closed_form_step(p)
+        for first, *rest in set(itertools.permutations(factors)):
+            params = first
+            for p in rest:
+                params = _closed_form_step(params, p)
+            assert params == _whole_rep(recipe), recipe
+
+
+@settings(max_examples=60, deadline=None)
+@given(_standard_tuples, _standard_tuples, st.booleans())
+def test_closed_form_matches_the_sweep_on_random_pairs(a, b, mirror):
+    if mirror:
+        b = negate(a)
+    _closed_form_step(a)
+    _closed_form_step(a, b)
 
 
 def test_fold_order_is_a_permutation_that_keeps_short_lists():
