@@ -295,6 +295,27 @@ def _atom_degree(atom: parsing.Atom) -> Optional[int]:
     return None if inner is None else p * inner + (p - 1) * (q - 1)
 
 
+def _cable_least_params(atom: parsing.CableAtom) -> tuple[int, int]:
+    """Two lower bounds on the parameters of Cable(K;p,q), read off the atom:
+    one that holds outright, and one that holds unless a parameter is over
+    MAX_PARAMETER; (0, 0) where _atom_delta would raise instead.  A cable
+    whose polynomial is not a staircase has no parameters and is refused
+    either way.
+
+    Its polynomial, Delta_K(t^p) Delta_T(p,q)(t), agrees below t^q with
+    Delta_K(t^p) (1 - t) / (1 - t^p) = (1 - t) sum_n a_n t^(pn), a_n the sum
+    of Delta_K's coefficients up to t^n, which is Delta_K(1) = 1 from
+    n = 2g(K) on.  So for p >= 2 each such n with pn + 1 < q gives it two
+    terms, and a staircase has one parameter fewer than terms.  And its
+    |parameters| sum to its degree.
+    """
+    degree, inner = _atom_degree(atom), _atom_degree(atom.inner)
+    if degree is None:
+        return 0, 0
+    ns = max(0, (atom.q - 2) // atom.p - inner + 1) if atom.p >= 2 else 0
+    return max(0, 2 * ns - 1), -(-degree // MAX_PARAMETER)
+
+
 def atom_params(atom: parsing.Atom) -> Params:
     """Standard parameters of a recipe atom."""
     if isinstance(atom, (parsing.Torus, parsing.CableAtom, parsing.DAlias)):
@@ -319,8 +340,8 @@ MAX_RECIPE_GENS = 10_000
 
 def _grown_size(size: int, length: int, mult: int, unless: str = "") -> int:
     """size times (length + 1) ** mult; RecipeTooLargeError once it passes
-    MAX_RECIPE_GENS, its message naming *unless*, the other way the recipe
-    could be smaller, if given."""
+    MAX_RECIPE_GENS.  *unless* names in its message a case the bound does
+    not cover."""
     for _ in range(mult if length else 0):
         size *= length + 1
         if size > MAX_RECIPE_GENS:
@@ -354,12 +375,10 @@ def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
                 if gcd(*atom) != 1:
                     raise NotCoprimeError(*atom)
                 _grown_size(size, max(atom) - 1, mult)
-            elif isinstance(atom, parsing.CableAtom) and (degree := _atom_degree(atom)):
-                # sized before its polynomial is built: its |parameters| sum to
-                # its degree, so it has at least degree / MAX_PARAMETER of them
-                # unless one is over that limit
-                least = -(-degree // MAX_PARAMETER)
-                _grown_size(size, least, mult, f" (or a parameter over {MAX_PARAMETER})")
+            elif isinstance(atom, parsing.CableAtom):  # sized before its polynomial is built
+                least, unless_large = _cable_least_params(atom)
+                _grown_size(size, least, mult)
+                _grown_size(size, unless_large, mult, f" (or a parameter over {MAX_PARAMETER})")
             p = atom_params(atom)
             largest = max(map(abs, p), default=0)
             if largest > MAX_PARAMETER:

@@ -37,14 +37,8 @@ from typing import NamedTuple, Optional, Union
 
 from .algebra import Complex, reduce
 from .errors import LengthCapExceededError, ParameterTooLargeError, VerificationFailedError
-from .localmaps import (
-    LocalMapWitness,
-    Prepared,
-    PrefixSystem,
-    map_between,
-    prepare_standard,
-    prepare_target,
-)
+from .localmaps import LocalMapWitness, Prepared, PrefixSystem, map_between
+from .localmaps import prepare_standard, prepare_target
 from .standard import Params, lex_cmp
 
 

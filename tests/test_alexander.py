@@ -339,37 +339,49 @@ def test_large_torus_atom_is_refused_before_its_polynomial(monkeypatch):
 
 
 def test_large_cable_atom_is_refused_before_its_polynomial(monkeypatch):
-    # Cable(K;p,q) has degree 2p g(K) + (p - 1)(q - 1), the sum of its
-    # |parameters|, so it has at least degree / 1024 of them unless one is
-    # over the parameter limit; both are known without cable_delta
+    # Cable(K;p,q) has two terms below t^q for each n >= 2g(K) with
+    # pn + 1 < q, and its |parameters| sum to its degree,
+    # 2p g(K) + (p - 1)(q - 1), so it has at least degree / 1024 of them
+    # unless one is over the parameter limit; both are known without cable_delta
     def no_polynomial(p, q, inner):
         raise AssertionError(f"cable_delta({p}, {q}, ...) was called")
 
     monkeypatch.setattr(alexander, "cable_delta", no_polynomial)
-    for expr, size in [("Cable(T(2,3);200,200001)", 38869), ("Cable(D;2000,2000001)", 3904302),
-                       ("2*Cable(Cable(D;2,3);50,100001)", 4787 ** 2),
-                       ("T(2,3) + 2*Cable(D;100,10001)", 3 * 968 * 968)]:
-        with pytest.raises(RecipeTooLargeError, match=rf"at least {size} generators"
-                           r" \(or a parameter over 1024\), over the limit of 10000$"):
+    over = r" \(or a parameter over 1024\)"
+    for expr, size, unless in [("Cable(D;2,1000001)", 999996, ""),
+                               ("Cable(T(2,5);3,300001)", 199992, ""),
+                               ("Cable(T(2,3);200,200001)", 38869, over),
+                               ("Cable(D;2000,2000001)", 3904302, over),
+                               ("2*Cable(Cable(D;2,3);50,100001)", 3988 ** 2, ""),
+                               ("Cable(Cable(D;2,3);500,100001)", 48735, over),
+                               ("T(2,3) + 2*Cable(D;1000,10001)", 3 * 9759, over)]:
+        with pytest.raises(RecipeTooLargeError,
+                           match=rf"at least {size} generators{unless}, over the limit of 10000$"):
             recipe_factors(expr)
     monkeypatch.undo()
     # an atom that is not a well-formed cable keeps its own error
     with pytest.raises(NotCoprimeError, match=r"gcd\(200, 200000\) != 1"):
         recipe_factors("Cable(D;200,200000)")
-    assert recipe_factors("Cable(D;2,1001)") == [staircase_params(cable_delta(2, 1001, torus_delta(2, 3)))]
+    assert [len(p) for p in recipe_factors("Cable(D;2,9999)")] == [9998]
 
 
-@given(st.integers(2, 4), st.integers(1, 9), st.integers(1, 5), st.integers(1, 13))
-def test_cable_degree_is_read_off_the_atom(k, p, r, q):
-    atom = parse_knot_expr(f"Cable(Cable(T(2,{2 * k - 1});{r},{2 * r + 1});{p},{q})").terms[0][2]
+@given(st.sampled_from(["T(1,2)", "D", "T(2,5)", "T(3,4)", "Cable(D;2,5)"]),
+       st.integers(1, 6), st.integers(1, 80))
+def test_cable_bounds_are_read_off_the_atom(inner, p, q):
+    atom = parse_knot_expr(f"Cable({inner};{p},{q})").terms[0][2]
+    least, unless_large = alexander._cable_least_params(atom)
     if gcd(p, q) != 1:
-        assert alexander._atom_degree(atom) is None
+        assert alexander._atom_degree(atom) is None and (least, unless_large) == (0, 0)
         return
     delta = alexander._atom_delta(atom)
     assert alexander._atom_degree(atom) == delta.degree()
-    if delta.degree():
-        # on a staircase the |parameters| sum to the degree
-        assert sum(map(abs, staircase_params(delta))) == delta.degree()
+    assert len(delta.terms()) - 1 >= least
+    try:
+        params = staircase_params(delta)
+    except NotStaircaseError:
+        return
+    assert sum(map(abs, params)) == delta.degree()
+    assert len(params) >= unless_large
 
 
 @given(st.integers(2, 12), st.integers(3, 60))
