@@ -302,18 +302,28 @@ def _cable_least_params(atom: parsing.CableAtom) -> tuple[int, int]:
     whose polynomial is not a staircase has no parameters and is refused
     either way.
 
-    Its polynomial, Delta_K(t^p) Delta_T(p,q)(t), agrees below t^q with
-    Delta_K(t^p) (1 - t) / (1 - t^p) = (1 - t) sum_n a_n t^(pn), a_n the sum
-    of Delta_K's coefficients up to t^n, which is Delta_K(1) = 1 from
-    n = 2g(K) on.  So for p >= 2 each such n with pn + 1 < q gives it two
-    terms, and a staircase has one parameter fewer than terms.  And its
-    |parameters| sum to its degree.
+    Its polynomial, Delta_K(t^p) Delta_T(p,q)(t), agrees below t^(pq) with
+    (1 - t) F(t), F = sum over n, j >= 0 of a_n t^(pn + qj), where a_n is the
+    sum of Delta_K's coefficients up to t^n, which is Delta_K(1) = 1 from
+    n = 2g(K) on; as p and q are coprime, each exponent below pq is written
+    so at most once.  With p, q >= 2 it therefore has a term
+    - at pn and pn + 1 for each n >= 2g(K) with pn + 1 < q, where only the
+      multiples of p are written;
+    - just past each run of the semigroup <p,q> whose last element has
+      n >= 2g(K): T(p,q) has a term at both ends of each run, and at least
+      max(p,q) - 1 parameters, so at least max(p,q) // 2 runs, and at most
+      p 2g(K) elements have n < 2g(K).
+    A staircase has one parameter fewer than terms.  And its |parameters|
+    sum to its degree.
     """
     degree, inner = _atom_degree(atom), _atom_degree(atom.inner)
     if degree is None:
         return 0, 0
-    ns = max(0, (atom.q - 2) // atom.p - inner + 1) if atom.p >= 2 else 0
-    return max(0, 2 * ns - 1), -(-degree // MAX_PARAMETER)
+    p, q = atom.p, atom.q
+    terms = 0
+    if min(p, q) >= 2:
+        terms = max(2 * ((q - 2) // p - inner + 1), max(p, q) // 2 - p * inner)
+    return max(0, terms - 1), -(-degree // MAX_PARAMETER)
 
 
 def atom_params(atom: parsing.Atom) -> Params:

@@ -340,9 +340,10 @@ def test_large_torus_atom_is_refused_before_its_polynomial(monkeypatch):
 
 def test_large_cable_atom_is_refused_before_its_polynomial(monkeypatch):
     # Cable(K;p,q) has two terms below t^q for each n >= 2g(K) with
-    # pn + 1 < q, and its |parameters| sum to its degree,
+    # pn + 1 < q, and one after each run of <p,q> ending at pn + qj with
+    # n >= 2g(K); and its |parameters| sum to its degree,
     # 2p g(K) + (p - 1)(q - 1), so it has at least degree / 1024 of them
-    # unless one is over the parameter limit; both are known without cable_delta
+    # unless one is over the parameter limit; all are known without cable_delta
     def no_polynomial(p, q, inner):
         raise AssertionError(f"cable_delta({p}, {q}, ...) was called")
 
@@ -350,11 +351,11 @@ def test_large_cable_atom_is_refused_before_its_polynomial(monkeypatch):
     over = r" \(or a parameter over 1024\)"
     for expr, size, unless in [("Cable(D;2,1000001)", 999996, ""),
                                ("Cable(T(2,5);3,300001)", 199992, ""),
-                               ("Cable(T(2,3);200,200001)", 38869, over),
-                               ("Cable(D;2000,2000001)", 3904302, over),
-                               ("2*Cable(Cable(D;2,3);50,100001)", 3988 ** 2, ""),
-                               ("Cable(Cable(D;2,3);500,100001)", 48735, over),
-                               ("T(2,3) + 2*Cable(D;1000,10001)", 3 * 9759, over)]:
+                               ("Cable(D;97,100003)", 49807, ""),
+                               ("Cable(T(2,3);200,200001)", 99600, ""),
+                               ("2*Cable(Cable(D;2,3);50,100001)", 49700, ""),
+                               ("2*Cable(D;3000,3001)", 8793 ** 2, over),
+                               ("T(2,3) + Cable(D;1000,10001)", 3 * 9759, over)]:
         with pytest.raises(RecipeTooLargeError,
                            match=rf"at least {size} generators{unless}, over the limit of 10000$"):
             recipe_factors(expr)
@@ -366,7 +367,7 @@ def test_large_cable_atom_is_refused_before_its_polynomial(monkeypatch):
 
 
 @given(st.sampled_from(["T(1,2)", "D", "T(2,5)", "T(3,4)", "Cable(D;2,5)"]),
-       st.integers(1, 6), st.integers(1, 80))
+       st.integers(1, 12), st.integers(1, 120))
 def test_cable_bounds_are_read_off_the_atom(inner, p, q):
     atom = parse_knot_expr(f"Cable({inner};{p},{q})").terms[0][2]
     least, unless_large = alexander._cable_least_params(atom)
