@@ -420,7 +420,7 @@ def _closed_form_step(a, b=None):
     standard_rep of that complex, witnesses and trace included; return the
     representative's params."""
     c = build_standard(a) if b is None else tensor(build_standard(a), build_standard(b))
-    closed = prepare_standard(a) if b is None else prepare_standard(a, b)
+    closed = prepare_standard(a, b)
     assert _read_fields(closed) == _read_fields(prepare_target(c)), (a, b)
     r = standard_rep(closed)
     assert r == standard_rep(c), (a, b)
