@@ -219,13 +219,12 @@ def validate(
         DSquaredNonzeroError.
     """
     gens: list[Generator] = []
-    seen: set[str] = set()
+    index: dict[str, int] = {}
     for name, (gu, gv) in generators:
-        if name in seen:
+        if name in index:
             raise DuplicateGeneratorError(name)
-        seen.add(name)
+        index[name] = len(gens)
         gens.append(Generator(name, Bigrading(gu, gv)))
-    index = {g.name: i for i, g in enumerate(gens)}
 
     diff: dict[int, dict[int, Monomial]] = {}
     for src_name, terms in differential:

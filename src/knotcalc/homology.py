@@ -49,23 +49,20 @@ def element_grading(c: Complex, side: str, e: Element) -> Bigrading:
 class TowerReport(NamedTuple):
     """Result of simplifying one side of a complex.
 
-    tower_generator and the pair members are elements of the quotient module
-    written over the declared generators.  tower_dual is the coordinate of
-    the tower basis element: (g, e) in it means declared generator g has
-    coefficient v^e on the tower in the final basis (v the surviving
-    variable); a generator not listed has none.  All are stored as sorted
-    (index, exponent) pairs.
+    tower_generator is an element of the quotient module written over the
+    declared generators.  tower_dual is the coordinate of the tower basis
+    element: (g, e) in it means declared generator g has coefficient v^e on
+    the tower in the final basis (v the surviving variable); a generator not
+    listed has none.  Both are stored as sorted (index, exponent) pairs.
+    etas are the torsion orders, one per pair, in the order the sweep found
+    them.
     """
 
     side: str
     tower_generator: tuple[tuple[int, int], ...]
     tower_top_grading: Bigrading
-    torsion_pairs: tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int], ...]
+    etas: tuple[int, ...]
     tower_dual: tuple[tuple[int, int], ...]
-
-    @property
-    def etas(self) -> tuple[int, ...]:
-        return tuple(eta for _, _, eta in self.torsion_pairs)
 
 
 class _Reduction:
@@ -109,12 +106,6 @@ class _Reduction:
         """basis[j] or dual[j]: the stored element, or {j: 0} if none is."""
         vec = vectors.get(j)
         return {j: 0} if vec is None else vec
-
-    @staticmethod
-    def frozen(vectors: dict[int, Element], j: int) -> tuple[tuple[int, int], ...]:
-        """vector(vectors, j) as sorted (index, exponent) pairs."""
-        vec = vectors.get(j)
-        return ((j, 0),) if vec is None else _frozen(vec)
 
     def add_multiple(self, p: int, q: int, delta: int) -> None:
         """Basis change b_p += v^delta * b_q (valid when gradings agree)."""
@@ -199,10 +190,8 @@ def simplify(c: Complex, side: str) -> TowerReport:
         side=side,
         tower_generator=_frozen(tower),
         tower_top_grading=element_grading(c, side, tower),
-        torsion_pairs=tuple(
-            (red.frozen(red.basis, y), red.frozen(red.basis, z), eta) for y, z, eta in pairs
-        ),
-        tower_dual=red.frozen(red.dual, w),
+        etas=tuple(eta for _, _, eta in pairs),
+        tower_dual=_frozen(red.vector(red.dual, w)),
     )
 
 

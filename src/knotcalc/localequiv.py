@@ -47,8 +47,8 @@ from .standard import Params, lex_cmp
 # position, so a large parameter alone is cheap, but the limit still bounds
 # the torus atoms T(p,p+1): their representatives are 2(p - 1) long with
 # parameters up to p - 1, and their cost grows faster than their size.
-# T(1025,1026), the largest admitted, takes about 0.7 s on a 2-vCPU host;
-# the generator limit alone would admit T(4999,5000), about 7 s.
+# T(1025,1026), the largest admitted, takes about 0.3 s on a 2-vCPU host;
+# the generator limit alone would admit T(4999,5000), about 2-2.5 s.
 MAX_PARAMETER = 1024
 
 

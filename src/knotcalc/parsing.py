@@ -8,6 +8,7 @@ Complex file grammar (line oriented):
     d IDENT = TERM + TERM + ...      TERM := ("U^"K | "V^"K | "1") IDENT
 
 K is a decimal number; U^0 and V^0 read as 1.  Comments take whole lines.
+IDENT is a run of non-space characters other than "+", which separates terms.
 
 Omitted d lines mean zero differential.  Serialization writes generators in
 declaration order and one d line per source with a nonzero differential, so
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional, Union
 from .algebra import UNIT, Complex, Monomial, mono, validate
 from .errors import ParseError
 
-_GEN_RE = re.compile(r"gen\s+(\S+)\s+(-?\d+)\s+(-?\d+)\s*$")
+_GEN_RE = re.compile(r"gen\s+([^\s+]+)\s+(-?\d+)\s+(-?\d+)\s*$")
 _D_RE = re.compile(r"d\s+(\S+)\s*=\s*(.*)$")
 _COEFFICIENT_RE = re.compile(r"([UV])\^(\d+)|1")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .algebra import Bigrading, Complex, Monomial, validate
+from .algebra import Bigrading, Complex, Generator, Monomial
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -60,24 +60,18 @@ def build_standard(params: Sequence[int], v_anchor: Optional[int] = None) -> Com
     complex) and is anchored at gr(x_0) = (0, v) instead.
     """
     p = check_params(params, even=v_anchor is None)
-    n = len(p)
-
     rel = [Bigrading(0, 0)]
     for i, b in enumerate(p, start=1):
         rel.append(rel[-1] + step(i, b))
-    v0 = v_anchor if v_anchor is not None else -rel[n].grv
-    gradings = [Bigrading(r.gru, r.grv + v0) for r in rel]
-
-    rows: dict[int, list[tuple[Monomial, str]]] = {}
+    v0 = v_anchor if v_anchor is not None else -rel[-1].grv
+    gens = tuple(Generator(f"x{i}", Bigrading(r.gru, r.grv + v0)) for i, r in enumerate(rel))
+    # arrow i starts at x_{i-1} or x_i, so sources come in increasing order;
+    # steps give every arrow its degree, and U- and V-arrows alternate, so d^2 = 0
+    diff: dict[int, dict[int, Monomial]] = {}
     for i, b in enumerate(p, start=1):
         s, t, m = arrow(i, b)
-        rows.setdefault(s, []).append((m, f"x{t}"))
-    diff = [(f"x{s}", terms) for s, terms in sorted(rows.items())]
-
-    return validate(
-        [(f"x{i}", tuple(gradings[i])) for i in range(n + 1)],
-        diff,
-    )
+        diff.setdefault(s, {})[t] = m
+    return Complex(gens, diff)
 
 
 def bang_key(a: int) -> tuple[int, int]:

@@ -112,6 +112,10 @@ def test_validate_degree_violation_message(m, want):
 def test_validate_duplicate_generator():
     with pytest.raises(DuplicateGeneratorError):
         validate([("a", (0, 0)), ("a", (1, 1))])
+    # the first repeat in declaration order is named
+    with pytest.raises(DuplicateGeneratorError) as e:
+        validate([("a", (0, 0)), ("b", (0, 0)), ("b", (1, 1)), ("a", (1, 1))])
+    assert e.value.name == "b"
 
 
 def test_validate_unknown_generator():

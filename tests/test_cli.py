@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotcalc import algebra, alexander, localequiv
 from knotcalc.cli import run
-from knotcalc.parsing import serialize_complex
+from knotcalc.parsing import parse_complex_file, serialize_complex
 from knotcalc.standard import build_standard
 
 DATA = Path(__file__).parent / "data"
@@ -33,6 +33,33 @@ def test_validate_bad_file(capsys, tmp_path):
     assert run(["validate", str(bad)]) == 1
     _, err = out_of(capsys)
     assert "error" in err
+
+
+def test_plus_in_a_generator_name_is_refused(capsys, tmp_path):
+    # "a+b" as a target reads as the two terms "1 a" and "b*" once dual writes it
+    f = tmp_path / "plus.cx"
+    f.write_text("gen a+b 1 1\ngen c 0 0\nd a+b = 1 c\n")
+    for command in ("validate", "dual"):
+        assert run([command, str(f)]) == 1
+        out, err = out_of(capsys)
+        assert out == "" and err == "error: bad gen line 'gen a+b 1 1' at line 1\n"
+
+
+def test_written_files_validate_again(capsys, tmp_path):
+    s, d, u, t, r = (tmp_path / n for n in ("s.cx", "d.cx", "u.cx", "t.cx", "r.cx"))
+    u.write_text("gen a 0 0\ngen b 1 1\ngen e 0 0\nd b = 1 a\n")
+    assert run(["std", "1,-2,2,-1", "-o", str(s)]) == 0
+    assert run(["dual", str(s), "-o", str(d)]) == 0
+    assert run(["tensor", str(d), str(u), "-o", str(t)]) == 0
+    assert run(["reduce", str(t), "-o", str(r)]) == 0
+    written = {f: f.read_text() for f in (s, d, t, r)}
+    assert "d x1*|b = 1 x1*|a" in written[t] and "gen x1*|e " in written[r]
+    for f, text in written.items():
+        assert run(["validate", str(f)]) == 0
+        assert out_of(capsys)[0].startswith("ok: ")
+        assert serialize_complex(parse_complex_file(text)) == text
+    assert run(["rep", str(r)]) == 0
+    assert out_of(capsys)[0] == "-1,2,-2,1\n"
 
 
 def test_std_and_rep_round_trip(capsys, tmp_path):

@@ -65,6 +65,10 @@ def test_bad_lines_have_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_complex_file("gen a 0 0\ngen b 1 1\nd b = U a\n")
     assert e.value.line == 3
+    # "+" separates terms, so a name holding one is refused where it is declared
+    with pytest.raises(ParseError) as e:
+        parse_complex_file("gen c 0 0\ngen a+b 1 1\nd a+b = 1 c\n")
+    assert str(e.value) == "bad gen line 'gen a+b 1 1' at line 2"
     for text, line in [(f"gen x {LONG} 0\n", 1), (f"gen a 0 0\ngen b 1 1\nd b = U^{LONG} a\n", 3)]:
         with pytest.raises(ParseError) as e:
             parse_complex_file(text)
@@ -100,7 +104,7 @@ def test_readme_complex_file_example_parses():
 
 # --- complex files against the regex term grammar ------------------------------------
 
-_GEN_RE = re.compile(r"gen\s+(\S+)\s+(-?\d+)\s+(-?\d+)\s*$")
+_GEN_RE = re.compile(r"gen\s+([^\s+]+)\s+(-?\d+)\s+(-?\d+)\s*$")
 _D_RE = re.compile(r"d\s+(\S+)\s*=\s*(.*)$")
 _TERM_RE = re.compile(r"(U\^(\d+)|V\^(\d+)|1)\s+(\S+)\s*$")
 

@@ -12,7 +12,7 @@ from knotcalc.standard import build_standard
 # field names in order, and how many leading fields ==, hash and repr cover
 RECORDS = [
     (StaircaseData, ("b", "c"), 2),
-    (TowerReport, ("side", "tower_generator", "tower_top_grading", "torsion_pairs", "tower_dual"), 5),
+    (TowerReport, ("side", "tower_generator", "tower_top_grading", "etas", "tower_dual"), 5),
     (KnotLikeReport, ("is_knot_like", "applied_shift", "reasons", "mod_u", "mod_v"), 5),
     (LocalMapWitness, ("assignment", "v_shift"), 2),
     (Prepared, ("c", "q", "m_u", "m_v", "tower", "tower_dual", "by_gru", "by_grv"), 8),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotcalc.algebra import Bigrading
+from knotcalc.parsing import parse_complex_file, serialize_complex
 from knotcalc.standard import (
     EQ,
     GT,
@@ -81,6 +82,21 @@ def test_built_standard_is_reduced_and_anchored(p):
     assert c.is_reduced
     assert c.gens[0].grading.gru == 0
     assert c.gens[-1].grading.grv == 0
+
+
+def _ordered(c):
+    """gens and diff of c, with its rows and their terms in dict order."""
+    return c.gens, [(s, list(row.items())) for s, row in c.diff.items()]
+
+
+@given(st.lists(ints, max_size=12), st.booleans())
+def test_built_standard_equals_its_validated_file(p, truncated):
+    # build_standard does not call validate, so check here what validate
+    # checks (the degree rule, d^2 = 0) and that it keeps the dict order
+    p = tuple(p) if truncated else tuple(p[: len(p) // 2 * 2])
+    c = build_standard(p, v_anchor=0 if truncated else None)
+    assert _ordered(c) == _ordered(parse_complex_file(serialize_complex(c)))
+    assert [g.name for g in c.gens] == [f"x{i}" for i in range(len(p) + 1)]
 
 
 # --- the unusual order --------------------------------------------------------
