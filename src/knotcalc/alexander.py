@@ -295,6 +295,15 @@ def _atom_degree(atom: parsing.Atom) -> Optional[int]:
     return None if inner is None else p * inner + (p - 1) * (q - 1)
 
 
+def _torus_terms(p: int, q: int) -> int:
+    """The number of terms of torus_delta(p, q) for coprime p, q >= 2, read
+    off p and q (Lam-Leung): with (p - 1)(q - 1) = rp + sq and r, s >= 0,
+    it has (r + 1)(s + 1) + (q - r - 1)(p - s - 1)."""
+    s = (pow(q, -1, p) - 1) % p
+    r = ((p - 1) * (q - 1) - s * q) // p
+    return (r + 1) * (s + 1) + (q - r - 1) * (p - s - 1)
+
+
 def _cable_least_params(atom: parsing.CableAtom) -> tuple[int, int]:
     """Two lower bounds on the parameters of Cable(K;p,q), read off the atom:
     one that holds outright, and one that holds unless a parameter is over
@@ -380,11 +389,11 @@ def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
             p = atom_params(atom)
         else:
             if isinstance(atom, parsing.Torus) and min(atom) >= 2:
-                # sized before its polynomial is built: T(p,q), p < q, has at least
-                # q - 1 parameters, as each |a| <= p - 1 and they sum to (p - 1)(q - 1)
+                # sized before its polynomial is built: a staircase has one
+                # parameter fewer than terms
                 if gcd(*atom) != 1:
                     raise NotCoprimeError(*atom)
-                _grown_size(size, max(atom) - 1, mult)
+                _grown_size(size, _torus_terms(*atom) - 1, mult)
             elif isinstance(atom, parsing.CableAtom):  # sized before its polynomial is built
                 least, unless_large = _cable_least_params(atom)
                 _grown_size(size, least, mult)

@@ -262,16 +262,11 @@ def reduce(c: Complex) -> Complex:
     Gaussian formula d'(y) = d(y) + <d(y), a> * d(x).  Unit arrows are
     cancelled greedily in declaration order (least source, then least
     target), so the output is deterministic.
-    The result is chain homotopy equivalent to the input.  An input with no
-    unit arrow is already reduced: it is returned itself, not a copy, after
-    the same d^2 check.
+    The result is chain homotopy equivalent to the input.
     """
     # every unit arrow ever present as a heap of (source, target); stale
     # entries are skipped
     units = [(s, t) for s, row in c.diff.items() for t, m in row.items() if m.kind == "1"]
-    if not units:
-        _check_d_squared(c)
-        return c
     heapq.heapify(units)
     gens = list(c.gens)
     diff = {s: dict(row) for s, row in c.diff.items()}

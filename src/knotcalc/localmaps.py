@@ -8,12 +8,11 @@ alignment, so a candidate map is a choice of one bit per grading-feasible
 (source generator, monomial * target generator) slot.  The chain-map
 conditions are linear in those bits and the tower condition contributes a
 single affine equation, so existence reduces to one GF(2) linear solve.
-A one-shot solve finds its slots from the target's side: the sources with a
-slot to a target generator are a prefix of one of the domain's grading
-buckets.  Rows are built only at those sources and at the sources with an
-arrow into them; elsewhere the chain condition has no term.  So the map
-back from the reduced input to its standard representative, hundreds of
-sources into a few targets, costs what its slots touch.
+One rule, _gen_slots, lists the slots of a source from the target's
+grading buckets; a one-shot solve applies it to each source in turn and
+the greedy to each new final generator.  Rows are built only at the
+sources with a slot and at the sources with an arrow into them; elsewhere
+the chain condition has no term.
 
 Short maps relax the chain condition at the final generator x_n of a
 truncated standard complex: only the part of the condition in the direction
@@ -53,9 +52,6 @@ from .standard import Params, arrow, build_standard, step
 # The slots of one source as (target index, bit, monomial), the bit being the
 # slot's position in the map's whole system.
 SourceSlots = list[tuple[int, int, Monomial]]
-# generator indices by gr_U as sorted (gr_V, index), and by gr_V as sorted
-# (gr_U, index); see _grading_buckets
-Buckets = tuple[dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]
 
 
 class LocalMapWitness(NamedTuple):
@@ -85,8 +81,8 @@ class Prepared(NamedTuple):
     m_v: int  # the largest V-arrow torsion order (mod U), or 0
     tower: dict[int, int]
     tower_dual: dict[int, int]
-    # _grading_buckets(c): _gen_slots and _slots read the feasible slots off
-    # these, on the target's side and on the domain's
+    # _grading_buckets(c): _gen_slots reads a source's feasible slots off
+    # these when c is the target
     by_gru: dict[int, list[tuple[int, int]]]
     by_grv: dict[int, list[tuple[int, int]]]
 
@@ -140,7 +136,7 @@ def prepare_standard(a: Params, b: Optional[Params] = None) -> Prepared:
     )
 
 
-def _grading_buckets(c: Complex) -> Buckets:
+def _grading_buckets(c: Complex) -> tuple[dict, dict]:
     """The generator indices of *c* bucketed by gr_U as sorted (gr_V, index),
     and by gr_V as sorted (gr_U, index)."""
     by_gru: dict[int, list[tuple[int, int]]] = {}
@@ -153,63 +149,36 @@ def _grading_buckets(c: Complex) -> Buckets:
     return by_gru, by_grv
 
 
-def _gen_slots(want: Bigrading, tgt: Prepared, bit: int) -> SourceSlots:
+def _gen_slots(want: tuple[int, int], tgt: Prepared, bit: int) -> SourceSlots:
     """The feasible slots of one source whose image has grading *want*, in
     the target order (gr_U, gr_V, index), their bits numbered from *bit*: the
     unit and V^k slots share the wanted gr_U, the U^k slots have a larger one.
     """
     wu, wv = want
     out: SourceSlots = []
-    same_u = tgt.by_gru.get(wu, ())
-    for gv, t in same_u[bisect_left(same_u, (wv, 0)):]:
-        if (gv - wv) % 2 == 0:
-            out.append((t, bit + len(out), Monomial("V", (gv - wv) // 2) if gv != wv else UNIT))
-    same_v = tgt.by_grv.get(wv, ())
-    for gu, t in same_v[bisect_right(same_v, (wu, len(tgt.c.gens))):]:
-        if (gu - wu) % 2 == 0:
-            out.append((t, bit + len(out), Monomial("U", (gu - wu) // 2)))
+    same_u = tgt.by_gru.get(wu)
+    if same_u:
+        for gv, t in same_u[bisect_left(same_u, (wv, 0)):]:
+            if (gv - wv) % 2 == 0:
+                out.append((t, bit + len(out), Monomial("V", (gv - wv) // 2) if gv != wv else UNIT))
+    same_v = tgt.by_grv.get(wv)
+    if same_v:
+        for gu, t in same_v[bisect_right(same_v, (wu, len(tgt.c.gens))):]:
+            if (gu - wu) % 2 == 0:
+                out.append((t, bit + len(out), Monomial("U", (gu - wu) // 2)))
     return out
 
 
-def _slots(
-    dom: Complex, buckets: Buckets, v_shift: int, tgt: Prepared
-) -> tuple[list[SourceSlots], int]:
+def _slots(dom: Complex, v_shift: int, tgt: Prepared) -> tuple[list[SourceSlots], int]:
     """The grading-feasible slots of each source of a map dom -> tgt with
-    the given V-shift, and the number of slots; buckets is
-    _grading_buckets(dom).
-
-    The slots are found from the target's side.  A target generator t at
-    grading (u, v) has unit and V^k slots from the sources at gr_U = u with
-    gr_V + v_shift <= v, and U^k slots from the sources at
-    gr_V + v_shift = v with gr_U < u: a prefix of one domain bucket each.
-    The bits are numbered as _gen_slots numbers them source by source.
-    """
-    dom_gru, dom_grv = buckets
-    n = len(dom.gens)
-    found: dict[int, list[tuple[int, Monomial]]] = {}
-    # every source gets its unit and V^k slots, in target order (gr_V, index),
-    # before any U^k slot, in target order (gr_U, index)
-    for u, targets in tgt.by_gru.items():
-        sources = dom_gru.get(u)
-        if sources:
-            for v, t in targets:
-                top = v - v_shift
-                for gv, s in sources[:bisect_right(sources, (top, n))]:
-                    if (top - gv) % 2 == 0:
-                        m = Monomial("V", (top - gv) // 2) if gv != top else UNIT
-                        found.setdefault(s, []).append((t, m))
-    for v, targets in tgt.by_grv.items():
-        sources = dom_grv.get(v - v_shift)
-        if sources:
-            for u, t in targets:
-                for gu, s in sources[:bisect_left(sources, (u, 0))]:
-                    if (u - gu) % 2 == 0:
-                        found.setdefault(s, []).append((t, Monomial("U", (u - gu) // 2)))
-    by_source: list[SourceSlots] = [[] for _ in range(n)]
+    the given V-shift, their bits numbered source by source, and the number
+    of slots."""
+    by_source: list[SourceSlots] = []
     nbits = 0
-    for s in sorted(found):
-        by_source[s] = [(t, nbits + i, m) for i, (t, m) in enumerate(found[s])]
-        nbits += len(found[s])
+    for _, (gu, gv) in dom.gens:
+        slots = _gen_slots((gu, gv + v_shift), tgt, nbits)
+        by_source.append(slots)
+        nbits += len(slots)
     return by_source, nbits
 
 
@@ -277,7 +246,6 @@ def _tower_row(
 
 def _solve(
     dom: Complex,
-    buckets: Buckets,
     dom_tower: dict[int, int],
     v_shift: int,
     tgt: Prepared,
@@ -285,15 +253,15 @@ def _solve(
 ) -> Optional[LocalMapWitness]:
     """Build and solve the linear system for a (short) local map dom -> tgt.
 
-    buckets is _grading_buckets(dom), dom_tower the mod-U tower element of
-    the domain (generator index -> V-exponent), and v_shift the V-shift that
-    aligns its grading with the target's tower top.  relaxed, when given, is
-    (generator index, kind): only the chain condition in direction *kind* is
-    imposed at that generator.
+    dom_tower is the mod-U tower element of the domain (generator index ->
+    V-exponent), and v_shift the V-shift that aligns its grading with the
+    target's tower top.  relaxed, when given, is (generator index, kind):
+    only the chain condition in direction *kind* is imposed at that
+    generator.
 
     Rows are built only at the sources _touching the slots, in index order.
     """
-    by_source, nbits = _slots(dom, buckets, v_shift, tgt)
+    by_source, nbits = _slots(dom, v_shift, tgt)
     system: list[tuple[int, int]] = []
     for s in sorted(_touching(dom, {s for s, slots in enumerate(by_source) if slots})):
         kind = relaxed[1] if relaxed and relaxed[0] == s else None
@@ -400,7 +368,7 @@ def _check_witness(
 
 def map_between(src: Prepared, tgt: Prepared) -> Optional[LocalMapWitness]:
     """Witness for a local map src -> tgt between prepared complexes, or None."""
-    return _solve(src.c, (src.by_gru, src.by_grv), src.tower, tgt.q - src.q, tgt, relaxed=None)
+    return _solve(src.c, src.tower, tgt.q - src.q, tgt, relaxed=None)
 
 
 def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]:
@@ -415,7 +383,7 @@ def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]
     n = len(p)
     domain = build_standard(p, v_anchor=0)  # its tower top x_0 has gr_V 0
     relaxed = (n, "V" if n % 2 == 0 else "U")
-    return _solve(domain, _grading_buckets(domain), {0: 0}, tgt.q, tgt, relaxed)
+    return _solve(domain, {0: 0}, tgt.q, tgt, relaxed)
 
 
 class PrefixSystem:
@@ -560,7 +528,7 @@ def brute_force_local_map(
     tgt = prepare_target(c)
     src = prepare_target(s)
     v_shift = tgt.q - src.q
-    by_source, nbits = _slots(src.c, (src.by_gru, src.by_grv), v_shift, tgt)
+    by_source, nbits = _slots(src.c, v_shift, tgt)
     if nbits > budget:
         raise BudgetExceededError(nbits, budget)
     for mask in range(1 << nbits):

@@ -321,13 +321,23 @@ def test_long_thin_atom_is_refused_before_it_is_built(monkeypatch):
     assert recipe_factors("D - 2*Thin(2)") == [(1, -1), (-1, 1, -1, 1), (-1, 1, -1, 1)]
 
 
+def test_torus_terms_count_the_polynomial():
+    for p in range(2, 20):
+        for q in range(p + 1, 80):
+            if gcd(p, q) == 1:
+                n = len(torus_delta(p, q).coeffs)
+                assert alexander._torus_terms(p, q) == alexander._torus_terms(q, p) == n, (p, q)
+
+
 def test_large_torus_atom_is_refused_before_its_polynomial(monkeypatch):
-    # T(p,q) has at least max(p,q) - 1 parameters, known without torus_delta
+    # T(p,q) has one parameter fewer than its polynomial has terms, a count
+    # known without torus_delta
     def no_polynomial(p, q):
         raise AssertionError(f"torus_delta({p}, {q}) was called")
 
     monkeypatch.setattr(alexander, "torus_delta", no_polynomial)
-    for expr, size in [("T(2,10001)", 10001), ("T(10001,2)", 10001), ("2*T(3,5003)", 5003 ** 2)]:
+    for expr, size in [("T(2,10001)", 10001), ("T(10001,2)", 10001), ("2*T(3,5003)", 6671 ** 2),
+                       ("T(700,9999)", 3425343), ("T(9999,499)", 1657951)]:
         with pytest.raises(RecipeTooLargeError,
                            match=rf"at least {size} generators, over the limit of 10000$"):
             recipe_factors(expr)

@@ -141,7 +141,7 @@ def _slots_by_scan(dom, dom_tower, tgt):
 def _assert_slots_match(dom, dom_tower, tgt, v_shift):
     # v_shift is the solver's shortcut, tgt.q - src.q or tgt.q for a short
     # map's domain; the scan derives it from the domain's tower instead
-    by_source, nbits = localmaps._slots(dom, localmaps._grading_buckets(dom), v_shift, tgt)
+    by_source, nbits = localmaps._slots(dom, v_shift, tgt)
     assert nbits  # the comparison is not vacuous
     assert (v_shift, by_source, nbits) == _slots_by_scan(dom, dom_tower, tgt)
 
@@ -206,7 +206,7 @@ def test_backward_witness_matches_rows_at_every_source(monkeypatch):
     for big, rep in _backward_maps():
         witness = localmaps.map_between(big, rep)
         v_shift = rep.q - big.q
-        by_source, nbits = localmaps._slots(big.c, (big.by_gru, big.by_grv), v_shift, rep)
+        by_source, nbits = localmaps._slots(big.c, v_shift, rep)
         rows = []
         for s in range(len(big.c.gens)):
             at_s = localmaps._source_rows(s, big.c.diff.get(s, {}), by_source, rep, None)
@@ -331,7 +331,7 @@ def test_sparse_check_matches_every_source_loop():
     verdicts = {True: 0, False: 0}
     for dom, dom_tower, tgt, relaxed in _small_instances():
         v_shift = tgt.q - element_grading(dom, MOD_U, dom_tower).grv
-        by_source, nbits = localmaps._slots(dom, localmaps._grading_buckets(dom), v_shift, tgt)
+        by_source, nbits = localmaps._slots(dom, v_shift, tgt)
         for mask in range(1 << nbits):
             w = localmaps._witness_from_mask(dom, tgt.c, by_source, mask, v_shift)
             got = localmaps._check_witness(dom, dom_tower, tgt, relaxed, w)

@@ -69,6 +69,9 @@ def test_bad_lines_have_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_complex_file("gen c 0 0\ngen a+b 1 1\nd a+b = 1 c\n")
     assert str(e.value) == "bad gen line 'gen a+b 1 1' at line 2"
+    with pytest.raises(ParseError) as e:
+        parse_complex_file("gen a 0 0\nd a\n")
+    assert str(e.value) == "bad d line 'd a' at line 2"
     for text, line in [(f"gen x {LONG} 0\n", 1), (f"gen a 0 0\ngen b 1 1\nd b = U^{LONG} a\n", 3)]:
         with pytest.raises(ParseError) as e:
             parse_complex_file(text)
