@@ -296,7 +296,7 @@ def _atom_degree(atom: parsing.Atom) -> Optional[int]:
 
 
 def _torus_terms(p: int, q: int) -> int:
-    """The number of terms of torus_delta(p, q) for coprime p, q >= 2, read
+    """The number of terms of torus_delta(p, q) for coprime p, q >= 1, read
     off p and q (Lam-Leung): with (p - 1)(q - 1) = rp + sq and r, s >= 0,
     it has (r + 1)(s + 1) + (q - r - 1)(p - s - 1)."""
     s = (pow(q, -1, p) - 1) % p
@@ -304,35 +304,33 @@ def _torus_terms(p: int, q: int) -> int:
     return (r + 1) * (s + 1) + (q - r - 1) * (p - s - 1)
 
 
-def _cable_least_params(atom: parsing.CableAtom) -> tuple[int, int]:
-    """Two lower bounds on the parameters of Cable(K;p,q), read off the atom:
-    one that holds outright, and one that holds unless a parameter is over
-    MAX_PARAMETER; (0, 0) where _atom_delta would raise instead.  A cable
-    whose polynomial is not a staircase has no parameters and is refused
-    either way.
+def _least_params(atom: parsing.Atom) -> tuple[int, int]:
+    """Two lower bounds on the parameters of a recipe atom, read off the atom
+    before anything is built: one that holds outright, and one that holds
+    unless a parameter is over MAX_PARAMETER; (0, 0) for D, Std(...) and
+    where atom_params raises instead.  T(p,q) with p, q >= 2 not coprime
+    raises NotCoprimeError here.
 
-    Its polynomial, Delta_K(t^p) Delta_T(p,q)(t), agrees below t^(pq) with
-    (1 - t) F(t), F = sum over n, j >= 0 of a_n t^(pn + qj), where a_n is the
-    sum of Delta_K's coefficients up to t^n, which is Delta_K(1) = 1 from
-    n = 2g(K) on; as p and q are coprime, each exponent below pq is written
-    so at most once.  With p, q >= 2 it therefore has a term
-    - at pn and pn + 1 for each n >= 2g(K) with pn + 1 < q, where only the
-      multiples of p are written;
-    - just past each run of the semigroup <p,q> whose last element has
-      n >= 2g(K): T(p,q) has a term at both ends of each run, and at least
-      max(p,q) - 1 parameters, so at least max(p,q) // 2 runs, and at most
-      p 2g(K) elements have n < 2g(K).
-    A staircase has one parameter fewer than terms.  And its |parameters|
-    sum to its degree.
+    Thin(t) has 2|t| parameters, and T(p,q) one fewer than its polynomial
+    has terms.  The polynomial of Cable(K;p,q), Delta_K(t^p) Delta_T(p,q)(t),
+    is (1 - t) times the sum of t^s over <p,q> less its p g(K) elements
+    pn + qj with n a gap of K and 0 <= j < p; removing one element changes
+    the terms by at most 2, so the cable has at least
+    _torus_terms(p, q) - 1 - p deg Delta_K parameters.  Its |parameters|
+    also sum to its degree, so it has at least degree / MAX_PARAMETER of
+    them unless one is larger.
     """
-    degree, inner = _atom_degree(atom), _atom_degree(atom.inner)
-    if degree is None:
+    if isinstance(atom, parsing.Thin):
+        return 2 * abs(atom.tau), 0
+    if isinstance(atom, parsing.Torus) and min(atom) >= 2 and gcd(*atom) != 1:
+        raise NotCoprimeError(*atom)
+    degree = _atom_degree(atom)
+    if degree is None or isinstance(atom, parsing.DAlias):
         return 0, 0
-    p, q = atom.p, atom.q
-    terms = 0
-    if min(p, q) >= 2:
-        terms = max(2 * ((q - 2) // p - inner + 1), max(p, q) // 2 - p * inner)
-    return max(0, terms - 1), -(-degree // MAX_PARAMETER)
+    least = _torus_terms(atom.p, atom.q) - 1
+    if isinstance(atom, parsing.Torus):
+        return least, 0
+    return max(0, least - atom.p * _atom_degree(atom.inner)), -(-degree // MAX_PARAMETER)
 
 
 def atom_params(atom: parsing.Atom) -> Params:
@@ -384,27 +382,16 @@ def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
     factors: list[Params] = []
     size = 1
     for sign, mult, atom in expr.terms:
-        if isinstance(atom, parsing.Thin):  # sized from its 2|t| parameters before they are built
-            size = _grown_size(size, 2 * abs(atom.tau), mult)
-            p = atom_params(atom)
-        else:
-            if isinstance(atom, parsing.Torus) and min(atom) >= 2:
-                # sized before its polynomial is built: a staircase has one
-                # parameter fewer than terms
-                if gcd(*atom) != 1:
-                    raise NotCoprimeError(*atom)
-                _grown_size(size, _torus_terms(*atom) - 1, mult)
-            elif isinstance(atom, parsing.CableAtom):  # sized before its polynomial is built
-                least, unless_large = _cable_least_params(atom)
-                _grown_size(size, least, mult)
-                _grown_size(size, unless_large, mult, f" (or a parameter over {MAX_PARAMETER})")
-            p = atom_params(atom)
-            largest = max(map(abs, p), default=0)
-            if largest > MAX_PARAMETER:
-                raise ParameterTooLargeError(
-                    f"recipe has a parameter {largest}, over the limit of {MAX_PARAMETER}"
-                )
-            size = _grown_size(size, len(p), mult)
+        least, unless_large = _least_params(atom)  # sized before it is built
+        _grown_size(size, least, mult)
+        _grown_size(size, unless_large, mult, f" (or a parameter over {MAX_PARAMETER})")
+        p = atom_params(atom)
+        largest = max(map(abs, p), default=0)
+        if largest > MAX_PARAMETER:
+            raise ParameterTooLargeError(
+                f"recipe has a parameter {largest}, over the limit of {MAX_PARAMETER}"
+            )
+        size = _grown_size(size, len(p), mult)
         if sign < 0:
             p = negate(p)
         if len(factors) + mult > MAX_RECIPE_GENS:

@@ -322,8 +322,8 @@ def test_long_thin_atom_is_refused_before_it_is_built(monkeypatch):
 
 
 def test_torus_terms_count_the_polynomial():
-    for p in range(2, 20):
-        for q in range(p + 1, 80):
+    for p in range(1, 20):
+        for q in range(p, 80):
             if gcd(p, q) == 1:
                 n = len(torus_delta(p, q).coeffs)
                 assert alexander._torus_terms(p, q) == alexander._torus_terms(q, p) == n, (p, q)
@@ -349,23 +349,26 @@ def test_large_torus_atom_is_refused_before_its_polynomial(monkeypatch):
 
 
 def test_large_cable_atom_is_refused_before_its_polynomial(monkeypatch):
-    # Cable(K;p,q) has two terms below t^q for each n >= 2g(K) with
-    # pn + 1 < q, and one after each run of <p,q> ending at pn + qj with
-    # n >= 2g(K); and its |parameters| sum to its degree,
-    # 2p g(K) + (p - 1)(q - 1), so it has at least degree / 1024 of them
-    # unless one is over the parameter limit; all are known without cable_delta
+    # Cable(K;p,q) is (1 - t) times the sum over <p,q> less p g(K) elements,
+    # each of which changes the terms by at most 2, so it has at least
+    # _torus_terms(p, q) - 1 - 2p g(K) parameters; and its |parameters| sum
+    # to its degree, 2p g(K) + (p - 1)(q - 1), so it has at least
+    # degree / 1024 of them unless one is over the parameter limit; both are
+    # known without cable_delta
     def no_polynomial(p, q, inner):
         raise AssertionError(f"cable_delta({p}, {q}, ...) was called")
 
     monkeypatch.setattr(alexander, "cable_delta", no_polynomial)
     over = r" \(or a parameter over 1024\)"
-    for expr, size, unless in [("Cable(D;2,1000001)", 999996, ""),
-                               ("Cable(T(2,5);3,300001)", 199992, ""),
-                               ("Cable(D;97,100003)", 49807, ""),
-                               ("Cable(T(2,3);200,200001)", 99600, ""),
-                               ("2*Cable(Cable(D;2,3);50,100001)", 49700, ""),
+    for expr, size, unless in [("Cable(D;2,1000001)", 999997, ""),
+                               ("Cable(T(2,5);3,300001)", 399989, ""),
+                               ("Cable(D;97,100003)", 3612285, ""),
+                               ("Cable(T(2,3);200,200001)", 397601, ""),
+                               ("2*Cable(Cable(D;2,3);50,100001)", 195701, ""),
+                               ("Cable(D;700,9999)", 3423943, ""),
+                               ("Cable(D;9999,700)", 3405345, ""),
                                ("2*Cable(D;3000,3001)", 8793 ** 2, over),
-                               ("T(2,3) + Cable(D;1000,10001)", 3 * 9759, over)]:
+                               ("T(2,3) + Cable(D;1000,10001)", 53943, "")]:
         with pytest.raises(RecipeTooLargeError,
                            match=rf"at least {size} generators{unless}, over the limit of 10000$"):
             recipe_factors(expr)
@@ -376,22 +379,33 @@ def test_large_cable_atom_is_refused_before_its_polynomial(monkeypatch):
     assert [len(p) for p in recipe_factors("Cable(D;2,9999)")] == [9998]
 
 
-@given(st.sampled_from(["T(1,2)", "D", "T(2,5)", "T(3,4)", "Cable(D;2,5)"]),
-       st.integers(1, 12), st.integers(1, 120))
-def test_cable_bounds_are_read_off_the_atom(inner, p, q):
-    atom = parse_knot_expr(f"Cable({inner};{p},{q})").terms[0][2]
-    least, unless_large = alexander._cable_least_params(atom)
-    if gcd(p, q) != 1:
-        assert alexander._atom_degree(atom) is None and (least, unless_large) == (0, 0)
+@given(st.one_of(
+    st.builds("T({},{})".format, st.integers(1, 12), st.integers(1, 120)),
+    st.builds("Thin({})".format, st.integers(-60, 60)),
+    st.builds("Cable({};{},{})".format, st.sampled_from(["T(1,2)", "D", "T(2,5)", "T(3,4)", "Cable(D;2,5)"]),
+              st.integers(1, 12), st.integers(1, 120)),
+))
+def test_least_params_are_read_off_the_atom(text):
+    atom = parse_knot_expr(text).terms[0][2]
+    if isinstance(atom, Thin):
+        assert alexander._least_params(atom) == (len(alexander.atom_params(atom)), 0)
         return
+    if gcd(atom.p, atom.q) != 1:
+        assert alexander._atom_degree(atom) is None
+        if isinstance(atom, Torus):
+            with pytest.raises(NotCoprimeError):
+                alexander._least_params(atom)
+        else:
+            assert alexander._least_params(atom) == (0, 0)
+        return
+    least, unless_large = alexander._least_params(atom)
     delta = alexander._atom_delta(atom)
     assert alexander._atom_degree(atom) == delta.degree()
-    assert len(delta.terms()) - 1 >= least
-    try:
-        params = staircase_params(delta)
-    except NotStaircaseError:
-        return
+    params = staircase_params(delta)
     assert sum(map(abs, params)) == delta.degree()
+    if isinstance(atom, Torus):
+        assert (least, unless_large) == (len(alexander.atom_params(atom)), 0)
+    assert len(params) >= least
     assert len(params) >= unless_large
 
 

@@ -228,14 +228,16 @@ def test_oversized_parameter_is_refused_fast(capsys):
 
 def test_long_thin_atom_is_refused_fast(monkeypatch, capsys):
     # 2|t| + 1 generators, counted without building the parameters, and a
-    # torus atom T(p,q) counted from the terms of its polynomial, which is
-    # never built
-    def no_polynomial(p, q):
-        raise AssertionError(f"torus_delta({p}, {q}) was called")
+    # torus atom T(p,q) or a cable with that pattern counted from the terms
+    # of the pattern's polynomial, which is never built
+    def no_polynomial(p, q, inner=None):
+        raise AssertionError(f"polynomial of ({p}, {q}) was built")
 
     monkeypatch.setattr(alexander, "torus_delta", no_polynomial)
+    monkeypatch.setattr(alexander, "cable_delta", no_polynomial)
     for expr, size in [("Thin(1000000)", 2000001), ("Thin(-1000000)", 2000001), ("Thin(5000)", 10001),
-                       ("T(2,1000001)", 1000001), ("2*T(3,5003)", 44502241), ("T(700,9999)", 3425343)]:
+                       ("T(2,1000001)", 1000001), ("2*T(3,5003)", 44502241), ("T(700,9999)", 3425343),
+                       ("Cable(D;700,9999)", 3423943), ("Cable(D;9999,700)", 3405345)]:
         start = time.perf_counter()
         assert run(["inv", "--expr", expr]) == 1
         assert time.perf_counter() - start < 0.1
