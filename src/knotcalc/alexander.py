@@ -1,6 +1,6 @@
 """Alexander polynomials, staircases for L-space knots, and knot recipes.
 
-Torus knot polynomials come from the exact quotient
+Torus knot polynomials are built from the Lam-Leung closed form of
 (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), and cabling multiplies the
 companion polynomial at t^p by the pattern torus polynomial.  An L-space
 knot's complex is a staircase read off the gap sequence c_i of its
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Union
 
 from . import parsing
 from .errors import (
@@ -162,45 +162,36 @@ def parse_poly(text: str) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def _exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact polynomial division over the integers."""
-    out: dict[int, int] = {}
-    rem = dict(num.coeffs)
-    dexp = den.degree()
-    dlead = den.coeffs[dexp]
-    while rem:
-        e = max(rem)
-        c = rem[e]
-        if e < dexp or c % dlead:
-            raise ValueError("division is not exact")
-        q = c // dlead
-        out[e - dexp] = q
-        for de, dc in den.coeffs.items():
-            k = e - dexp + de
-            rem[k] = rem.get(k, 0) - q * dc
-            if rem[k] == 0:
-                del rem[k]
-    return LaurentPoly(out)
+def _lam_leung(p: int, q: int) -> tuple[int, int]:
+    """The r, s >= 0 with (p - 1)(q - 1) = rp + sq, for coprime p, q >= 1."""
+    s = (pow(q, -1, p) - 1) % p
+    return ((p - 1) * (q - 1) - s * q) // p, s
+
+
+def _coprime_pair(p: int, q: int) -> tuple[int, int]:
+    """(p, q), once p, q >= 1 and gcd(p, q) = 1 are checked in that order."""
+    if p < 1 or q < 1:
+        raise ValueError("torus parameters must be positive")
+    if gcd(p, q) != 1:
+        raise NotCoprimeError(p, q)
+    return p, q
 
 
 def torus_delta(p: int, q: int) -> LaurentPoly:
     """Alexander polynomial of the (p, q) torus knot.
 
-    Computed as (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)); the result has
-    constant term 1 and degree (p-1)(q-1).  p = 1 or q = 1 gives the unknot
+    This is (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), built term by term
+    from its closed form (Lam-Leung): with r, s = _lam_leung(p, q) it is
+    the sum of t^{ip + jq} over 0 <= i <= r, 0 <= j <= s less the sum of
+    t^{ip + jq - pq} over r < i < q, s < j < p.  The result has constant
+    term 1 and degree (p-1)(q-1).  p = 1 or q = 1 gives the unknot
     polynomial 1.
     """
-    if p < 1 or q < 1:
-        raise ValueError("torus parameters must be positive")
-    if gcd(p, q) != 1:
-        raise NotCoprimeError(p, q)
-
-    def cyc(n):
-        return LaurentPoly({n: 1}) - LaurentPoly.one
-
-    num = cyc(p * q) * cyc(1)
-    den = cyc(p) * cyc(q)
-    out = _exact_div(num, den)
+    _coprime_pair(p, q)
+    r, s = _lam_leung(p, q)
+    coeffs = {i * p + j * q: 1 for i in range(r + 1) for j in range(s + 1)}
+    coeffs.update({i * p + j * q - p * q: -1 for i in range(r + 1, q) for j in range(s + 1, p)})
+    out = LaurentPoly(coeffs)
     if out.coeffs.get(0) != 1 or out.degree() != (p - 1) * (q - 1):
         raise VerificationFailedError(f"torus_delta({p}, {q}) = {out} has the wrong shape")
     return out
@@ -270,73 +261,72 @@ def lspace_phi(delta: LaurentPoly) -> dict[int, int]:
     return out
 
 
-def _atom_delta(atom: parsing.Atom) -> LaurentPoly:
-    if isinstance(atom, parsing.Torus):
-        return torus_delta(atom.p, atom.q)
+def _torus_pairs(atom: parsing.Atom) -> list[tuple[int, int]]:
+    """The torus pairs of a T, D or Cable atom, innermost first: D is
+    [(2, 3)] and Cable(K;p,q) appends (p, q) to K's pairs.  The atom's
+    polynomial folds cable_delta over them from 1.
+
+    This is the one rule for which of these atoms are valid, applied before
+    anything is built and innermost first: a torus is checked for p, q >= 1
+    (ValueError) and then for gcd(p, q) = 1 (NotCoprimeError), a cable for
+    the gcd and then for positivity, and a Thin or Std companion raises
+    NotStaircaseError."""
     if isinstance(atom, parsing.DAlias):
-        return torus_delta(2, 3)
+        return [(2, 3)]
+    if isinstance(atom, parsing.Torus):
+        return [_coprime_pair(atom.p, atom.q)]
     if isinstance(atom, parsing.CableAtom):
-        return cable_delta(atom.p, atom.q, _atom_delta(atom.inner))
+        pairs = _torus_pairs(atom.inner)
+        if gcd(atom.p, atom.q) != 1:
+            raise NotCoprimeError(atom.p, atom.q)
+        return [*pairs, _coprime_pair(atom.p, atom.q)]
     raise NotStaircaseError(f"no Alexander polynomial for {atom!r} inside a cable")
 
 
-def _atom_degree(atom: parsing.Atom) -> Optional[int]:
-    """The degree of _atom_delta(atom), 2g, read off the atom: (p - 1)(q - 1)
-    for T(p,q), and 2p g(K) + (p - 1)(q - 1) for Cable(K;p,q).  None where
-    _atom_delta would raise instead."""
-    if isinstance(atom, parsing.DAlias):
-        return 2
-    if not isinstance(atom, (parsing.Torus, parsing.CableAtom)):
-        return None
-    p, q = atom.p, atom.q
-    if min(p, q) < 1 or gcd(p, q) != 1:
-        return None
-    inner = 0 if isinstance(atom, parsing.Torus) else _atom_degree(atom.inner)
-    return None if inner is None else p * inner + (p - 1) * (q - 1)
-
-
 def _torus_terms(p: int, q: int) -> int:
-    """The number of terms of torus_delta(p, q) for coprime p, q >= 1, read
-    off p and q (Lam-Leung): with (p - 1)(q - 1) = rp + sq and r, s >= 0,
-    it has (r + 1)(s + 1) + (q - r - 1)(p - s - 1)."""
-    s = (pow(q, -1, p) - 1) % p
-    r = ((p - 1) * (q - 1) - s * q) // p
+    """The number of terms of torus_delta(p, q) for coprime p, q >= 1:
+    with r, s = _lam_leung(p, q), (r + 1)(s + 1) + (q - r - 1)(p - s - 1)."""
+    r, s = _lam_leung(p, q)
     return (r + 1) * (s + 1) + (q - r - 1) * (p - s - 1)
 
 
 def _least_params(atom: parsing.Atom) -> tuple[int, int]:
     """Two lower bounds on the parameters of a recipe atom, read off the atom
     before anything is built: one that holds outright, and one that holds
-    unless a parameter is over MAX_PARAMETER; (0, 0) for D, Std(...) and
-    where atom_params raises instead.  T(p,q) with p, q >= 2 not coprime
-    raises NotCoprimeError here.
+    unless a parameter is over MAX_PARAMETER; (0, 0) for Std(...).  A T, D
+    or Cable atom that atom_params would refuse raises its error here.
 
-    Thin(t) has 2|t| parameters, and T(p,q) one fewer than its polynomial
-    has terms.  The polynomial of Cable(K;p,q), Delta_K(t^p) Delta_T(p,q)(t),
-    is (1 - t) times the sum of t^s over <p,q> less its p g(K) elements
-    pn + qj with n a gap of K and 0 <= j < p; removing one element changes
-    the terms by at most 2, so the cable has at least
-    _torus_terms(p, q) - 1 - p deg Delta_K parameters.  Its |parameters|
-    also sum to its degree, so it has at least degree / MAX_PARAMETER of
-    them unless one is larger.
+    Thin(t) has 2|t| parameters, and T(p,q) and D one fewer than their
+    polynomial has terms.  The polynomial of Cable(K;p,q),
+    Delta_K(t^p) Delta_T(p,q)(t), is (1 - t) times the sum of t^s over
+    <p,q> less its p g(K) elements pn + qj with n a gap of K and
+    0 <= j < p; removing one element changes the terms by at most 2, so the
+    cable has at least _torus_terms(p, q) - 1 - p deg Delta_K parameters.
+    Its |parameters| also sum to its degree, 2p g(K) + (p - 1)(q - 1), so
+    it has at least degree / MAX_PARAMETER of them unless one is larger.
     """
     if isinstance(atom, parsing.Thin):
         return 2 * abs(atom.tau), 0
-    if isinstance(atom, parsing.Torus) and min(atom) >= 2 and gcd(*atom) != 1:
-        raise NotCoprimeError(*atom)
-    degree = _atom_degree(atom)
-    if degree is None or isinstance(atom, parsing.DAlias):
+    if not isinstance(atom, (parsing.Torus, parsing.CableAtom, parsing.DAlias)):
         return 0, 0
-    least = _torus_terms(atom.p, atom.q) - 1
-    if isinstance(atom, parsing.Torus):
+    *inner, (p, q) = _torus_pairs(atom)
+    least = _torus_terms(p, q) - 1
+    if not inner:
         return least, 0
-    return max(0, least - atom.p * _atom_degree(atom.inner)), -(-degree // MAX_PARAMETER)
+    inner_degree = 0  # deg Delta_K = 2g(K), folded over K's pairs
+    for a, b in inner:
+        inner_degree = a * inner_degree + (a - 1) * (b - 1)
+    degree = p * inner_degree + (p - 1) * (q - 1)
+    return max(0, least - p * inner_degree), -(-degree // MAX_PARAMETER)
 
 
 def atom_params(atom: parsing.Atom) -> Params:
     """Standard parameters of a recipe atom."""
     if isinstance(atom, (parsing.Torus, parsing.CableAtom, parsing.DAlias)):
-        return staircase_params(_atom_delta(atom))
+        delta = LaurentPoly.one
+        for p, q in _torus_pairs(atom):
+            delta = cable_delta(p, q, delta)
+        return staircase_params(delta)
     if isinstance(atom, parsing.Thin):
         sign = 1 if atom.tau > 0 else -1
         return (sign, -sign) * abs(atom.tau)

@@ -239,13 +239,7 @@ def validate(
             if m.exponent < 1 or m.kind not in ("U", "V"):
                 m = mono(m.kind, m.exponent)  # U^a and V^b with a, b >= 1 are already canonical
             _check_degree(gens[s], gens[t], m)
-            if t in row:
-                # adding the same arrow twice cancels over F2
-                if row[t] != m:
-                    raise DegreeViolationError(src_name, tgt_name, "conflicting monomials")
-                del row[t]
-            else:
-                row[t] = m
+            xor_term(row, t, m)  # the gradings fix m, so a repeat is the same arrow
         if not row:
             del diff[s]
 

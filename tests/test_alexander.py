@@ -23,7 +23,7 @@ from knotcalc.errors import (
     RecipeTooLargeError,
 )
 from knotcalc.localequiv import MAX_PARAMETER, standard_rep
-from knotcalc.parsing import Thin, Torus, parse_knot_expr
+from knotcalc.parsing import CableAtom, DAlias, Thin, Torus, parse_knot_expr
 from knotcalc.standard import build_standard, is_symmetric, phi, tau_of
 
 
@@ -329,6 +329,18 @@ def test_torus_terms_count_the_polynomial():
                 assert alexander._torus_terms(p, q) == alexander._torus_terms(q, p) == n, (p, q)
 
 
+def test_torus_delta_times_its_denominator_is_its_numerator():
+    # an oracle apart from the closed form that both torus_delta and
+    # _torus_terms read off _lam_leung
+    def cyc(n):
+        return LaurentPoly({n: 1, 0: -1})
+
+    for p in range(1, 30):
+        for q in range(1, 120):
+            if gcd(p, q) == 1:
+                assert torus_delta(p, q) * cyc(p) * cyc(q) == cyc(p * q) * cyc(1), (p, q)
+
+
 def test_large_torus_atom_is_refused_before_its_polynomial(monkeypatch):
     # T(p,q) has one parameter fewer than its polynomial has terms, a count
     # known without torus_delta
@@ -354,11 +366,21 @@ def test_large_cable_atom_is_refused_before_its_polynomial(monkeypatch):
     # _torus_terms(p, q) - 1 - 2p g(K) parameters; and its |parameters| sum
     # to its degree, 2p g(K) + (p - 1)(q - 1), so it has at least
     # degree / 1024 of them unless one is over the parameter limit; both are
-    # known without cable_delta
-    def no_polynomial(p, q, inner):
-        raise AssertionError(f"cable_delta({p}, {q}, ...) was called")
+    # known before the cable reaches atom_params, and no torus polynomial
+    # but the trefoil's, for the plain T(2,3), is built
+    build = alexander.atom_params
 
-    monkeypatch.setattr(alexander, "cable_delta", no_polynomial)
+    def no_cable(atom):
+        if isinstance(atom, CableAtom):
+            raise AssertionError(f"{atom!r} reached atom_params")
+        return build(atom)
+
+    def trefoil_only(p, q):
+        assert (p, q) == (2, 3), f"torus_delta({p}, {q}) was called"
+        return P("t^2-t+1")
+
+    monkeypatch.setattr(alexander, "atom_params", no_cable)
+    monkeypatch.setattr(alexander, "torus_delta", trefoil_only)
     over = r" \(or a parameter over 1024\)"
     for expr, size, unless in [("Cable(D;2,1000001)", 999997, ""),
                                ("Cable(T(2,5);3,300001)", 399989, ""),
@@ -379,34 +401,70 @@ def test_large_cable_atom_is_refused_before_its_polynomial(monkeypatch):
     assert [len(p) for p in recipe_factors("Cable(D;2,9999)")] == [9998]
 
 
+def test_malformed_atom_is_refused_before_anything_is_built(monkeypatch):
+    # an atom's torus pairs are checked innermost first, before any
+    # polynomial is built, even a companion's
+    def no_polynomial(p, q, inner=None):
+        raise AssertionError(f"polynomial of ({p}, {q}) was built")
+
+    monkeypatch.setattr(alexander, "torus_delta", no_polynomial)
+    monkeypatch.setattr(alexander, "cable_delta", no_polynomial)
+    for expr, error, message in [
+        ("Cable(T(700,9999);2,4)", NotCoprimeError, r"gcd\(2, 4\) != 1"),
+        ("Cable(T(3,6);2,4)", NotCoprimeError, r"gcd\(3, 6\) != 1"),
+        ("Cable(Thin(1);2,3)", NotStaircaseError,
+         r"polynomial is not a staircase: no Alexander polynomial for Thin\(tau=1\) inside a cable"),
+        ("Cable(D;0,1)", ValueError, "torus parameters must be positive"),
+    ]:
+        with pytest.raises(error, match=message + "$"):
+            recipe_factors(expr)
+
+
+def _built_delta(atom):
+    """The polynomial of a T, D or Cable atom, built by recursion on the atom,
+    companion first."""
+    if isinstance(atom, Torus):
+        return torus_delta(atom.p, atom.q)
+    if isinstance(atom, DAlias):
+        return torus_delta(2, 3)
+    if isinstance(atom, CableAtom):
+        return cable_delta(atom.p, atom.q, _built_delta(atom.inner))
+    raise NotStaircaseError(f"no Alexander polynomial for {atom!r} inside a cable")
+
+
 @given(st.one_of(
-    st.builds("T({},{})".format, st.integers(1, 12), st.integers(1, 120)),
+    st.just("D"),
+    st.builds("T({},{})".format, st.integers(-2, 12), st.integers(-2, 120)),
     st.builds("Thin({})".format, st.integers(-60, 60)),
-    st.builds("Cable({};{},{})".format, st.sampled_from(["T(1,2)", "D", "T(2,5)", "T(3,4)", "Cable(D;2,5)"]),
-              st.integers(1, 12), st.integers(1, 120)),
+    st.builds("Cable({};{},{})".format,
+              st.sampled_from(["T(1,2)", "D", "T(2,5)", "T(3,4)", "Cable(D;2,5)",
+                               "T(2,4)", "T(0,3)", "Thin(2)", "Std(1,-1)", "Cable(T(2,4);3,5)"]),
+              st.integers(-2, 12), st.integers(-2, 120)),
 ))
 def test_least_params_are_read_off_the_atom(text):
     atom = parse_knot_expr(text).terms[0][2]
     if isinstance(atom, Thin):
         assert alexander._least_params(atom) == (len(alexander.atom_params(atom)), 0)
         return
-    if gcd(atom.p, atom.q) != 1:
-        assert alexander._atom_degree(atom) is None
-        if isinstance(atom, Torus):
-            with pytest.raises(NotCoprimeError):
-                alexander._least_params(atom)
-        else:
-            assert alexander._least_params(atom) == (0, 0)
+    try:
+        delta = _built_delta(atom)
+    except (ValueError, NotCoprimeError, NotStaircaseError) as e:
+        # a malformed atom raises, read off the atom, what building it raises
+        for read in (alexander._least_params, alexander.atom_params):
+            with pytest.raises(type(e)) as info:
+                read(atom)
+            assert (type(info.value), str(info.value)) == (type(e), str(e))
         return
     least, unless_large = alexander._least_params(atom)
-    delta = alexander._atom_delta(atom)
-    assert alexander._atom_degree(atom) == delta.degree()
-    params = staircase_params(delta)
+    params = alexander.atom_params(atom)
+    assert params == staircase_params(delta)
     assert sum(map(abs, params)) == delta.degree()
-    if isinstance(atom, Torus):
-        assert (least, unless_large) == (len(alexander.atom_params(atom)), 0)
-    assert len(params) >= least
-    assert len(params) >= unless_large
+    if isinstance(atom, CableAtom):
+        assert unless_large == -(-delta.degree() // MAX_PARAMETER)
+        assert len(params) >= least
+        assert len(params) >= unless_large
+    else:
+        assert (least, unless_large) == (len(params), 0)
 
 
 @given(st.integers(2, 12), st.integers(3, 60))

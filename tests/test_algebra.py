@@ -109,6 +109,23 @@ def test_validate_degree_violation_message(m, want):
     assert (info.value.src, info.value.tgt) == ("x1", "x0")
 
 
+def test_validate_repeated_arrow():
+    # the gradings fix an arrow's monomial, so every repeat of an arrow is the
+    # same arrow: an even number of copies cancels and an odd number leaves one
+    gens = [("a", (0, 0)), ("b", (-1, -1))]
+    for copies in range(1, 6):
+        c = validate(gens, [("a", [(UNIT, "b")] * copies)])
+        assert c.diff == ({0: {1: UNIT}} if copies % 2 else {}), copies
+    assert parse_complex_file("gen a 0 0\ngen b -1 -1\nd a = 1 b + 1 b\n").diff == {}
+    # a repeat with another monomial breaks the degree rule
+    with pytest.raises(DegreeViolationError) as info:
+        parse_complex_file("gen a 0 0\ngen b -1 -1\nd a = 1 b + U^1 b\n")
+    assert str(info.value) == (
+        "differential entry 'a' -> 'b' violates the (-1,-1) degree rule:"
+        " gr(U^1) + gr(tgt) = Bigrading(gru=-3, grv=-1), need Bigrading(gru=-1, grv=-1)"
+    )
+
+
 def test_validate_duplicate_generator():
     with pytest.raises(DuplicateGeneratorError):
         validate([("a", (0, 0)), ("a", (1, 1))])
