@@ -90,22 +90,21 @@ class LaurentPoly:
         return sorted(self.coeffs.items(), reverse=True)
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for e, c in self.terms():
-            sign = "-" if c < 0 else "+"
+        # sorting the exponents alone is much faster than sorting terms()
+        for e in sorted(coeffs, reverse=True):
+            c = coeffs[e]
             mag = abs(c)
             if e == 0:
                 body = str(mag)
             else:
                 body = ("" if mag == 1 else str(mag)) + ("t" if e == 1 else f"t^{e}")
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+            parts.append(("-" if c < 0 else "+") + body)
+        out = "".join(parts)
+        return out[1:] if out[0] == "+" else out
 
     def __repr__(self):
         return f"LaurentPoly({self})"

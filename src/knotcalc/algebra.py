@@ -97,10 +97,11 @@ class Complex:
 
     __slots__ = ("gens", "diff", "_index")
 
-    def __init__(self, gens: tuple[Generator, ...], diff: dict[int, dict[int, Monomial]]):
+    def __init__(self, gens: tuple[Generator, ...], diff: dict[int, dict[int, Monomial]],
+                 index: Optional[dict[str, int]] = None):  # index: each name's position
         self.gens = gens
         self.diff = diff
-        self._index = {g.name: i for i, g in enumerate(gens)}
+        self._index = {g.name: i for i, g in enumerate(gens)} if index is None else index
 
     def __len__(self):
         return len(self.gens)
@@ -115,11 +116,8 @@ class Complex:
         """The complex with every grading moved by *shift*; it shares the
         differential and the index of names with this one."""
         du, dv = shift
-        out = Complex.__new__(Complex)
-        out.gens = tuple(Generator(name, Bigrading(gu + du, gv + dv)) for name, (gu, gv) in self.gens)
-        out.diff = self.diff
-        out._index = self._index
-        return out
+        gens = tuple(Generator(name, Bigrading(gu + du, gv + dv)) for name, (gu, gv) in self.gens)
+        return Complex(gens, self.diff, self._index)
 
     def edges(self) -> Iterator[tuple[int, int, Monomial]]:
         """All arrows (source index, target index, monomial), in declaration order."""
@@ -135,17 +133,6 @@ class Complex:
 
     def __repr__(self):
         return f"Complex({len(self.gens)} generators, {sum(1 for _ in self.edges())} arrows)"
-
-
-def _check_degree(src: Generator, tgt: Generator, m: Monomial) -> None:
-    (su, sv), (tu, tv) = src.grading, tgt.grading
-    if m.kind == "U":
-        tu -= 2 * m.exponent
-    elif m.kind == "V":
-        tv -= 2 * m.exponent
-    if tu != su - 1 or tv != sv - 1:
-        want, have = Bigrading(su - 1, sv - 1), Bigrading(tu, tv)
-        raise DegreeViolationError(src.name, tgt.name, f"gr({m}) + gr(tgt) = {have}, need {want}")
 
 
 def xor_term(acc: dict, key, value) -> None:
@@ -218,32 +205,44 @@ def validate(
         DuplicateGeneratorError, UnknownGeneratorError, DegreeViolationError,
         DSquaredNonzeroError.
     """
+    new = tuple.__new__  # skips each NamedTuple's Python-level __new__
     gens: list[Generator] = []
     index: dict[str, int] = {}
     for name, (gu, gv) in generators:
         if name in index:
             raise DuplicateGeneratorError(name)
         index[name] = len(gens)
-        gens.append(Generator(name, Bigrading(gu, gv)))
+        gens.append(new(Generator, (name, new(Bigrading, (gu, gv)))))
 
     diff: dict[int, dict[int, Monomial]] = {}
     for src_name, terms in differential:
-        if src_name not in index:
+        s = index.get(src_name)
+        if s is None:
             raise UnknownGeneratorError(src_name)
-        s = index[src_name]
+        su, sv = gens[s].grading
         row = diff.setdefault(s, {})
         for m, tgt_name in terms:
-            if tgt_name not in index:
+            t = index.get(tgt_name)
+            if t is None:
                 raise UnknownGeneratorError(tgt_name)
-            t = index[tgt_name]
-            if m.exponent < 1 or m.kind not in ("U", "V"):
-                m = mono(m.kind, m.exponent)  # U^a and V^b with a, b >= 1 are already canonical
-            _check_degree(gens[s], gens[t], m)
+            kind, exponent = m
+            if exponent < 1 or kind not in ("U", "V"):
+                m = mono(kind, exponent)  # U^a and V^b with a, b >= 1 are already canonical
+                kind, exponent = m
+            tu, tv = gens[t].grading  # the degree rule: gr(m) + gr(tgt) = gr(src) - (1, 1)
+            if kind == "U":
+                tu -= 2 * exponent
+            elif kind == "V":
+                tv -= 2 * exponent
+            if tu != su - 1 or tv != sv - 1:
+                have, want = Bigrading(tu, tv), Bigrading(su - 1, sv - 1)
+                raise DegreeViolationError(
+                    src_name, tgt_name, f"gr({m}) + gr(tgt) = {have}, need {want}")
             xor_term(row, t, m)  # the gradings fix m, so a repeat is the same arrow
         if not row:
             del diff[s]
 
-    c = Complex(tuple(gens), diff)
+    c = Complex(tuple(gens), diff, index)
     _check_d_squared(c)
     return c
 

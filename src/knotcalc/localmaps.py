@@ -172,11 +172,14 @@ def _gen_slots(want: tuple[int, int], tgt: Prepared, bit: int) -> SourceSlots:
 def _slots(dom: Complex, v_shift: int, tgt: Prepared) -> tuple[list[SourceSlots], int]:
     """The grading-feasible slots of each source of a map dom -> tgt with
     the given V-shift, their bits numbered source by source, and the number
-    of slots."""
+    of slots.  A source whose wanted gr_U and gr_V both miss the target has
+    none."""
     by_source: list[SourceSlots] = []
     nbits = 0
+    by_gru, by_grv = tgt.by_gru, tgt.by_grv
     for _, (gu, gv) in dom.gens:
-        slots = _gen_slots((gu, gv + v_shift), tgt, nbits)
+        gv += v_shift
+        slots = _gen_slots((gu, gv), tgt, nbits) if gu in by_gru or gv in by_grv else []
         by_source.append(slots)
         nbits += len(slots)
     return by_source, nbits

@@ -57,16 +57,48 @@ def _coefficient(token: str, line: int) -> Optional[Monomial]:
 
 
 def parse_complex_file(text: str) -> Complex:
-    """Parse and validate a complex file."""
-    # each distinct coefficient token ("U^2", "1", ...) is parsed once per file
+    """Parse and validate a complex file.
+
+    Canonical lines are read off their tokens; every other line goes through
+    the grammar's regexes, which word every error.  validate resolves the
+    names, as a d line may name generators declared after it.
+    """
+    # each distinct coefficient token ("U^2", "1", ...) of a canonical line is parsed once
     coefficients: dict[str, Optional[Monomial]] = {}
     generators: list[tuple[str, tuple[int, int]]] = []
     differential: list[tuple[str, list[tuple[Monomial, str]]]] = []
     sources: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
+        head, n = tokens[0], len(tokens)
+        if head == "gen" and n == 4 and "+" not in raw and "_" not in raw:
+            # int() reads what -?\d+ matches, and also "+" and "_", refused here
+            try:
+                generators.append((tokens[1], (int(tokens[2]), int(tokens[3]))))
+                continue
+            except ValueError:
+                pass
+        elif (head == "d" and n > 3 and tokens[2] == "=" and tokens[1] not in sources
+              and (n == 4 and tokens[3] == "0"
+                   or n % 3 == 2 and raw.count("+") == tokens[5::3].count("+") == n // 3 - 1)):
+            # d NAME = 0, or d NAME = C N + C N + ...
+            terms: list[tuple[Monomial, str]] = []
+            for i in range(3, n - 1, 3):
+                token = tokens[i]
+                if token in coefficients:
+                    monomial = coefficients[token]
+                else:
+                    monomial = coefficients[token] = _coefficient(token, lineno)
+                if monomial is None:
+                    break  # the regex path words the error
+                terms.append((monomial, tokens[i + 1]))
+            else:
+                sources.add(tokens[1])
+                differential.append((tokens[1], terms))
+                continue
+        line = raw.strip()
         if line.startswith("gen"):
             m = _GEN_RE.match(line)
             if not m:
@@ -82,19 +114,15 @@ def parse_complex_file(text: str) -> Complex:
             if src in sources:
                 raise ParseError(f"duplicate differential for {src!r}", line=lineno)
             sources.add(src)
-            terms: list[tuple[Monomial, str]] = []
+            terms = []
             if rhs != "0":
                 for chunk in rhs.split("+"):
                     # a term is a coefficient and a name, split by whitespace
                     parts = chunk.split()
                     if len(parts) == 2:
-                        token, name = parts
-                        if token in coefficients:
-                            monomial = coefficients[token]
-                        else:
-                            monomial = coefficients[token] = _coefficient(token, lineno)
+                        monomial = _coefficient(parts[0], lineno)
                         if monomial is not None:
-                            terms.append((monomial, name))
+                            terms.append((monomial, parts[1]))
                             continue
                     raise ParseError(f"bad term {chunk.strip()!r}", line=lineno)
             differential.append((src, terms))

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from knotcalc import algebra, alexander, localequiv
+from knotcalc import algebra, alexander, localequiv, standard
 from knotcalc.cli import run
 from knotcalc.parsing import parse_complex_file, serialize_complex
 from knotcalc.standard import build_standard
@@ -316,6 +317,61 @@ def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2
     assert run(["alex"]) == 2
+
+
+def test_run_pauses_the_collector_and_restores_its_state(capsys, tmp_path, monkeypatch):
+    bad = tmp_path / "bad.cx"
+    bad.write_text("gen a 0 0\nd b = U^1 a\n")
+    seen = []
+    build = standard.build_standard
+    monkeypatch.setattr(standard, "build_standard", lambda params: seen.append(gc.isenabled()) or build(params))
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            for argv, code in ((["std", "1,-2"], 0), (["validate", str(bad)], 1), (["frobnicate"], 2)):
+                (gc.enable if enabled else gc.disable)()
+                assert run(argv) == code
+                assert gc.isenabled() == enabled, (argv, enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
+    out_of(capsys)
+    assert seen == [False, False]
+
+
+def test_commands_leave_no_garbage_cycles(capsys, tmp_path):
+    # with no cycles, reference counting frees all a command builds while
+    # run pauses the collector, so peak memory does not grow
+    a, b, bad, odd = (tmp_path / n for n in ("a.cx", "b.cx", "bad.cx", "odd.cx"))
+    a.write_text((DATA / "fig1.cx").read_text())
+    b.write_text("gen a 0 0\ngen b 1 1\ngen e 0 0\nd b = 1 a\n")
+    bad.write_text("gen a 0 0\ngen b 1 1\nd b = U^1 a\n")
+    odd.write_text("gen a 0 0\ngen b 0 0\n")
+    cases = {
+        0: [["validate", a], ["reduce", a], ["tensor", a, b], ["dual", a], ["std", "1,-2,2,-1"],
+            ["rep", a], ["rep", "--expr", "T(3,4)"], ["inv", a, "--json"],
+            ["inv", "--expr", "Cable(D;2,3) - T(2,3)"], ["cmp", a, b], ["shift", "1", "1,-2"],
+            ["alex", "torus", "3", "4"], ["alex", "cable", "2", "3", "t^2-t+1"], ["lspace", "t^2-t+1"]],
+        1: [["validate", bad], ["rep", tmp_path / "missing.cx"], ["rep", odd], ["std", "1,x"],
+            ["inv", "--expr", "T(700,9999)"], ["inv", "--expr", "T(2,3"], ["lspace", "t^3"]],
+        # Usage errors that argparse reports ("frobnicate", "--help") are left
+        # out: argparse builds a few cycles of its own there (6 objects, 25
+        # for --help) on every such run, before any complex exists.
+        2: [["rep"]],
+    }
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for code, argvs in cases.items():
+            for argv in argvs:
+                argv = [str(x) for x in argv]
+                run(argv)  # warm-up: fills the parser and regex caches
+                gc.collect()
+                assert run(argv) == code, argv
+                assert gc.collect() == 0, argv
+    finally:
+        if was:
+            gc.enable()
+    out_of(capsys)
 
 
 def test_fig2_file_rep(capsys):

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import box, direct_sum, scramble
 from knotcalc.algebra import Monomial, mono, validate
@@ -164,6 +164,11 @@ _BASES = (
     "# two lines of comment\n\ngen a 0 0\ngen b 1 1\ngen e 0 0\nd a = 0\nd b = 1 a\n",
     serialize_complex(build_standard((2, -1, 1, -2))),
     serialize_complex(scramble(direct_sum(build_standard((1, -2, 2, -1)), box(1, 2)), random.Random(3))),
+    # 1,001 generators, with unit arrows from the basis changes
+    serialize_complex(scramble(
+        direct_sum(build_standard((1, -2, 2, -1) * 25), *(box(1 + k % 3, 1 + k % 2, (k, -k)) for k in range(225))),
+        random.Random(5), steps=300,
+    )),
 )
 
 # (pattern, replacement): one edit replaces one match of the pattern
@@ -175,6 +180,14 @@ _EDITS = (
     (r"(?m)$", " extra"), (r" \+ ", " + + "), (r" \+ ", " +"), (r"= ", "= + "), (r" \+ ", " "),
     (r"\d", "\u0663"), (r"\d", "\uff13"), (r"\d", "\u00b2"), (r"\d", "\u2163"),
     (r"(?m)^", "# "), (r"(?m)^", "\t"), (r"(?m)^d ", "d  "), (r"(?m)^gen ", "gen\t"),
+    # the errors validate raises, and their order: a duplicated gen line, an
+    # undeclared target, a d line above the first gen line (a legal forward
+    # reference), and a block whose second arrow breaks d^2 = 0
+    (r"(?m)^gen .*\n", r"\g<0>\g<0>"), (r"(?<=\d )[^\s+\d-]\S*", r"\g<0>z"),
+    (r"(?ms)^(gen .*?)^(d [^\n]*\n)", r"\2\1"),
+    (r"(?m)^", "gen z2 2 2\ngen z1 1 1\ngen z0 0 0\nd z2 = 1 z1\nd z1 = 1 z0\n"),
+    # "_" and "+" that int() reads but the grammar refuses
+    (r"(?<=gen )\S", r"\g<0>_"), (r"(?<= )(?=\d)", "1_"), (r"(?<= )(?=-?\d)", "+"),
 )
 
 
@@ -185,10 +198,11 @@ def _edited(base, edits):
         found = list(re.finditer(pattern, text))
         if found:
             m = found[k % len(found)]
-            text = text[: m.start()] + replacement + text[m.end():]
+            text = text[: m.start()] + m.expand(replacement) + text[m.end():]
     return text
 
 
+@settings(deadline=5000)  # a 1,001-generator base is parsed three times
 @given(st.sampled_from(_BASES), st.lists(st.tuples(st.integers(0, len(_EDITS) - 1), st.integers(0, 10**6)), max_size=4))
 def test_edited_files_parse_like_the_regex_grammar(base, edits):
     text = _edited(base, edits)
