@@ -57,6 +57,26 @@ class Monomial(NamedTuple):
 
 UNIT = Monomial("1", 0)
 
+# U^e and V^e for 1 <= e <= MAX_INTERNED, built once on first use, so that a
+# greedy probe or a certificate check allocates no monomial for them.  The
+# bound keeps the tables finite however large the exponents a process sees;
+# it is localequiv.MAX_PARAMETER, so every arrow of an admitted
+# representative is interned.
+MAX_INTERNED = 1024
+_POWERS: dict[str, dict[int, Monomial]] = {"U": {}, "V": {}}
+
+
+def power(kind: str, exponent: int) -> Monomial:
+    """U^exponent or V^exponent (kind "U" or "V", exponent >= 1), the same
+    object on every call when the exponent is at most MAX_INTERNED."""
+    table = _POWERS[kind]
+    m = table.get(exponent)
+    if m is None:
+        m = tuple.__new__(Monomial, (kind, exponent))
+        if exponent <= MAX_INTERNED:
+            table[exponent] = m
+    return m
+
 
 def mono(kind: str, exponent: int) -> Monomial:
     """Build a monomial; U^0 and V^0 normalize to the unit."""
@@ -68,7 +88,7 @@ def mono(kind: str, exponent: int) -> Monomial:
         raise ValueError("unit monomial must have exponent 0")
     if exponent == 0:
         return UNIT
-    return Monomial(kind, exponent)
+    return power(kind, exponent)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Optional[Monomial]:
@@ -79,7 +99,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Optional[Monomial]:
         return a
     if a.kind != b.kind:
         return None
-    return Monomial(a.kind, a.exponent + b.exponent)
+    return power(a.kind, a.exponent + b.exponent)
 
 
 class Generator(NamedTuple):
@@ -144,25 +164,6 @@ def xor_term(acc: dict, key, value) -> None:
         del acc[key]
     else:
         acc[key] = value
-
-
-def apply_map(
-    f: dict[int, dict[int, Monomial]], elem: dict[int, Monomial], kind: Optional[str] = None
-) -> dict[int, Monomial]:
-    """Image of the element sum(coeff * x_s) under the R-linear map f.
-
-    f maps a source index to {target index: Monomial}, like Complex.diff.
-    With *kind* given, only arrows of f with that monomial kind are used.
-    """
-    out: dict[int, Monomial] = {}
-    for s, coeff in elem.items():
-        for t, m in f.get(s, {}).items():
-            if kind and m.kind != kind:
-                continue
-            p = mono_mul(coeff, m)
-            if p is not None:
-                xor_term(out, t, p)
-    return out
 
 
 def _check_d_squared(c: Complex) -> None:
@@ -319,25 +320,23 @@ def tensor(c1: Complex, c2: Complex) -> Complex:
     d(x (x) y) = dx (x) y + x (x) dy.  Raises DuplicateGeneratorError when
     two pairs get the same name (as "a" with "b|c" and "a|b" with "c" do).
     """
+    new = tuple.__new__  # skips each NamedTuple's Python-level __new__
     gens: list[Generator] = []
-    for x in c1.gens:
-        for y in c2.gens:
-            gens.append(Generator(f"{x.name}|{y.name}", x.grading + y.grading))
+    for x, (xu, xv) in c1.gens:
+        for y, (yu, yv) in c2.gens:
+            gens.append(new(Generator, (f"{x}|{y}", new(Bigrading, (xu + yu, xv + yv)))))
     n2 = len(c2.gens)
-
-    def pid(i, j):
-        return i * n2 + j
 
     diff: dict[int, dict[int, Monomial]] = {}
     for i in range(len(c1.gens)):
+        row1 = c1.diff.get(i, {})
+        base = i * n2  # the pair (i, j) has index base + j
         for j in range(n2):
-            row: dict[int, Monomial] = {}
-            for t, m in c1.diff.get(i, {}).items():
-                row[pid(t, j)] = m
+            row = {t * n2 + j: m for t, m in row1.items()}
             for t, m in c2.diff.get(j, {}).items():
-                row[pid(i, t)] = m
+                row[base + t] = m
             if row:
-                diff[pid(i, j)] = row
+                diff[base + j] = row
     out = Complex(tuple(gens), diff)
     if len(out._index) != len(gens):
         # _index keeps the last position of each name: report the first repeat

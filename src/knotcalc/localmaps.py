@@ -44,7 +44,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional, Sequence
 
 from . import gf2
-from .algebra import UNIT, Bigrading, Complex, Monomial, apply_map, tensor
+from .algebra import UNIT, Complex, Monomial, mono_mul, power, tensor, xor_term
 from .errors import BudgetExceededError, VerificationFailedError
 from .homology import normalized_report
 from .standard import Params, arrow, build_standard, step
@@ -160,12 +160,12 @@ def _gen_slots(want: tuple[int, int], tgt: Prepared, bit: int) -> SourceSlots:
     if same_u:
         for gv, t in same_u[bisect_left(same_u, (wv, 0)):]:
             if (gv - wv) % 2 == 0:
-                out.append((t, bit + len(out), Monomial("V", (gv - wv) // 2) if gv != wv else UNIT))
+                out.append((t, bit + len(out), power("V", (gv - wv) // 2) if gv != wv else UNIT))
     same_v = tgt.by_grv.get(wv)
     if same_v:
         for gu, t in same_v[bisect_right(same_v, (wu, len(tgt.c.gens))):]:
             if (gu - wu) % 2 == 0:
-                out.append((t, bit + len(out), Monomial("U", (gu - wu) // 2)))
+                out.append((t, bit + len(out), power("U", (gu - wu) // 2)))
     return out
 
 
@@ -208,10 +208,14 @@ def _source_rows(
     factor is 1 or both have the same kind.
     """
     rows: dict[int, int] = {}
+    tdiff = tgt.c.diff
     # d f(s): push each slot monomial through the target differential
     for t, bit, m in by_source[s]:
+        row = tdiff.get(t)
+        if not row:
+            continue
         k1 = m.kind
-        for u, d in tgt.c.diff.get(t, {}).items():
+        for u, d in row.items():
             k2 = d.kind
             if kind and k2 != kind:
                 continue
@@ -319,26 +323,50 @@ def _check_witness(
 ) -> bool:
     """Check a candidate map directly against the definition.
 
-    The chain condition d f(s) = f(d s) is tested only at the sources
-    _touching the support of f; elsewhere both sides are 0.
+    Each term's grading gr(m) + gr(target) = gr(source) + (0, v_shift) is
+    checked on plain ints.  The chain condition d f(s) = f(d s) is tested
+    only at the sources _touching the support of f, where both sides are
+    accumulated term by term and compared as monomials; elsewhere both
+    sides are 0.
     """
+    tc = tgt.c
     f: dict[int, dict[int, Monomial]] = {}
     for src_name, terms in witness.assignment:
         s = dom.index(src_name)
         f[s] = image = {}
         if not terms:
             continue
-        want = dom.gens[s].grading + Bigrading(0, witness.v_shift)
+        su, sv = dom.gens[s].grading
+        sv += witness.v_shift
         for m, tgt_name in terms:
-            t = tgt.c.index(tgt_name)
-            if m.grading() + tgt.c.gens[t].grading != want:
+            t = tc.index(tgt_name)
+            tu, tv = tc.gens[t].grading
+            kind, exponent = m
+            if kind == "U":
+                tu -= 2 * exponent
+            elif kind == "V":
+                tv -= 2 * exponent
+            if tu != su or tv != sv:
                 return False
             image[t] = m
 
+    tdiff, ddiff = tc.diff, dom.diff
     for s in _touching(dom, {s for s, image in f.items() if image}):
         kind = relaxed[1] if relaxed and relaxed[0] == s else None
-        lhs = apply_map(tgt.c.diff, f.get(s, {}), kind)  # d f(s)
-        rhs = apply_map(f, apply_map(dom.diff, {s: UNIT}, kind))  # f(d s)
+        lhs: dict[int, Monomial] = {}  # d f(s)
+        for t, m in f.get(s, {}).items():
+            for u, d in tdiff.get(t, {}).items():
+                if not kind or d.kind == kind:
+                    p = mono_mul(m, d)
+                    if p is not None:
+                        xor_term(lhs, u, p)
+        rhs: dict[int, Monomial] = {}  # f(d s)
+        for sp, e in ddiff.get(s, {}).items():
+            if not kind or e.kind == kind:
+                for t, m in f.get(sp, {}).items():
+                    p = mono_mul(e, m)
+                    if p is not None:
+                        xor_term(rhs, t, p)
         if lhs != rhs:
             return False
 
@@ -414,7 +442,7 @@ class PrefixSystem:
         """The systems of the empty prefix, whose C() is x_0 alone."""
         self.tgt = tgt
         self.params: list[int] = []  # grows in place: a tuple would be copied on every push
-        self.want = Bigrading(0, tgt.q)  # the grading of f(x_n)
+        self.want = (0, tgt.q)  # the grading of f(x_n)
         self.by_source = [_gen_slots(self.want, tgt, 0)]
         self.nbits = len(self.by_source[0])  # the next free bit
         self.form = gf2.Echelon()
@@ -436,7 +464,8 @@ class PrefixSystem:
         """Append the slots of x_{n+1} in C(params, b) to by_source, and
         return the full chain condition at x_n there."""
         n = len(self.params)
-        new = _gen_slots(self.want + step(n + 1, b), self.tgt, self.nbits)
+        du, dv = step(n + 1, b)
+        new = _gen_slots((self.want[0] + du, self.want[1] + dv), self.tgt, self.nbits)
         self.by_source.append(new)
         if b > 0:
             return self.closing_rows
@@ -474,7 +503,8 @@ class PrefixSystem:
             at_n = self._append(b)
             new = self.by_source[-1]
         self.params.append(b)
-        self.want += step(len(self.params), b)
+        du, dv = step(len(self.params), b)
+        self.want = (self.want[0] + du, self.want[1] + dv)
         self.nbits += len(new)
         self.feasible = self.feasible and self.form.extend(at_n)
         self._open_position()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .algebra import Bigrading, Complex, Generator, Monomial
+from .algebra import MAX_INTERNED, Bigrading, Complex, Generator, Monomial, power
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -38,16 +38,29 @@ def check_params(params: Sequence[int], *, even: bool = False) -> Params:
     return p
 
 
+# The gradings step returns, by i % 2 and then b, for |b| <= MAX_INTERNED,
+# built once on first use like algebra.power's monomials.
+_STEPS: tuple[dict[int, Bigrading], dict[int, Bigrading]] = ({}, {})
+
+
 def step(i: int, b: int) -> Bigrading:
     """Grading difference gr(x_i) - gr(x_{i-1}) forced by parameter b at position i."""
-    if i % 2 == 1:  # U-arrow
-        return Bigrading(-2 * b + (1 if b > 0 else -1), 1 if b > 0 else -1)
-    return Bigrading(1 if b > 0 else -1, -2 * b + (1 if b > 0 else -1))
+    table = _STEPS[i % 2]
+    g = table.get(b)
+    if g is None:
+        sign = 1 if b > 0 else -1
+        if i % 2 == 1:  # U-arrow
+            g = Bigrading(-2 * b + sign, sign)
+        else:
+            g = Bigrading(sign, -2 * b + sign)
+        if abs(b) <= MAX_INTERNED:
+            table[b] = g
+    return g
 
 
 def arrow(i: int, b: int) -> tuple[int, int, Monomial]:
     """The arrow of parameter b at position i: (source index, target index, monomial)."""
-    m = Monomial("U" if i % 2 == 1 else "V", abs(b))
+    m = power("U" if i % 2 == 1 else "V", abs(b))
     return (i, i - 1, m) if b > 0 else (i - 1, i, m)
 
 

@@ -1,12 +1,12 @@
-"""Shared builders: box complexes, basis scrambling, direct sums, and the
-monomial of a grading."""
+"""Shared builders: box complexes, basis scrambling, direct sums, the
+monomial of a grading, and the image of an element under a map."""
 
 from __future__ import annotations
 
 import random
 from typing import Optional
 
-from knotcalc.algebra import UNIT, Bigrading, Complex, Monomial, mono_mul, validate
+from knotcalc.algebra import UNIT, Bigrading, Complex, Monomial, mono_mul, validate, xor_term
 
 
 def mono_for_grading(g: Bigrading) -> Optional[Monomial]:
@@ -18,6 +18,26 @@ def mono_for_grading(g: Bigrading) -> Optional[Monomial]:
     if g.gru == 0 and g.grv < 0 and g.grv % 2 == 0:
         return Monomial("V", -g.grv // 2)
     return None
+
+
+def apply_map(
+    f: dict[int, dict[int, Monomial]], elem: dict[int, Monomial], kind: Optional[str] = None
+) -> dict[int, Monomial]:
+    """Image of the element sum(coeff * x_s) under the R-linear map f, term
+    by term: the reference for the d^2 check and the witness check.
+
+    f maps a source index to {target index: Monomial}, like Complex.diff.
+    With *kind* given, only arrows of f with that monomial kind are used.
+    """
+    out: dict[int, Monomial] = {}
+    for s, coeff in elem.items():
+        for t, m in f.get(s, {}).items():
+            if kind and m.kind != kind:
+                continue
+            p = mono_mul(coeff, m)
+            if p is not None:
+                xor_term(out, t, p)
+    return out
 
 
 def direct_sum(*cs: Complex) -> Complex:

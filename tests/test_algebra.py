@@ -3,17 +3,19 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import box, direct_sum, mono_for_grading, scramble
+from conftest import apply_map, box, direct_sum, mono_for_grading, scramble
+from knotcalc import algebra, standard
 from knotcalc.algebra import (
+    MAX_INTERNED,
     Bigrading,
     Complex,
     Generator,
     Monomial,
     UNIT,
-    apply_map,
     dual,
     mono,
     mono_mul,
+    power,
     reduce,
     tensor,
     unit_complex,
@@ -57,6 +59,67 @@ def test_uv_is_zero():
 def test_zero_exponent_normalizes_to_unit():
     assert mono("U", 0) is UNIT
     assert mono("V", 0) is UNIT
+
+
+def _mono_by_construction(kind, exponent):
+    """mono as a fresh Monomial: the rule the interned table must keep."""
+    if kind not in ("1", "U", "V") or exponent < 0 or (kind == "1" and exponent != 0):
+        raise ValueError(kind, exponent)
+    return UNIT if exponent == 0 else Monomial(kind, exponent)
+
+
+def _mono_mul_by_construction(a, b):
+    if a.kind == "1":
+        return b
+    if b.kind == "1":
+        return a
+    return Monomial(a.kind, a.exponent + b.exponent) if a.kind == b.kind else None
+
+
+exponents = st.integers(0, 60)
+
+
+@given(st.sampled_from("UV"), st.integers(1, 60))
+def test_power_is_one_object_per_monomial(kind, exponent):
+    m = power(kind, exponent)
+    assert m is power(kind, exponent) and m is mono(kind, exponent)
+    assert m == Monomial(kind, exponent) and type(m) is Monomial
+
+
+@given(st.sampled_from(["1", "U", "V", "W"]), exponents)
+def test_mono_matches_construction(kind, exponent):
+    try:
+        want = _mono_by_construction(kind, exponent)
+    except ValueError:
+        with pytest.raises(ValueError):
+            mono(kind, exponent)
+        return
+    assert mono(kind, exponent) == want
+
+
+@given(st.sampled_from("1UV"), exponents, st.sampled_from("1UV"), exponents)
+def test_mono_mul_matches_construction(k1, e1, k2, e2):
+    a, b = mono(k1, e1 if k1 != "1" else 0), mono(k2, e2 if k2 != "1" else 0)
+    got = mono_mul(a, b)
+    assert got == _mono_mul_by_construction(a, b)
+    if got is not None and got.kind != "1":
+        assert got is power(got.kind, got.exponent)
+
+
+def test_interned_tables_stay_bounded():
+    # a long-lived process that meets ever larger exponents and parameters
+    # keeps at most MAX_INTERNED monomials of each kind and steps of each parity
+    for e in range(1, 4 * MAX_INTERNED, 7):
+        assert power("U", e) == Monomial("U", e) and power("V", e) == Monomial("V", e)
+        assert mono_mul(mono("V", e), mono("V", e)) == Monomial("V", 2 * e)
+    big = 3 * MAX_INTERNED
+    assert build_standard((big, -1, 1, -big)).diff[1][0] == Monomial("U", big)
+    for b in [*range(-big, 0), *range(1, big)]:
+        assert standard.step(1, b) == ((1 - 2 * b, 1) if b > 0 else (-1 - 2 * b, -1))
+        standard.step(2, b)
+    assert all(len(table) <= MAX_INTERNED for table in algebra._POWERS.values())
+    assert all(len(table) <= 2 * MAX_INTERNED + 1 for table in standard._STEPS)  # |b| <= bound
+    assert power("U", big) is not power("U", big)  # built again, never stored
 
 
 def test_mono_for_grading_round_trip():

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from conftest import box, direct_sum, mono_for_grading, scramble
+from conftest import apply_map, box, direct_sum, mono_for_grading, scramble
 from knotcalc import gf2, localmaps
 from knotcalc.alexander import recipe_factors
 from knotcalc.algebra import (
     UNIT,
     Bigrading,
-    apply_map,
     dual,
+    mono,
     reduce,
     tensor,
     unit_complex,
@@ -361,6 +361,34 @@ def test_sparse_check_still_looks_up_every_source_name():
     w = LocalMapWitness(assignment=(("x0", ((UNIT, "x0"),)), ("nope", ())), v_shift=0)
     with pytest.raises(UnknownGeneratorError):
         localmaps._check_witness(c.c, c.tower, c, None, w)
+
+
+def test_check_refuses_a_term_of_the_wrong_grading():
+    # The exhaustive test above draws every witness from the slots, so every
+    # term it checks has the right grading.  Here C(1,-1) plus a lone
+    # generator z, where both U x0 and V x2 fit; x0 and x2 have no arrow
+    # out and nothing points at z, so the chain and tower conditions cannot
+    # see z's term and only the grading check refuses a wrong monomial.
+    tgt = prepare_target(build_standard((1, -1)))
+    (_, g0), (_, g1), (_, g2) = tgt.c.gens
+    assert not tgt.c.diff.get(0) and not tgt.c.diff.get(2)
+    dom = validate([("x0", g0), ("x1", g1), ("x2", g2), ("z", (g0.gru - 2, g0.grv))],
+                   [("x1", [(mono("U", 1), "x0"), (mono("V", 1), "x2")])])
+    assert tuple(dom.gens[3].grading) == (g2.gru, g2.grv - 2)
+
+    def check(*image_of_z):
+        ident = tuple((g.name, ((UNIT, g.name),)) for g in tgt.c.gens)
+        w = LocalMapWitness(assignment=(*ident, ("z", image_of_z)), v_shift=0)
+        return localmaps._check_witness(dom, {0: 0}, tgt, None, w)
+
+    assert check() and check((mono("U", 1), "x0")) and check((mono("V", 1), "x2"))
+    assert check((mono("U", 1), "x0"), (mono("V", 1), "x2"))
+    for wrong in [(mono("U", 2), "x0"), (mono("V", 1), "x0"), (UNIT, "x0"),
+                  (mono("V", 2), "x2"), (mono("U", 1), "x2"), (UNIT, "x2"), (UNIT, "x1")]:
+        assert not check(wrong), wrong
+        assert not check((mono("U", 1), "x0"), wrong), wrong
+    with pytest.raises(UnknownGeneratorError):
+        check((mono("U", 1), "nope"))
 
 
 def test_bad_solver_witness_raises(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from knotcalc.algebra import Bigrading
+from knotcalc.algebra import Bigrading, Monomial, power
 from knotcalc.parsing import parse_complex_file, serialize_complex
 from knotcalc.standard import (
     EQ,
@@ -11,6 +11,7 @@ from knotcalc.standard import (
     LT,
     N_of,
     P_of,
+    arrow,
     bang_cmp,
     bang_key,
     build_standard,
@@ -22,6 +23,7 @@ from knotcalc.standard import (
     parse_params,
     phi,
     shift,
+    step,
     tau_of,
     uc_lower,
 )
@@ -67,6 +69,22 @@ def test_truncated_anchor():
     c = build_standard((1, -2, 2), v_anchor=0)
     assert tuple(c.gens[0].grading) == (0, 0)
     assert len(c) == 4
+
+
+def test_step_and_arrow_match_their_closed_forms():
+    for i in range(1, 9):
+        kind = "U" if i % 2 == 1 else "V"
+        for b in [*range(1, 31), *range(-30, 0)]:
+            sign = 1 if b > 0 else -1
+            g = step(i, b)
+            assert g == ((-2 * b + sign, sign) if i % 2 == 1 else (sign, -2 * b + sign))
+            assert type(g) is Bigrading and g is step(i + 2, b)
+            s, t, m = arrow(i, b)
+            assert (s, t) == ((i, i - 1) if b > 0 else (i - 1, i))
+            assert m == Monomial(kind, abs(b)) and m is power(kind, abs(b))
+            # the arrow's degree rule, gr(m) + gr(t) = gr(s) - (1, 1), forces the step
+            mu, mv = m.grading()
+            assert g == ((mu + 1, mv + 1) if b > 0 else (-mu - 1, -mv - 1))
 
 
 def test_zero_param_rejected():
