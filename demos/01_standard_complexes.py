@@ -15,10 +15,10 @@ from knotcalc import (
     gc_lower,
     is_symmetric,
     phi,
+    prepare_target,
     shift,
     simplify,
     tau_of,
-    torsion_bounds,
     uc_lower,
 )
 
@@ -51,7 +51,8 @@ mod_v = simplify(c, "mod_v")
 print("\nmod-V simplification (U-arrows):")
 print("  tower generator index support:", dict(mod_v.tower_generator))
 print("  arrow lengths eta:", mod_v.etas)
-print("  torsion bounds (M_U, M_V):", torsion_bounds(c))
+prepared = prepare_target(c)  # normalized, with its tower data
+print("  torsion bounds (M_U, M_V):", (prepared.m_u, prepared.m_v))
 
 # The shift endomorphism lengthens every arrow of length >= m by one; these
 # shifts are how additivity of phi_j is proved.

@@ -37,9 +37,7 @@ from .homology import (
     TowerReport,
     apply_shift,
     check_knot_like,
-    normalize,
     simplify,
-    torsion_bounds,
 )
 from .localequiv import RepResult, compare, standard_rep
 from .localmaps import (
@@ -48,6 +46,7 @@ from .localmaps import (
     brute_force_local_map,
     exists_local_map,
     exists_short_local_map,
+    prepare_target,
     verify_local_map,
 )
 from .parsing import KnotExpr, parse_complex_file, parse_knot_expr, serialize_complex

@@ -57,23 +57,30 @@ class Monomial(NamedTuple):
 
 UNIT = Monomial("1", 0)
 
-# U^e and V^e for 1 <= e <= MAX_INTERNED, built once on first use, so that a
-# greedy probe or a certificate check allocates no monomial for them.  The
-# bound keeps the tables finite however large the exponents a process sees;
-# it is localequiv.MAX_PARAMETER, so every arrow of an admitted
-# representative is interned.
-MAX_INTERNED = 1024
+# The largest torsion order localequiv.standard_rep accepts, and so the
+# largest |parameter| it can return.  The search probes O(log M) candidates
+# per position, so a large parameter alone is cheap, but the limit still
+# bounds the torus atoms T(p,p+1): their representatives are 2(p - 1) long
+# with parameters up to p - 1, and their cost grows faster than their size.
+# T(1025,1026), the largest admitted, takes about 0.3 s on a 2-vCPU host;
+# the generator limit alone would admit T(4999,5000), about 2-2.5 s.
+MAX_PARAMETER = 1024
+
+# U^e and V^e for 1 <= e <= MAX_PARAMETER, built once on first use, so that
+# a greedy probe or a certificate check allocates no monomial for them and
+# every arrow of an admitted representative is interned.  The bound keeps
+# the tables finite however large the exponents a process sees.
 _POWERS: dict[str, dict[int, Monomial]] = {"U": {}, "V": {}}
 
 
 def power(kind: str, exponent: int) -> Monomial:
     """U^exponent or V^exponent (kind "U" or "V", exponent >= 1), the same
-    object on every call when the exponent is at most MAX_INTERNED."""
+    object on every call when the exponent is at most MAX_PARAMETER."""
     table = _POWERS[kind]
     m = table.get(exponent)
     if m is None:
         m = tuple.__new__(Monomial, (kind, exponent))
-        if exponent <= MAX_INTERNED:
+        if exponent <= MAX_PARAMETER:
             table[exponent] = m
     return m
 

@@ -60,21 +60,15 @@ def _emit(c: algebra.Complex, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _half(n: int):
-    return n // 2 if n % 2 == 0 else n / 2
-
-
 def _invariants(params: standard.Params) -> dict:
-    ph = standard.phi(params)
-    n = standard.N_of(params)
     return {
         "rep": list(params),
-        "phi": {str(j): v for j, v in ph.items()},
+        "phi": {str(j): v for j, v in standard.phi(params).items()},
         "tau": standard.tau_of(params),
         "P": standard.P_of(params),
-        "N": n,
-        "gc_lower": _half(n),
-        "uc_lower": n,
+        "N": standard.N_of(params),
+        "gc_lower": standard.gc_lower(params),
+        "uc_lower": standard.uc_lower(params),
         "symmetric": standard.is_symmetric(params),
     }
 

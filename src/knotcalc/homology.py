@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from . import gf2
 from .algebra import Bigrading, Complex, xor_term
-from .errors import MultipleTowersError, NotKnotLikeError, NotReducedError, VerificationFailedError
+from .errors import MultipleTowersError, NotReducedError, VerificationFailedError
 
 MOD_U = "mod_u"  # work in C/U with the V-differential
 MOD_V = "mod_v"  # work in C/V with the U-differential
@@ -241,31 +241,3 @@ def apply_shift(c: Complex, shift: tuple[int, int]) -> Complex:
     if tuple(shift) == (0, 0):
         return c
     return c.shift_gradings(shift)
-
-
-def normalized_report(c: Complex) -> tuple[Complex, KnotLikeReport]:
-    """*c* shifted so both towers sit at grading zero, and the knot-like
-    report the shift comes from; NotKnotLikeError if c is not knot-like."""
-    report = check_knot_like(c, allow_shift=True)
-    if not report.is_knot_like:
-        raise NotKnotLikeError(report.reasons)
-    return apply_shift(c, report.applied_shift), report
-
-
-def normalize(c: Complex) -> Complex:
-    """Shift gradings so both towers sit at grading zero; NotKnotLikeError if
-    the complex is not knot-like."""
-    return normalized_report(c)[0]
-
-
-def torsion_bounds(c: Complex) -> tuple[int, int]:
-    """(M_U, M_V): the largest U-torsion order mod V and V-torsion order mod U.
-
-    These bound the absolute values of the odd and even standard parameters
-    respectively.
-    """
-    mod_v = simplify(c, MOD_V)
-    mod_u = simplify(c, MOD_U)
-    m_u = max(mod_v.etas, default=0)
-    m_v = max(mod_u.etas, default=0)
-    return (m_u, m_v)

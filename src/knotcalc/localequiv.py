@@ -35,21 +35,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple, Optional, Union
 
-from .algebra import Complex, reduce
+from .algebra import MAX_PARAMETER, Complex, reduce
 from .errors import LengthCapExceededError, ParameterTooLargeError, VerificationFailedError
 from .localmaps import LocalMapWitness, Prepared, PrefixSystem, map_between
 from .localmaps import prepare_standard, prepare_target
 from .standard import Params, lex_cmp
-
-
-# The largest torsion order standard_rep accepts, and so the largest
-# |parameter| it can return.  The search probes O(log M) candidates per
-# position, so a large parameter alone is cheap, but the limit still bounds
-# the torus atoms T(p,p+1): their representatives are 2(p - 1) long with
-# parameters up to p - 1, and their cost grows faster than their size.
-# T(1025,1026), the largest admitted, takes about 0.3 s on a 2-vCPU host;
-# the generator limit alone would admit T(4999,5000), about 2-2.5 s.
-MAX_PARAMETER = 1024
 
 
 class PositionTrace(NamedTuple):

@@ -45,8 +45,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import gf2
 from .algebra import UNIT, Complex, Monomial, mono_mul, power, tensor, xor_term
-from .errors import BudgetExceededError, VerificationFailedError
-from .homology import normalized_report
+from .errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
+from .homology import apply_shift, check_knot_like
 from .standard import Params, arrow, build_standard, step
 
 # The slots of one source as (target index, bit, monomial), the bit being the
@@ -93,13 +93,15 @@ def prepare_target(c: Complex) -> Prepared:
     Raises NotReducedError on a non-reduced complex and NotKnotLikeError
     when the tower conditions fail.
     """
-    cn, report = normalized_report(c)
+    report = check_knot_like(c, allow_shift=True)
+    if not report.is_knot_like:
+        raise NotKnotLikeError(report.reasons)
+    cn = apply_shift(c, report.applied_shift)
     mod_u = report.mod_u
-    q = mod_u.tower_top_grading.grv + report.applied_shift[1]
     by_gru, by_grv = _grading_buckets(cn)
     return Prepared(
         c=cn,
-        q=q,
+        q=mod_u.tower_top_grading.grv + report.applied_shift[1],
         m_u=max(report.mod_v.etas, default=0),
         m_v=max(mod_u.etas, default=0),
         tower=dict(mod_u.tower_generator),

@@ -17,12 +17,9 @@ parameter sequence with trailing zeros.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-from .algebra import MAX_INTERNED, Bigrading, Complex, Generator, Monomial, power
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .algebra import MAX_PARAMETER, Bigrading, Complex, Generator, Monomial, power
 
 Params = tuple[int, ...]
 
@@ -38,7 +35,7 @@ def check_params(params: Sequence[int], *, even: bool = False) -> Params:
     return p
 
 
-# The gradings step returns, by i % 2 and then b, for |b| <= MAX_INTERNED,
+# The gradings step returns, by i % 2 and then b, for |b| <= MAX_PARAMETER,
 # built once on first use like algebra.power's monomials.
 _STEPS: tuple[dict[int, Bigrading], dict[int, Bigrading]] = ({}, {})
 
@@ -53,7 +50,7 @@ def step(i: int, b: int) -> Bigrading:
             g = Bigrading(-2 * b + sign, sign)
         else:
             g = Bigrading(sign, -2 * b + sign)
-        if abs(b) <= MAX_INTERNED:
+        if abs(b) <= MAX_PARAMETER:
             table[b] = g
     return g
 
@@ -140,11 +137,11 @@ def N_of(params: Sequence[int]) -> int:
     return max(ph) if ph else 0
 
 
-def gc_lower(params: Sequence[int]) -> Fraction:
-    """Lower bound N/2 for the concordance genus."""
-    from fractions import Fraction  # here, off the import path of the CLI, which never calls this
-
-    return Fraction(N_of(params), 2)
+def gc_lower(params: Sequence[int]) -> int | float:
+    """Lower bound N/2 for the concordance genus: an int for even N, else
+    the float N/2, which is exact."""
+    n = N_of(params)
+    return n // 2 if n % 2 == 0 else n / 2
 
 
 def uc_lower(params: Sequence[int]) -> int:

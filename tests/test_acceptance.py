@@ -18,9 +18,8 @@ import pytest
 from knotcalc.algebra import dual, reduce, tensor, unit_complex
 from knotcalc.alexander import cable_delta, eval_recipe, staircase_params, torus_delta
 from knotcalc.errors import BudgetExceededError
-from knotcalc.homology import torsion_bounds
 from knotcalc.localequiv import standard_rep
-from knotcalc.localmaps import brute_force_local_map, exists_local_map
+from knotcalc.localmaps import brute_force_local_map, exists_local_map, prepare_target
 from knotcalc.parsing import parse_complex_file
 from knotcalc.standard import (
     EQ,
@@ -298,7 +297,7 @@ def test_c14_bounds(corpus):
     with criterion(14, "N bounded by torsion order; genus and unknotting bounds"):
         for name, c in corpus:
             params = standard_rep(c).params
-            m_u, _ = torsion_bounds(reduce(c))
+            m_u = prepare_target(reduce(c)).m_u
             n = N_of(params)
             assert n <= m_u, name
             assert gc_lower(params) == Fraction(n, 2), name

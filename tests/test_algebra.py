@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import apply_map, box, direct_sum, mono_for_grading, scramble
 from knotcalc import algebra, standard
 from knotcalc.algebra import (
-    MAX_INTERNED,
+    MAX_PARAMETER,
     Bigrading,
     Complex,
     Generator,
@@ -108,17 +108,17 @@ def test_mono_mul_matches_construction(k1, e1, k2, e2):
 
 def test_interned_tables_stay_bounded():
     # a long-lived process that meets ever larger exponents and parameters
-    # keeps at most MAX_INTERNED monomials of each kind and steps of each parity
-    for e in range(1, 4 * MAX_INTERNED, 7):
+    # keeps at most MAX_PARAMETER monomials of each kind and steps of each parity
+    for e in range(1, 4 * MAX_PARAMETER, 7):
         assert power("U", e) == Monomial("U", e) and power("V", e) == Monomial("V", e)
         assert mono_mul(mono("V", e), mono("V", e)) == Monomial("V", 2 * e)
-    big = 3 * MAX_INTERNED
+    big = 3 * MAX_PARAMETER
     assert build_standard((big, -1, 1, -big)).diff[1][0] == Monomial("U", big)
     for b in [*range(-big, 0), *range(1, big)]:
         assert standard.step(1, b) == ((1 - 2 * b, 1) if b > 0 else (-1 - 2 * b, -1))
         standard.step(2, b)
-    assert all(len(table) <= MAX_INTERNED for table in algebra._POWERS.values())
-    assert all(len(table) <= 2 * MAX_INTERNED + 1 for table in standard._STEPS)  # |b| <= bound
+    assert all(len(table) <= MAX_PARAMETER for table in algebra._POWERS.values())
+    assert all(len(table) <= 2 * MAX_PARAMETER + 1 for table in standard._STEPS)  # |b| <= bound
     assert power("U", big) is not power("U", big)  # built again, never stored
 
 

@@ -15,10 +15,9 @@ from knotcalc.homology import (
     _Reduction,
     apply_shift,
     check_knot_like,
-    normalize,
     simplify,
-    torsion_bounds,
 )
+from knotcalc.localmaps import prepare_target
 from knotcalc.parsing import parse_complex_file
 from knotcalc.standard import build_standard
 
@@ -133,7 +132,7 @@ def test_simplify_eta_multisets_of_standard():
     assert sorted(simplify(c, MOD_U).etas) == sorted(abs(a) for a in p[1::2])
 
 
-# --- check_knot_like / normalize ---------------------------------------------
+# --- check_knot_like / prepare_target ----------------------------------------
 
 
 def test_check_knot_like_standard():
@@ -153,18 +152,24 @@ def test_check_knot_like_solves_for_shift():
     assert not strict.is_knot_like
     rep = check_knot_like(c, allow_shift=True)
     assert rep.is_knot_like and rep.applied_shift == (-3, 4)
-    n = normalize(c)
+    n = prepare_target(c).c
     again = check_knot_like(n, allow_shift=False)
     assert again.is_knot_like
 
 
 def test_tower_gradings_after_normalize():
-    c = normalize(apply_shift(build_standard((2, -2)), (2, 6)))
+    c = prepare_target(apply_shift(build_standard((2, -2)), (2, 6))).c
     assert simplify(c, MOD_U).tower_top_grading.gru == 0
     assert simplify(c, MOD_V).tower_top_grading.grv == 0
 
 
-# --- torsion_bounds ----------------------------------------------------------
+# --- torsion bounds: prepare_target's m_u, m_v -------------------------------
+
+
+def torsion_bounds(c):
+    """(M_U, M_V), the largest torsion orders mod V and mod U."""
+    prepared = prepare_target(c)
+    return prepared.m_u, prepared.m_v
 
 
 def test_torsion_bounds_examples():

@@ -312,14 +312,26 @@ def _check_witness_every_source(dom, dom_tower, tgt, relaxed, witness):
     return {e: v for e, v in coeff.items() if v} == {0: 1}
 
 
+def _two_generator_tower():
+    """A scrambled C(1,-1) plus a box, whose mod-U tower {0: 0, 4: 0} has
+    two generators.  A self-map can send both to generator 4, the one
+    generator of the tower's dual, where their images cancel in the tower
+    condition."""
+    c = reduce(scramble(direct_sum(build_standard((1, -1)), box(1, 2)), random.Random(7)))
+    prepared = prepare_target(c)
+    assert prepared.tower == {0: 0, 4: 0} and prepared.tower_dual == {4: 0}
+    return prepared
+
+
 def _small_instances():
     """(dom, dom_tower, tgt, relaxed) for full maps between SMALL standard
-    complexes and a nine-generator product, both ways, and for short maps
-    from prefixes of SMALL."""
+    complexes and a nine-generator product, both ways, for the self-maps of
+    _two_generator_tower, and for short maps from prefixes of SMALL."""
     prepared = [prepare_target(build_standard(p)) for p in SMALL]
     product = prepare_target(reduce(tensor(build_standard((2, -2)), build_standard((1, -1)))))
+    towers = _two_generator_tower()
     pairs = [*itertools.product(prepared, prepared), *((product, t) for t in prepared),
-             *((t, product) for t in prepared)]
+             *((t, product) for t in prepared), (towers, towers)]
     for src, tgt in pairs:
         yield src.c, src.tower, tgt, None
     for p, tgt in itertools.product(SMALL, prepared):
