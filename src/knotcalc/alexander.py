@@ -5,9 +5,10 @@ Torus knot polynomials are built from the Lam-Leung closed form of
 companion polynomial at t^p by the pattern torus polynomial.  An L-space
 knot's complex is a staircase read off the gap sequence c_i of its
 alternating Alexander polynomial; a recipe expression combines such atoms
-with connected sums and mirrors, and its class is found by folding the
-factors' tensor product one factor at a time through the
-standard-representative machinery.
+with connected sums and mirrors.  Its class is found by cancelling exact
+mirror pairs of factors, and then folding the factors left one at a time
+through the standard-representative machinery; a lone factor left is its
+own representative.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .localequiv import MAX_PARAMETER, RepResult, standard_rep
-from .localmaps import prepare_standard
+from .localmaps import identity_maps, mirror_maps, prepare_standard
 from .standard import Params, negate, phi
 
 
@@ -430,17 +431,32 @@ def _fold_order(factors: list[Params]) -> list[Params]:
     return [factors[k] for k in order]
 
 
+def _cancel_mirrors(factors: list[Params]) -> tuple[list[Params], list[Params]]:
+    """The factors left once exact mirror pairs cancel, in written order,
+    and the earlier factor of each cancelled pair, in the order matched.
+
+    Each factor, in written order, cancels the earliest uncancelled earlier
+    factor whose parameters are its negation."""
+    rest: list[Params] = []
+    pairs: list[Params] = []
+    for p in factors:
+        mirror = negate(p)
+        if mirror in rest:
+            rest.remove(mirror)
+            pairs.append(mirror)
+        else:
+            rest.append(p)
+    return rest, pairs
+
+
 def _fold(factors: list[Params]) -> RepResult:
-    """The standard representative of the tensor product of the non-empty
-    *factors*, folded one factor at a time in the order given.
+    """The standard representative of the tensor product of two or more
+    non-empty *factors*, folded one factor at a time in the order given.
 
     Each step's complex is a product of two standard complexes, so its
     tower data is read off the two factors (prepare_standard) with no
     homology sweep."""
-    first, *rest = factors or [()]
-    if not rest:
-        return standard_rep(prepare_standard(first))
-    params = first
+    params, *rest = factors
     for p in rest:
         result = standard_rep(prepare_standard(params, p))
         params = result.params
@@ -451,25 +467,43 @@ def eval_recipe(expr: Union[str, parsing.KnotExpr]) -> RepResult:
     """Evaluate a recipe: the standard representative of the tensor product
     of its terms' complexes.
 
-    The product is folded one factor at a time: each step tensors the
-    standard complex of the previous step's representative with the next
-    factor and takes the standard representative of that.  This is sound
-    because local equivalence respects the tensor product and each local
-    class holds exactly one standard complex, so
+    Empty factors C() are the unit of the tensor product and are skipped.
+    Local classes form a group whose inverse is the dual, so two factors
+    C(a) and C(-a), exact mirrors, cancel wherever they stand.  The pairs
+    are matched in written order (_cancel_mirrors) before anything else,
+    and each is certified by its coevaluation C() -> C(a) (x) C(-a) and
+    evaluation back (localmaps.mirror_maps), both checked against the
+    definition; C(a) is built first, so an invalid a is named as written.
+    A local class holds exactly one standard complex, so a lone factor left
+    is its own representative, certified by its identity map
+    (localmaps.identity_maps).  Neither case runs the greedy search.
+
+    Two or more factors left are folded one at a time: each step tensors
+    the standard complex of the previous step's representative with the
+    next factor and takes the standard representative of that.  This is
+    sound because local equivalence respects the tensor product, so
     rep(A (x) B (x) C) = rep(C(rep(A (x) B)) (x) C).  Every step certifies
     its representative with two checked local maps (see standard_rep), so a
-    wrong step raises before its result feeds the next one.  Empty factors
-    C() are the unit of the tensor product and are skipped.
+    wrong step raises before its result feeds the next one.
 
-    Local classes form an abelian group, so any order of the factors gives
-    the same representative, but a step costs more the longer the previous
-    step's representative is.  With three or more non-empty factors the
-    fold runs in the order _fold_order plans from the factors' phi
-    invariants: first the pair whose phi sum has the least weight
-    sum_j |phi_j|, then at each step the factor that keeps the running sum's
-    weight least.  With two or fewer it runs in written order.
+    Any order of the factors gives the same representative, but a step
+    costs more the longer the previous step's representative is.  With
+    three or more factors left the fold runs in the order _fold_order plans
+    from the factors' phi invariants: first the pair whose phi sum has the
+    least weight sum_j |phi_j|, then at each step the factor that keeps the
+    running sum's weight least.  With two it runs in written order.
 
-    The returned witnesses and trace are those of the last step in that
-    order; with at most one non-empty factor they are of that factor alone.
+    The returned witnesses and trace are the last step's: the last greedy
+    step's when two or more factors are left; else, with an empty trace,
+    the lone factor's identity map in both directions, the last cancelled
+    pair's (coevaluation, evaluation) when every factor cancels, or the
+    identity of C() when the recipe has no non-empty factor.
     """
-    return _fold(_fold_order([p for p in recipe_factors(expr) if p]))
+    rest, pairs = _cancel_mirrors([p for p in recipe_factors(expr) if p])
+    certificates = [mirror_maps(a) for a in pairs]
+    if len(rest) > 1:
+        return _fold(_fold_order(rest))
+    if pairs and not rest:
+        return RepResult((), certificates[-1], ())
+    params = rest[0] if rest else ()
+    return RepResult(params, identity_maps(params), ())

@@ -20,7 +20,9 @@ of the final arrow type is kept (the V-part when the parameter sequence has
 even length, the U-part when odd).
 
 Every witness a solve returns is checked against the definition before it
-is returned, and a bad one raises VerificationFailedError.
+is returned, and a bad one raises VerificationFailedError.  identity_maps
+and mirror_maps write down, with no solve, the maps that certify a lone
+recipe factor and an exact mirror pair, and check them the same way.
 
 PrefixSystem serves the greedy search of localequiv: the candidates
 C(a_1 .. a_k, b) share the prefix's slots and its chain conditions at
@@ -47,7 +49,7 @@ from . import gf2
 from .algebra import UNIT, Complex, Monomial, mono_mul, power, tensor, xor_term
 from .errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
 from .homology import apply_shift, check_knot_like
-from .standard import Params, arrow, build_standard, step
+from .standard import Params, arrow, build_standard, negate, step
 
 # The slots of one source as (target index, bit, monomial), the bit being the
 # slot's position in the map's whole system.
@@ -402,6 +404,54 @@ def _check_witness(
 def map_between(src: Prepared, tgt: Prepared) -> Optional[LocalMapWitness]:
     """Witness for a local map src -> tgt between prepared complexes, or None."""
     return _solve(src.c, src.tower, tgt.q - src.q, tgt, relaxed=None)
+
+
+def identity_maps(a: Params) -> tuple[LocalMapWitness, LocalMapWitness]:
+    """The witnesses that C(a) is locally equivalent to itself: its identity
+    map, checked against the definition, in both directions.  With the
+    paper's theorem that a local class holds exactly one standard complex,
+    they certify that a is the standard representative of C(a)."""
+    s = prepare_standard(a)
+    identity = _checked_map(s, s, [[(UNIT, i)] for i in range(len(s.c.gens))], "identity")
+    return identity, identity
+
+
+def mirror_maps(a: Params) -> tuple[LocalMapWitness, LocalMapWitness]:
+    """The witnesses that C(a) (x) C(-a) is locally trivial, each checked
+    against the definition: the coevaluation C() -> C(a) (x) C(-a),
+    x0 -> sum_i x_i|x_i, and the evaluation back, x_i|x_i -> x0 and every
+    other generator to 0.
+
+    C(-a) has the negated gradings of C(a), so every x_i|x_i sits at
+    grading (0, 0) with C()'s x0, and x0|x0 is the product's tower.  The
+    product is built C(a) first, so an invalid a is reported as given."""
+    unit, pair = prepare_standard(()), prepare_standard(a, negate(a))
+    n = len(a) + 1
+    diagonal = range(0, n * n, n + 1)  # the indices of x_i|x_i
+    coevaluation = _checked_map(unit, pair, [[(UNIT, t) for t in diagonal]], "coevaluation")
+    evaluation = _checked_map(
+        pair, unit, [[(UNIT, 0)] if s in diagonal else [] for s in range(n * n)], "evaluation"
+    )
+    return coevaluation, evaluation
+
+
+def _checked_map(
+    src: Prepared, tgt: Prepared, images: Sequence[Sequence[tuple[Monomial, int]]], name: str
+) -> LocalMapWitness:
+    """The witness of the map that sends source s to the sum of m * t over
+    images[s], every source listed and v_shift = tgt.q - src.q, checked
+    against the definition; VerificationFailedError if the check fails."""
+    tgt_gens = tgt.c.gens
+    witness = LocalMapWitness(
+        assignment=tuple(
+            (g.name, tuple((m, tgt_gens[t].name) for m, t in image))
+            for g, image in zip(src.c.gens, images)
+        ),
+        v_shift=tgt.q - src.q,
+    )
+    if not _check_witness(src.c, src.tower, tgt, None, witness):
+        raise VerificationFailedError(f"the {name} map failed its check")
+    return witness
 
 
 def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]:

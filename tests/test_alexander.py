@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -23,6 +24,7 @@ from knotcalc.errors import (
     RecipeTooLargeError,
 )
 from knotcalc.localequiv import MAX_PARAMETER, standard_rep
+from knotcalc.localmaps import prepare_standard
 from knotcalc.parsing import CableAtom, DAlias, Thin, Torus, parse_knot_expr
 from knotcalc.standard import build_standard, is_symmetric, phi, tau_of
 
@@ -195,6 +197,18 @@ def test_eval_recipe_inverse():
     assert eval_recipe("T(2,3) - T(2,3)").params == ()
 
 
+@pytest.mark.parametrize("recipe, named", [
+    ("Std(1,2,3)", "(1, 2, 3)"),
+    ("Std(1,2,3) - Std(1,2,3)", "(1, 2, 3)"),
+    ("Std(-1,-2,-3) + Std(1,2,3)", "(-1, -2, -3)"),
+])
+def test_an_odd_factor_is_named_as_written(recipe, named):
+    # a lone factor and a mirror pair skip the fold, but their complexes are
+    # still built in written order, so the error names the factor the fold did
+    with pytest.raises(ValueError, match=re.escape(f"must have even length, got {named}")):
+        eval_recipe(recipe)
+
+
 def test_eval_recipe_d_alias():
     assert eval_recipe("D").params == (1, -1)
 
@@ -279,6 +293,8 @@ def _semigroup_gap_runs(p, q):
 def test_torus_knots_against_the_semigroup(p, q):
     params = eval_recipe(f"T({p},{q})").params
     assert params == staircase_params(torus_delta(p, q))
+    # eval_recipe answers a lone atom without the greedy search, which must agree
+    assert standard_rep(prepare_standard(params)).params == params
     assert tau_of(params) == (p - 1) * (q - 1) // 2
     assert phi(params) == _semigroup_gap_runs(p, q)
 

@@ -16,7 +16,9 @@ from knotcalc.localequiv import PositionTrace, compare, standard_rep
 from knotcalc.localmaps import (
     PrefixSystem,
     exists_local_map,
+    identity_maps,
     map_between,
+    mirror_maps,
     prepare_standard,
     prepare_target,
     short_map,
@@ -378,6 +380,18 @@ def test_complex_times_its_dual_is_trivial(a):
     assert standard_rep(tensor(c, dual(c))).params == ()
 
 
+@settings(max_examples=100, deadline=None)
+@given(_standard_tuples)
+def test_group_law_answers_match_the_greedy(a):
+    # eval_recipe answers a lone factor and an exact mirror pair without the
+    # greedy search, from the group law; the greedy must agree, and both
+    # certificates must pass their checks
+    assert standard_rep(prepare_standard(a)).params == a
+    assert standard_rep(prepare_standard(a, negate(a))).params == ()
+    identity_maps(a)
+    mirror_maps(a)
+
+
 @functools.lru_cache(maxsize=None)
 def _whole_rep(recipe):
     """Params of the standard representative of the recipe's whole product."""
@@ -391,6 +405,12 @@ def test_folded_recipe_matches_monolithic_product():
         "Cable(D;4,5) - T(4,5) + Cable(D;3,4) - T(3,4)",
         "T(2,5) + Std() + Std() - T(2,5)",
         "Thin(2) - Thin(2) + D",
+        # exact mirror pairs and lone atoms, which skip the greedy search
+        "Cable(D;6,7) - Cable(D;6,7) + T(2,5)",
+        "3*T(3,4) - 2*T(3,4)",
+        "T(4,7) + T(3,5) - T(4,7)",
+        "Std(2,-1,1,-2)",
+        "Cable(D;3,4)",
     ]:
         assert eval_recipe(recipe).params == _whole_rep(recipe), recipe
 
@@ -501,7 +521,10 @@ def test_flipping_any_feasibility_answer_fails_certification(monkeypatch):
     for recipe in ["Cable(D;3,4) - T(3,4)", "T(3,4) - T(2,5) + T(2,3)"]:
         c = tensor_many(build_standard(p) for p in recipe_factors(recipe))
         runs.append(lambda c=c: standard_rep(c))
+    # one fold step once T(2,3) and -D cancel, then two fold steps with no
+    # mirror pair, so that a flip in a second step must raise too
     runs.append(lambda: eval_recipe("T(3,4) - T(2,5) + T(2,3) - D"))
+    runs.append(lambda: eval_recipe("T(3,4) - T(2,5) + T(2,7)"))
     for run in runs:
         asked = flip_answer(None)
         run()
@@ -543,3 +566,12 @@ def test_certification_cannot_be_skipped(monkeypatch, direction):
         with pytest.raises(VerificationFailedError):
             run()
         assert calls and calls[-1] == (direction != "backward")
+
+
+@pytest.mark.parametrize("recipe", ["T(3,4)", "T(3,4) - T(3,4)", "T(2,5) - T(2,5) + T(3,4)"])
+def test_group_law_certificates_cannot_be_skipped(monkeypatch, recipe):
+    # a lone atom's identity maps and a mirror pair's coevaluation and
+    # evaluation are checked against the definition, also under python -O
+    monkeypatch.setattr(localmaps, "_check_witness", lambda *args: False)
+    with pytest.raises(VerificationFailedError):
+        eval_recipe(recipe)
