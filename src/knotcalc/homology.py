@@ -82,24 +82,24 @@ class _Reduction:
         self.cols: dict[int, dict[int, int]] = {}
         # every entry (exp, row, col) ever added; sweep skips the stale ones
         self.heap: list[tuple[int, int, int]] = []
+        rows, cols, heap = self.rows, self.cols, self.heap
         kind = "V" if side == MOD_U else "U"
         for i, row in c.diff.items():
-            for j, m in row.items():
-                if m.kind == kind:
-                    e = m.exponent
-                    self.rows.setdefault(i, {})[j] = e
-                    self.cols.setdefault(j, {})[i] = e
-                    self.heap.append((e, i, j))
-                elif m.kind == "1":
+            out = {}
+            for j, (k, e) in row.items():
+                if k == kind:
+                    out[j] = e
+                    col = cols.get(j)
+                    if col is None:
+                        cols[j] = {i: e}
+                    else:
+                        col[i] = e
+                    heap.append((e, i, j))
+                elif k == "1":
                     raise NotReducedError("simplify requires a reduced complex")
-        heapq.heapify(self.heap)
-
-    def _xor_entry(self, i: int, j: int, exp: int) -> None:
-        row = self.rows.setdefault(i, {})
-        xor_term(row, j, exp)
-        xor_term(self.cols.setdefault(j, {}), i, exp)
-        if j in row:
-            heapq.heappush(self.heap, (exp, i, j))
+            if out:
+                rows[i] = out
+        heapq.heapify(heap)
 
     @staticmethod
     def vector(vectors: dict[int, Element], j: int) -> Element:
@@ -111,40 +111,85 @@ class _Reduction:
         """Basis change b_p += v^delta * b_q (valid when gradings agree)."""
         if p == q or delta < 0:
             raise VerificationFailedError(f"bad basis change b_{p} += v^{delta} b_{q}")
-        b_p = self.basis.setdefault(p, {p: 0})
-        for g, e in self.vector(self.basis, q).items():
-            xor_term(b_p, g, e + delta)
+        basis, dual, rows, cols, heap = self.basis, self.dual, self.rows, self.cols, self.heap
+        # an unstored vector is the identity's {j: 0}; it is stored once changed
+        b_p = basis.get(p)
+        if b_p is None:
+            b_p = basis[p] = {p: 0}
+        b_q = basis.get(q)
+        if b_q is None:
+            xor_term(b_p, q, delta)
+        else:
+            for g, e in b_q.items():
+                xor_term(b_p, g, e + delta)
         # old b_p = b_p' + v^delta b_q, so the coordinate of b_q gains v^delta dual_p
-        dual_q = self.dual.setdefault(q, {q: 0})
-        for g, e in self.vector(self.dual, p).items():
-            xor_term(dual_q, g, e + delta)
-        # row_p += v^delta row_q
-        for j, e in list(self.rows.get(q, {}).items()):
-            self._xor_entry(p, j, e + delta)
-        # col_q += v^delta col_p
-        for i, e in list(self.cols.get(p, {}).items()):
-            self._xor_entry(i, q, e + delta)
+        dual_q = dual.get(q)
+        if dual_q is None:
+            dual_q = dual[q] = {q: 0}
+        dual_p = dual.get(p)
+        if dual_p is None:
+            xor_term(dual_q, p, delta)
+        else:
+            for g, e in dual_p.items():
+                xor_term(dual_q, g, e + delta)
+        # row_p += v^delta row_q, and each entry's column with it; an entry
+        # added goes on the heap.  No loop below changes the dict it walks,
+        # as no generator has an arrow to itself.
+        row_q = rows.get(q)
+        if row_q:
+            row_p = rows.get(p)
+            if row_p is None:
+                row_p = rows[p] = {}
+            for j, e in row_q.items():
+                col = cols[j]
+                if j in row_p:
+                    del row_p[j]
+                    del col[p]
+                else:
+                    e += delta
+                    row_p[j] = col[p] = e
+                    heapq.heappush(heap, (e, p, j))
+        # col_q += v^delta col_p, and each entry's row with it
+        col_p = cols.get(p)
+        if col_p:
+            col_q = cols.get(q)
+            if col_q is None:
+                col_q = cols[q] = {}
+            for i, e in col_p.items():
+                row = rows[i]
+                if i in col_q:
+                    del col_q[i]
+                    del row[q]
+                else:
+                    e += delta
+                    col_q[i] = row[q] = e
+                    heapq.heappush(heap, (e, i, q))
 
     def sweep(self) -> tuple[list[tuple[int, int, int]], list[int]]:
         """Run the reduction; returns (pivot pairs (src, tgt, eta), isolated indices)."""
+        rows, cols, heap, pop = self.rows, self.cols, self.heap, heapq.heappop
         active = set(range(len(self.c.gens)))
         pairs: list[tuple[int, int, int]] = []
-        while self.heap:
+        while heap:
             # the least (exp, row, col) entry between active generators
-            eta, i0, j0 = heapq.heappop(self.heap)
-            if i0 not in active or j0 not in active or self.rows[i0].get(j0) != eta:
+            eta, i0, j0 = pop(heap)
+            if i0 not in active or j0 not in active:
+                continue
+            row = rows[i0]
+            if row.get(j0) != eta:
                 continue
             # clear the pivot's column, then its row, unless both hold the
             # pivot alone
-            if len(self.cols[j0]) > 1 or len(self.rows[i0]) > 1:
-                for i in sorted(self.cols[j0]):
+            col = cols[j0]
+            if len(col) > 1 or len(row) > 1:
+                for i in sorted(col):
                     if i != i0:
-                        self.add_multiple(i, i0, self.cols[j0][i] - eta)
-                for j in sorted(self.rows[i0]):
+                        self.add_multiple(i, i0, col[i] - eta)
+                for j in sorted(row):
                     if j != j0:
-                        self.add_multiple(j0, j, self.rows[i0][j] - eta)
-            if (self.rows.get(i0) != {j0: eta} or self.cols.get(j0) != {i0: eta}
-                    or self.cols.get(i0) or self.rows.get(j0)):
+                        self.add_multiple(j0, j, row[j] - eta)
+            if (len(row) != 1 or len(col) != 1 or row.get(j0) != eta or col.get(i0) != eta
+                    or cols.get(i0) or rows.get(j0)):
                 raise VerificationFailedError(f"pivot ({i0}, {j0}) is not an isolated pair")
             pairs.append((i0, j0, eta))
             active.discard(i0)

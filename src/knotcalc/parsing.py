@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional, Union
 
-from .algebra import UNIT, Complex, Monomial, mono, validate
+from .algebra import UNIT, Complex, ComplexBuilder, Monomial, mono
 from .errors import ParseError
 
 _GEN_RE = re.compile(r"gen\s+([^\s+]+)\s+(-?\d+)\s+(-?\d+)\s*$")
@@ -56,17 +56,36 @@ def _coefficient(token: str, line: int) -> Optional[Monomial]:
     return mono(kind, int_literal(exponent, line)) if kind else UNIT
 
 
+def _read_coefficients(tokens: list[str], cache: dict[str, Monomial], line: int) -> Optional[list[Monomial]]:
+    """The monomials of a canonical d line's coefficient tokens, or None from
+    the first bad one on; each good token is parsed once and kept in *cache*."""
+    out = []
+    for token in tokens:
+        m = cache.get(token)
+        if m is None:
+            m = _coefficient(token, line)
+            if m is None:
+                return None
+            cache[token] = m
+        out.append(m)
+    return out
+
+
 def parse_complex_file(text: str) -> Complex:
-    """Parse and validate a complex file.
+    """Parse and check a complex file in one pass.
 
     Canonical lines are read off their tokens; every other line goes through
-    the grammar's regexes, which word every error.  validate resolves the
-    names, as a d line may name generators declared after it.
+    the grammar's regexes, which word every syntax error, raised at the first
+    bad line.  Each line goes on to an algebra.ComplexBuilder as it is read,
+    which resolves names, checks degrees and builds rows; a d line may name
+    generators declared after it.  The builder's errors come after every
+    syntax error, in the order its docstring gives.
     """
+    builder = ComplexBuilder()
+    gen, row = builder.gen, builder.row
     # each distinct coefficient token ("U^2", "1", ...) of a canonical line is parsed once
-    coefficients: dict[str, Optional[Monomial]] = {}
-    generators: list[tuple[str, tuple[int, int]]] = []
-    differential: list[tuple[str, list[tuple[Monomial, str]]]] = []
+    coefficients: dict[str, Monomial] = {}
+    coefficient = coefficients.__getitem__
     sources: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
@@ -76,7 +95,7 @@ def parse_complex_file(text: str) -> Complex:
         if head == "gen" and n == 4 and "+" not in raw and "_" not in raw:
             # int() reads what -?\d+ matches, and also "+" and "_", refused here
             try:
-                generators.append((tokens[1], (int(tokens[2]), int(tokens[3]))))
+                gen(tokens[1], int(tokens[2]), int(tokens[3]))
                 continue
             except ValueError:
                 pass
@@ -84,19 +103,15 @@ def parse_complex_file(text: str) -> Complex:
               and (n == 4 and tokens[3] == "0"
                    or n % 3 == 2 and raw.count("+") == tokens[5::3].count("+") == n // 3 - 1)):
             # d NAME = 0, or d NAME = C N + C N + ...
-            terms: list[tuple[Monomial, str]] = []
-            for i in range(3, n - 1, 3):
-                token = tokens[i]
-                if token in coefficients:
-                    monomial = coefficients[token]
-                else:
-                    monomial = coefficients[token] = _coefficient(token, lineno)
-                if monomial is None:
-                    break  # the regex path words the error
-                terms.append((monomial, tokens[i + 1]))
-            else:
-                sources.add(tokens[1])
-                differential.append((tokens[1], terms))
+            tokens_c = tokens[3:n - 1:3]
+            try:
+                monomials = [*map(coefficient, tokens_c)]
+            except KeyError:
+                monomials = _read_coefficients(tokens_c, coefficients, lineno)
+            if monomials is not None:  # else the regex path words the error
+                source = tokens[1]
+                sources.add(source)
+                row(source, zip(monomials, tokens[4::3]))
                 continue
         line = raw.strip()
         if line.startswith("gen"):
@@ -104,7 +119,7 @@ def parse_complex_file(text: str) -> Complex:
             if not m:
                 raise ParseError(f"bad gen line {raw!r}", line=lineno)
             name, gu, gv = m.groups()
-            generators.append((name, (int_literal(gu, lineno), int_literal(gv, lineno))))
+            gen(name, int_literal(gu, lineno), int_literal(gv, lineno))
         elif line.startswith("d"):
             m = _D_RE.match(line)
             if not m:
@@ -125,10 +140,10 @@ def parse_complex_file(text: str) -> Complex:
                             terms.append((monomial, parts[1]))
                             continue
                     raise ParseError(f"bad term {chunk.strip()!r}", line=lineno)
-            differential.append((src, terms))
+            row(src, terms)
         else:
             raise ParseError(f"unrecognized line {raw!r}", line=lineno)
-    return validate(generators, differential)
+    return builder.finish()
 
 
 def serialize_complex(c: Complex) -> str:

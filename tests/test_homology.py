@@ -288,6 +288,10 @@ def _scrambled_complexes():
         c = direct_sum(build_standard(p), box(1 + seed % 3, 2, tag="k"), box(2, 1, tag="m"))
         complexes.append(scramble(c, rng))
     complexes.append(box(2, 3))  # no tower at all
+    # at the scale of a noisy bench file: 261 generators, 300 basis changes
+    # tried, and 85 in the two sweeps
+    c = direct_sum(build_standard((1, -2, 2, -1) * 5), *(box(1 + k % 3, 1 + k % 2) for k in range(60)))
+    complexes.append(scramble(c, random.Random(9), steps=300))
     return complexes
 
 

@@ -12,7 +12,13 @@ from conftest import box, direct_sum, scramble
 from knotcalc.algebra import Monomial, mono, validate
 from knotcalc.alexander import parse_poly
 from knotcalc.cli import run
-from knotcalc.errors import KnotCalcError, ParseError, UnknownGeneratorError
+from knotcalc.errors import (
+    DegreeViolationError,
+    DuplicateGeneratorError,
+    KnotCalcError,
+    ParseError,
+    UnknownGeneratorError,
+)
 from knotcalc.localequiv import standard_rep
 from knotcalc.parsing import (
     MAX_NESTING,
@@ -188,6 +194,14 @@ _EDITS = (
     (r"(?m)^", "gen z2 2 2\ngen z1 1 1\ngen z0 0 0\nd z2 = 1 z1\nd z1 = 1 z0\n"),
     # "_" and "+" that int() reads but the grammar refuses
     (r"(?<=gen )\S", r"\g<0>_"), (r"(?<= )(?=\d)", "1_"), (r"(?<= )(?=-?\d)", "+"),
+    # lines set aside: the first gen line moves below the first d line that
+    # names it, and both it and the last gen line of its block get another
+    # gr_V, so the line set aside breaks the degree rule ahead of a line
+    # below it that breaks it at once
+    (r"(?ms)^gen (\S+) (-?\d+) (-?\d+)\n(.*?)^(gen \S+ -?\d+ )(-?\d+)\n(?!gen )(.*?^d [^\n]*(?<= )\1(?=[ \n])[^\n]*\n)",
+     r"\4\5\g<6>1\n\7gen \1 \2 \g<3>1\n"),
+    # a d line's first exponent times ten, then a duplicate of its source
+    (r"(?m)^d (\S+) = ([UV])\^(\d+) (.*\n)", r"d \1 = \2^\g<3>0 \4gen \1 0 0\n"),
 )
 
 
@@ -212,6 +226,46 @@ def test_edited_files_parse_like_the_regex_grammar(base, edits):
         path.write_text(text, encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert run(["validate", str(path)]) in (0, 1, 2)
+
+
+def _exact(parse, text):
+    """The outcome of *parse* on *text*: the error, or the complex in full,
+    with the key order of its differential and the item order of each row."""
+    try:
+        c = parse(text)
+    except KnotCalcError as e:
+        return type(e).__name__, str(e), getattr(e, "line", None)
+    return c.gens, [(s, list(row.items())) for s, row in c.diff.items()]
+
+
+@pytest.mark.parametrize("base", range(len(_BASES)))
+def test_every_edit_builds_the_complex_of_the_regex_grammar(base):
+    # serialize_complex sorts rows and skips key order, so compare in full
+    for edit in range(len(_EDITS)):
+        for k in (0, 1, 7):
+            text = _edited(_BASES[base], [(edit, k)])
+            assert _exact(parse_complex_file, text) == _exact(_parse_by_regex, text), (edit, k)
+
+
+def test_errors_of_lines_set_aside_keep_their_place():
+    # d b names a, declared below it with the wrong gr_V; d c breaks the
+    # degree rule at once, but comes after d b
+    text = "gen b 1 1\ngen c 0 0\nd b = 1 a\nd c = 1 b\ngen a 0 5\n"
+    with pytest.raises(DegreeViolationError) as e:
+        parse_complex_file(text)
+    assert (e.value.src, e.value.tgt) == ("b", "a")
+    # a duplicate gen line below both degree errors still comes first
+    with pytest.raises(DuplicateGeneratorError, match="'c'"):
+        parse_complex_file(text + "gen c 2 2\n")
+    # and a syntax error below everything comes before all of them
+    with pytest.raises(ParseError) as e:
+        parse_complex_file(text + "gen c 2 2\nd\n")
+    assert e.value.line == 7
+    # a source declared below its d line keeps that line's place in diff
+    c = parse_complex_file("gen c 0 0\ngen e 1 1\nd a = 1 c\nd e = 1 c\ngen a 1 1\n")
+    assert list(c.diff) == [c.index("a"), c.index("e")] == [2, 1]
+    assert _exact(parse_complex_file, "gen z 0 0\nd y = 1 z\nd x = 1 y\n") == (
+        "UnknownGeneratorError", "unknown generator 'y'", None)
 
 
 @pytest.mark.parametrize(
