@@ -1,20 +1,19 @@
 """Alexander polynomials, staircases for L-space knots, and knot recipes.
 
-Torus knot polynomials are built from the Lam-Leung closed form of
-(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), and cabling multiplies the
-companion polynomial at t^p by the pattern torus polynomial.  An L-space
-knot's complex is a staircase read off the gap sequence c_i of its
-alternating Alexander polynomial; a recipe expression combines such atoms
-with connected sums and mirrors.  Its class is found by cancelling exact
-mirror pairs of factors, and then folding the factors left one at a time
-through the standard-representative machinery; a lone factor left is its
-own representative.
+Torus knot polynomials come from the Lam-Leung closed form, and cabling
+multiplies the companion polynomial at t^p by the pattern's.  An L-space
+knot's complex is a staircase read off the gaps c_i of its alternating
+polynomial; a recipe's T, D and Cable atoms read theirs off their
+semigroups and build no polynomial.  A recipe's class is found by
+cancelling exact mirror pairs of factors, then folding the factors left one
+at a time through the standard-representative machinery; a lone factor
+left is its own representative.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
+from math import gcd, inf
 from typing import Mapping, NamedTuple, Union
 
 from . import parsing
@@ -263,8 +262,7 @@ def lspace_phi(delta: LaurentPoly) -> dict[int, int]:
 
 def _torus_pairs(atom: parsing.Atom) -> list[tuple[int, int]]:
     """The torus pairs of a T, D or Cable atom, innermost first: D is
-    [(2, 3)] and Cable(K;p,q) appends (p, q) to K's pairs.  The atom's
-    polynomial folds cable_delta over them from 1.
+    [(2, 3)] and Cable(K;p,q) appends (p, q) to K's pairs.
 
     This is the one rule for which of these atoms are valid, applied before
     anything is built and innermost first: a torus is checked for p, q >= 1
@@ -283,50 +281,50 @@ def _torus_pairs(atom: parsing.Atom) -> list[tuple[int, int]]:
     raise NotStaircaseError(f"no Alexander polynomial for {atom!r} inside a cable")
 
 
-def _torus_terms(p: int, q: int) -> int:
-    """The number of terms of torus_delta(p, q) for coprime p, q >= 1:
-    with r, s = _lam_leung(p, q), (r + 1)(s + 1) + (q - r - 1)(p - s - 1)."""
-    r, s = _lam_leung(p, q)
-    return (r + 1) * (s + 1) + (q - r - 1) * (p - s - 1)
+def _semigroup_params(pairs: list[tuple[int, int]], budget: float) -> tuple[Params, bool]:
+    """The parameters of the atom with these torus pairs, read off its
+    semigroup S, and whether they are whole: it stops after budget + 1.
 
-
-def _least_params(atom: parsing.Atom) -> tuple[int, int]:
-    """Two lower bounds on the parameters of a recipe atom, read off the atom
-    before anything is built: one that holds outright, and one that holds
-    unless a parameter is over MAX_PARAMETER; (0, 0) for Std(...).  A T, D
-    or Cable atom that atom_params would refuse raises its error here.
-
-    Thin(t) has 2|t| parameters, and T(p,q) and D one fewer than their
-    polynomial has terms.  The polynomial of Cable(K;p,q),
-    Delta_K(t^p) Delta_T(p,q)(t), is (1 - t) times the sum of t^s over
-    <p,q> less its p g(K) elements pn + qj with n a gap of K and
-    0 <= j < p; removing one element changes the terms by at most 2, so the
-    cable has at least _torus_terms(p, q) - 1 - p deg Delta_K parameters.
-    Its |parameters| also sum to its degree, 2p g(K) + (p - 1)(q - 1), so
-    it has at least degree / MAX_PARAMETER of them unless one is larger.
+    With the pairs (p_i, q_i) innermost first, S_0 = N and
+    S_i = {p_i s + q_i j : s in S_(i-1), 0 <= j < p_i} has degree
+    p_i deg_(i-1) + (p_i - 1)(q_i - 1).  No n is written twice, so the
+    cable_delta fold is (1 - t) sum_{s in S, s < deg} t^s + t^deg, whose c_i
+    (staircase_data) are the runs r_i of S below deg and, reversed, its gaps
+    g_i; the parameters are (r_1, -g_1, ..., r_m, -g_m).  S is built only as
+    far as (MAX_PARAMETER + 1)(budget + 1), which holds more than budget
+    runs and gaps or one over MAX_PARAMETER.
     """
-    if isinstance(atom, parsing.Thin):
-        return 2 * abs(atom.tau), 0
-    if not isinstance(atom, (parsing.Torus, parsing.CableAtom, parsing.DAlias)):
-        return 0, 0
-    *inner, (p, q) = _torus_pairs(atom)
-    least = _torus_terms(p, q) - 1
-    if not inner:
-        return least, 0
-    inner_degree = 0  # deg Delta_K = 2g(K), folded over K's pairs
-    for a, b in inner:
-        inner_degree = a * inner_degree + (a - 1) * (b - 1)
-    degree = p * inner_degree + (p - 1) * (q - 1)
-    return max(0, least - p * inner_degree), -(-degree // MAX_PARAMETER)
+    degrees = [0]
+    for p, q in pairs:
+        degrees.append(p * degrees[-1] + (p - 1) * (q - 1))
+    sizes = [min(degrees[-1], (MAX_PARAMETER + 1) * (budget + 1))]  # each level as far as read
+    for (p, _), degree in zip(pairs[::-1], degrees[-2::-1]):
+        sizes.append(min(degree, -(-sizes[-1] // p)))
+    s = bytearray()
+    for (p, q), n in zip(pairs, sizes[-2::-1]):
+        old, s = s + b"\x01" * (-(-n // p) - len(s)), bytearray(n)  # S_(i-1) is 1 above its degree
+        if p * p <= n:  # a slice per residue class q j mod p
+            for j in range(min(p, -(-n // q))):
+                s[q * j::p] = old[:len(range(q * j, n, p))]
+        else:  # a slice per member below n / p, at most p of them
+            for m in (m for m, bit in enumerate(old) if bit):
+                s[p * m:p * m + p * q:q] = b"\x01" * len(range(p * m, min(n, p * m + p * q), q))
+    pieces, x = [], 0
+    while x < len(s) and len(pieces) <= budget:  # a run ends at a 0, a gap at a 1
+        y = s.find(len(pieces) % 2, x)
+        pieces.append((len(s) if y < 0 else y) - x)
+        x += pieces[-1]
+    whole = x == degrees[-1]
+    if whole and pieces[::2] != pieces[1::2][::-1]:
+        raise VerificationFailedError("the semigroup's runs are not its gaps in reverse")
+    return tuple(-v if k % 2 else v for k, v in enumerate(pieces)), whole
 
 
 def atom_params(atom: parsing.Atom) -> Params:
-    """Standard parameters of a recipe atom."""
+    """Standard parameters of a recipe atom; a T, D or Cable atom's are read
+    off its semigroup."""
     if isinstance(atom, (parsing.Torus, parsing.CableAtom, parsing.DAlias)):
-        delta = LaurentPoly.one
-        for p, q in _torus_pairs(atom):
-            delta = cable_delta(p, q, delta)
-        return staircase_params(delta)
+        return _semigroup_params(_torus_pairs(atom), inf)[0]
     if isinstance(atom, parsing.Thin):
         sign = 1 if atom.tau > 0 else -1
         return (sign, -sign) * abs(atom.tau)
@@ -345,16 +343,14 @@ def atom_params(atom: parsing.Atom) -> Params:
 MAX_RECIPE_GENS = 10_000
 
 
-def _grown_size(size: int, length: int, mult: int, unless: str = "") -> int:
+def _grown_size(size: int, length: int, mult: int) -> int:
     """size times (length + 1) ** mult; RecipeTooLargeError once it passes
-    MAX_RECIPE_GENS.  *unless* names in its message a case the bound does
-    not cover."""
+    MAX_RECIPE_GENS."""
     for _ in range(mult if length else 0):
         size *= length + 1
         if size > MAX_RECIPE_GENS:
             raise RecipeTooLargeError(
-                f"recipe needs at least {size} generators{unless},"
-                f" over the limit of {MAX_RECIPE_GENS}"
+                f"recipe needs at least {size} generators, over the limit of {MAX_RECIPE_GENS}"
             )
     return size
 
@@ -372,15 +368,18 @@ def recipe_factors(expr: Union[str, parsing.KnotExpr]) -> list[Params]:
     factors: list[Params] = []
     size = 1
     for sign, mult, atom in expr.terms:
-        least, unless_large = _least_params(atom)  # sized before it is built
-        _grown_size(size, least, mult)
-        _grown_size(size, unless_large, mult, f" (or a parameter over {MAX_PARAMETER})")
-        p = atom_params(atom)
+        # a T, D or Cable atom is walked no further than the generators left
+        if isinstance(atom, (parsing.Torus, parsing.CableAtom, parsing.DAlias)):
+            p, whole = _semigroup_params(_torus_pairs(atom), MAX_RECIPE_GENS // size - 1)
+            _grown_size(size, len(p), mult)
+        else:
+            if isinstance(atom, parsing.Thin):  # counted before it is built
+                _grown_size(size, 2 * abs(atom.tau), mult)
+            p, whole = atom_params(atom), True
         largest = max(map(abs, p), default=0)
-        if largest > MAX_PARAMETER:
-            raise ParameterTooLargeError(
-                f"recipe has a parameter {largest}, over the limit of {MAX_PARAMETER}"
-            )
+        if largest > MAX_PARAMETER:  # as it is whenever the walk is not whole
+            raise ParameterTooLargeError(f"recipe has a parameter {'' if whole else 'of at least '}"
+                                         f"{largest}, over the limit of {MAX_PARAMETER}")
         size = _grown_size(size, len(p), mult)
         if sign < 0:
             p = negate(p)

@@ -149,7 +149,9 @@ class _Reduction:
                     e += delta
                     row_p[j] = col[p] = e
                     heapq.heappush(heap, (e, p, j))
-        # col_q += v^delta col_p, and each entry's row with it
+        # col_q += v^delta col_p, and each entry's row with it, with no heap
+        # push: sweep calls this to clear a pivot (i0, j0), and every entry
+        # added here lies in row or column i0, which leaves `active` with it.
         col_p = cols.get(p)
         if col_p:
             col_q = cols.get(q)
@@ -161,9 +163,7 @@ class _Reduction:
                     del col_q[i]
                     del row[q]
                 else:
-                    e += delta
-                    col_q[i] = row[q] = e
-                    heapq.heappush(heap, (e, i, q))
+                    col_q[i] = row[q] = e + delta
 
     def sweep(self) -> tuple[list[tuple[int, int, int]], list[int]]:
         """Run the reduction; returns (pivot pairs (src, tgt, eta), isolated indices)."""

@@ -1,11 +1,15 @@
 """Shared builders: box complexes, basis scrambling, direct sums, the
-monomial of a grading, and the image of an element under a map."""
+monomial of a grading, and the image of an element under a map; and a
+fixture that makes building an Alexander polynomial fail."""
 
 from __future__ import annotations
 
 import random
 from typing import Optional
 
+import pytest
+
+from knotcalc import alexander
 from knotcalc.algebra import UNIT, Bigrading, Complex, Monomial, mono_mul, validate, xor_term
 
 
@@ -122,3 +126,14 @@ def scramble(c: Complex, rng: random.Random, steps: int = None) -> Complex:
             continue
         c = basis_change(c, p, q, m)
     return c
+
+
+@pytest.fixture
+def no_polynomial(monkeypatch):
+    """Make building any torus or cable polynomial fail: the recipe path
+    reads its T, D and Cable atoms off their semigroups, the trefoil's too."""
+    def refuse(p, q, inner=None):
+        raise AssertionError(f"polynomial of ({p}, {q}) was built")
+
+    monkeypatch.setattr(alexander, "torus_delta", refuse)
+    monkeypatch.setattr(alexander, "cable_delta", refuse)

@@ -302,7 +302,7 @@ def test_torus_knots_against_the_semigroup(p, q):
 # --- the recipe size guard ------------------------------------------------------
 
 
-def test_recipe_size_guard_names_size_and_limit():
+def test_recipe_size_guard_names_size_and_limit(no_polynomial):
     with pytest.raises(RecipeTooLargeError, match=r"at least 19683 generators, over the limit of 10000"):
         eval_recipe("1000000*T(2,3)")
     # 7 * 7 * 7 * 7 * 5 = 12005, refused before anything is built
@@ -314,15 +314,17 @@ def test_recipe_size_guard_names_size_and_limit():
     assert MAX_RECIPE_GENS == 10_000
 
 
-def test_recipe_size_guard_boundary(monkeypatch):
+def test_recipe_size_guard_boundary(monkeypatch, no_polynomial):
     monkeypatch.setattr(alexander, "MAX_RECIPE_GENS", 15)
     assert eval_recipe("T(2,3) - T(2,5)").params == (-1, 1)
     assert len(recipe_factors("15*Std()")) == 15
-    with pytest.raises(RecipeTooLargeError, match=r"at least 45 generators, over the limit of 15"):
+    # after 3 * 5 generators no parameter is left, so D's walk stops at its
+    # first run: 15 * (1 + 1)
+    with pytest.raises(RecipeTooLargeError, match=r"at least 30 generators, over the limit of 15"):
         eval_recipe("T(2,3) - T(2,5) + D")
 
 
-def test_long_thin_atom_is_refused_before_it_is_built(monkeypatch):
+def test_long_thin_atom_is_refused_before_it_is_built(monkeypatch, no_polynomial):
     # Thin(t) has 2|t| parameters, so its size is known without building them
     built = []
     build = alexander.atom_params
@@ -337,17 +339,8 @@ def test_long_thin_atom_is_refused_before_it_is_built(monkeypatch):
     assert recipe_factors("D - 2*Thin(2)") == [(1, -1), (-1, 1, -1, 1), (-1, 1, -1, 1)]
 
 
-def test_torus_terms_count_the_polynomial():
-    for p in range(1, 20):
-        for q in range(p, 80):
-            if gcd(p, q) == 1:
-                n = len(torus_delta(p, q).coeffs)
-                assert alexander._torus_terms(p, q) == alexander._torus_terms(q, p) == n, (p, q)
-
-
 def test_torus_delta_times_its_denominator_is_its_numerator():
-    # an oracle apart from the closed form that both torus_delta and
-    # _torus_terms read off _lam_leung
+    # an oracle apart from the Lam-Leung closed form that torus_delta reads
     def cyc(n):
         return LaurentPoly({n: 1, 0: -1})
 
@@ -357,74 +350,48 @@ def test_torus_delta_times_its_denominator_is_its_numerator():
                 assert torus_delta(p, q) * cyc(p) * cyc(q) == cyc(p * q) * cyc(1), (p, q)
 
 
-def test_large_torus_atom_is_refused_before_its_polynomial(monkeypatch):
-    # T(p,q) has one parameter fewer than its polynomial has terms, a count
-    # known without torus_delta
-    def no_polynomial(p, q):
-        raise AssertionError(f"torus_delta({p}, {q}) was called")
-
-    monkeypatch.setattr(alexander, "torus_delta", no_polynomial)
+def test_large_torus_atom_is_refused_before_its_polynomial(no_polynomial):
+    # the semigroup walk stops once the atom has more parameters than the
+    # generators left allow, here 10000 of them, so the count it reports is
+    # a lower bound; an atom walked whole reports its size
     for expr, size in [("T(2,10001)", 10001), ("T(10001,2)", 10001), ("2*T(3,5003)", 6671 ** 2),
-                       ("T(700,9999)", 3425343), ("T(9999,499)", 1657951)]:
+                       ("T(700,9999)", 10001), ("T(9999,499)", 10001)]:
         with pytest.raises(RecipeTooLargeError,
                            match=rf"at least {size} generators, over the limit of 10000$"):
             recipe_factors(expr)
     with pytest.raises(NotCoprimeError, match=r"gcd\(3, 5001\) != 1"):
         recipe_factors("2*T(3,5001)")
-    monkeypatch.undo()
     assert [len(p) for p in recipe_factors("T(2,9999)")] == [9998]
     assert recipe_factors("T(1,10001) + T(10001,1)") == [(), ()]
 
 
-def test_large_cable_atom_is_refused_before_its_polynomial(monkeypatch):
-    # Cable(K;p,q) is (1 - t) times the sum over <p,q> less p g(K) elements,
-    # each of which changes the terms by at most 2, so it has at least
-    # _torus_terms(p, q) - 1 - 2p g(K) parameters; and its |parameters| sum
-    # to its degree, 2p g(K) + (p - 1)(q - 1), so it has at least
-    # degree / 1024 of them unless one is over the parameter limit; both are
-    # known before the cable reaches atom_params, and no torus polynomial
-    # but the trefoil's, for the plain T(2,3), is built
-    build = alexander.atom_params
-
-    def no_cable(atom):
-        if isinstance(atom, CableAtom):
-            raise AssertionError(f"{atom!r} reached atom_params")
-        return build(atom)
-
-    def trefoil_only(p, q):
-        assert (p, q) == (2, 3), f"torus_delta({p}, {q}) was called"
-        return P("t^2-t+1")
-
-    monkeypatch.setattr(alexander, "atom_params", no_cable)
-    monkeypatch.setattr(alexander, "torus_delta", trefoil_only)
-    over = r" \(or a parameter over 1024\)"
-    for expr, size, unless in [("Cable(D;2,1000001)", 999997, ""),
-                               ("Cable(T(2,5);3,300001)", 399989, ""),
-                               ("Cable(D;97,100003)", 3612285, ""),
-                               ("Cable(T(2,3);200,200001)", 397601, ""),
-                               ("2*Cable(Cable(D;2,3);50,100001)", 195701, ""),
-                               ("Cable(D;700,9999)", 3423943, ""),
-                               ("Cable(D;9999,700)", 3405345, ""),
-                               ("2*Cable(D;3000,3001)", 8793 ** 2, over),
-                               ("T(2,3) + Cable(D;1000,10001)", 53943, "")]:
+def test_large_cable_atom_is_refused_before_its_polynomial(no_polynomial):
+    # a cable is walked on its semigroup like a torus atom, and stops at the
+    # same count: 10000 parameters alone, 3333 after the 3 generators of
+    # T(2,3).  Cable(T(2,4001);300,4001) once ran for minutes.
+    for expr, size in [("Cable(D;2,1000001)", 10001),
+                       ("Cable(T(2,5);3,300001)", 10001),
+                       ("Cable(D;97,100003)", 10001),
+                       ("Cable(T(2,3);200,200001)", 10001),
+                       ("2*Cable(Cable(D;2,3);50,100001)", 10001),
+                       ("Cable(D;700,9999)", 10001),
+                       ("Cable(D;9999,700)", 10001),
+                       ("2*Cable(D;3000,3001)", 10001),
+                       ("Cable(D;3000,3001)", 10001),
+                       ("Cable(T(2,4001);300,4001)", 10001),
+                       ("T(2,3) + Cable(D;1000,10001)", 3 * 3334)]:
         with pytest.raises(RecipeTooLargeError,
-                           match=rf"at least {size} generators{unless}, over the limit of 10000$"):
+                           match=rf"at least {size} generators, over the limit of 10000$"):
             recipe_factors(expr)
-    monkeypatch.undo()
     # an atom that is not a well-formed cable keeps its own error
     with pytest.raises(NotCoprimeError, match=r"gcd\(200, 200000\) != 1"):
         recipe_factors("Cable(D;200,200000)")
     assert [len(p) for p in recipe_factors("Cable(D;2,9999)")] == [9998]
 
 
-def test_malformed_atom_is_refused_before_anything_is_built(monkeypatch):
+def test_malformed_atom_is_refused_before_anything_is_built(no_polynomial):
     # an atom's torus pairs are checked innermost first, before any
     # polynomial is built, even a companion's
-    def no_polynomial(p, q, inner=None):
-        raise AssertionError(f"polynomial of ({p}, {q}) was built")
-
-    monkeypatch.setattr(alexander, "torus_delta", no_polynomial)
-    monkeypatch.setattr(alexander, "cable_delta", no_polynomial)
     for expr, error, message in [
         ("Cable(T(700,9999);2,4)", NotCoprimeError, r"gcd\(2, 4\) != 1"),
         ("Cable(T(3,6);2,4)", NotCoprimeError, r"gcd\(3, 6\) != 1"),
@@ -457,30 +424,40 @@ def _built_delta(atom):
                                "T(2,4)", "T(0,3)", "Thin(2)", "Std(1,-1)", "Cable(T(2,4);3,5)"]),
               st.integers(-2, 12), st.integers(-2, 120)),
 ))
-def test_least_params_are_read_off_the_atom(text):
+def test_atom_params_are_read_off_the_semigroup(text):
     atom = parse_knot_expr(text).terms[0][2]
     if isinstance(atom, Thin):
-        assert alexander._least_params(atom) == (len(alexander.atom_params(atom)), 0)
+        assert len(alexander.atom_params(atom)) == 2 * abs(atom.tau)
         return
     try:
         delta = _built_delta(atom)
     except (ValueError, NotCoprimeError, NotStaircaseError) as e:
         # a malformed atom raises, read off the atom, what building it raises
-        for read in (alexander._least_params, alexander.atom_params):
+        for read, arg in ((alexander.atom_params, atom), (recipe_factors, text)):
             with pytest.raises(type(e)) as info:
-                read(atom)
+                read(arg)
             assert (type(info.value), str(info.value)) == (type(e), str(e))
         return
-    least, unless_large = alexander._least_params(atom)
     params = alexander.atom_params(atom)
     assert params == staircase_params(delta)
     assert sum(map(abs, params)) == delta.degree()
-    if isinstance(atom, CableAtom):
-        assert unless_large == -(-delta.degree() // MAX_PARAMETER)
-        assert len(params) >= least
-        assert len(params) >= unless_large
-    else:
-        assert (least, unless_large) == (len(params), 0)
+
+
+def _grid_atoms():
+    """Every coprime T(p,q) with p < 30 and q < 60, and every Cable(K;p,q)
+    with p <= 8 and q < 60 over seven companions: 3,238 atoms."""
+    companions = ["T(1,2)", "D", "T(2,5)", "T(3,4)", "Cable(D;2,5)", "T(2,7)", "Cable(T(2,3);3,5)"]
+    yield from (f"T({p},{q})" for p in range(1, 30) for q in range(1, 60) if gcd(p, q) == 1)
+    yield from (f"Cable({k};{p},{q})" for k in companions
+                for p in range(1, 9) for q in range(1, 60) if gcd(p, q) == 1)
+
+
+def test_atom_params_match_the_built_polynomial_on_a_grid():
+    atoms = list(_grid_atoms())
+    assert len(atoms) == 3238
+    for text in atoms:
+        atom = parse_knot_expr(text).terms[0][2]
+        assert alexander.atom_params(atom) == staircase_params(_built_delta(atom)), text
 
 
 @given(st.integers(2, 12), st.integers(3, 60))
@@ -499,13 +476,15 @@ def _trivial_cables(depth):
     return "Cable(" * depth + "T(2,3)" + ";2,1)" * depth
 
 
-def test_parameter_bound_boundary():
+def test_parameter_bound_boundary(no_polynomial):
     assert MAX_PARAMETER == 1024 > 11  # far above every parameter of the menus
     assert eval_recipe("Std(1024,-1024)").params == (1024, -1024)
     assert eval_recipe(_trivial_cables(10)).params == (1024, -1024)
     for recipe, largest in [("Std(1025,-1025)", 1025), (_trivial_cables(11), 2048),
-                            ("T(2,3) + Std(1,-2000,2000,-1)", 2000)]:
-        with pytest.raises(ParameterTooLargeError, match=f"parameter {largest}, over the limit of 1024"):
+                            ("T(2,3) + Std(1,-2000,2000,-1)", 2000),
+                            # S is built only to 1025 * 10000, inside the first run
+                            (_trivial_cables(30), "of at least 10250000")]:
+        with pytest.raises(ParameterTooLargeError, match=f"parameter {largest}, over the limit of 1024$"):
             recipe_factors(recipe)
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import apply_map, box, direct_sum, mono_for_grading, scramble
 from knotcalc import algebra, standard
@@ -443,6 +443,7 @@ def _unit_pair(grading, tag):
 
 @given(st.sampled_from([(1, -1), (1, -2, 2, -1), (2, -1, 1, -2), (1, -3, 3, -1)]),
        st.integers(0, 2**31), st.integers(1, 4))
+@example((1, -1), 32, 2)  # a cancellation here creates a unit arrow, which reduce queues
 def test_reduce_matches_rescan_on_scrambled_inputs(p, seed, pairs):
     rng = random.Random(seed)
     base = build_standard(p)

@@ -182,7 +182,7 @@ def test_rep_expr(capsys):
     assert out.strip() == ""
 
 
-def test_oversized_recipe_is_refused(capsys):
+def test_oversized_recipe_is_refused(capsys, no_polynomial):
     # the factor sizes are multiplied before anything is built, so this
     # returns at once instead of tensoring a million trefoils
     for command in ("inv", "rep"):
@@ -207,17 +207,16 @@ def _trivial_cables(depth):
     return "Cable(" * depth + "T(2,3)" + ";2,1)" * depth
 
 
-def test_oversized_parameter_is_refused_fast(capsys):
+def test_oversized_parameter_is_refused_fast(capsys, no_polynomial):
     # a parameter over the limit (which exists for the torus atoms, whose
     # cost grows with their parameters) is refused before any complex is
-    # built, whatever the atom: a domain error, exit 1, no traceback.  A
-    # cable is sized from its degree first: 2 ** 31 for _trivial_cables(30),
-    # which takes at least 2 ** 21 parameters unless one is over the limit
+    # built, whatever the atom: a domain error, exit 1, no traceback.  The
+    # semigroup of _trivial_cables(30), of degree 2 ** 31, is built only to
+    # 1025 * 10000, inside its first run of 2 ** 30
     over = "error: recipe has a parameter {}, over the limit of 1024\n"
     for expr, want in [("Std(1025,-1025)", over.format(1025)),
                        (_trivial_cables(11), over.format(2048)),
-                       (_trivial_cables(30), "error: recipe needs at least 2097153 generators"
-                                             " (or a parameter over 1024), over the limit of 10000\n"),
+                       (_trivial_cables(30), over.format("of at least 10250000")),
                        ("Std(65536,-65536)", over.format(65536))]:
         start = time.perf_counter()
         assert run(["inv", "--expr", expr]) == 1
@@ -227,18 +226,14 @@ def test_oversized_parameter_is_refused_fast(capsys):
         assert err == want
 
 
-def test_long_thin_atom_is_refused_fast(monkeypatch, capsys):
+def test_long_thin_atom_is_refused_fast(capsys, no_polynomial):
     # 2|t| + 1 generators, counted without building the parameters, and a
-    # torus atom T(p,q) or a cable with that pattern counted from the terms
-    # of the pattern's polynomial, which is never built
-    def no_polynomial(p, q, inner=None):
-        raise AssertionError(f"polynomial of ({p}, {q}) was built")
-
-    monkeypatch.setattr(alexander, "torus_delta", no_polynomial)
-    monkeypatch.setattr(alexander, "cable_delta", no_polynomial)
+    # torus atom or a cable walked on its semigroup no further than 10000
+    # parameters, with no polynomial built
     for expr, size in [("Thin(1000000)", 2000001), ("Thin(-1000000)", 2000001), ("Thin(5000)", 10001),
-                       ("T(2,1000001)", 1000001), ("2*T(3,5003)", 44502241), ("T(700,9999)", 3425343),
-                       ("Cable(D;700,9999)", 3423943), ("Cable(D;9999,700)", 3405345)]:
+                       ("T(2,1000001)", 10001), ("2*T(3,5003)", 44502241), ("T(700,9999)", 10001),
+                       ("Cable(D;700,9999)", 10001), ("Cable(D;9999,700)", 10001),
+                       ("Cable(T(2,4001);300,4001)", 10001)]:
         start = time.perf_counter()
         assert run(["inv", "--expr", expr]) == 1
         assert time.perf_counter() - start < 0.1
@@ -249,7 +244,7 @@ def test_long_thin_atom_is_refused_fast(monkeypatch, capsys):
     assert out_of(capsys) == ("1,-1,1,-1\n", "")
 
 
-def test_parameter_at_the_bound_still_answers(capsys):
+def test_parameter_at_the_bound_still_answers(capsys, no_polynomial):
     for expr in ("Std(1024,-1024)", _trivial_cables(10)):
         assert run(["rep", "--expr", expr]) == 0
         out, _ = out_of(capsys)

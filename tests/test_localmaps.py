@@ -403,6 +403,26 @@ def test_check_refuses_a_term_of_the_wrong_grading():
         check((mono("U", 1), "nope"))
 
 
+def test_check_refuses_two_tower_exponents_at_one_target():
+    # A homogeneous tower never sends two terms to one target with different
+    # V-powers under a map that keeps the gradings, so the check refuses a
+    # dom_tower that does.  Here the tower a + V b of two lone generators,
+    # with b two below a, maps to the unit complex by a -> x0 and
+    # b -> V x0: the gradings and chain condition hold, and the tower's
+    # image meets x0 as V^0 and V^2.
+    tgt = prepare_target(unit_complex())
+    dom = validate([("a", (0, 0)), ("b", (0, -2))], [])
+
+    def check(*image_of_b):
+        w = LocalMapWitness(assignment=(("a", ((UNIT, "x0"),)), ("b", image_of_b)), v_shift=0)
+        verdict = localmaps._check_witness(dom, {0: 0, 1: 1}, tgt, None, w)
+        assert verdict == _check_witness_every_source(dom, {0: 0, 1: 1}, tgt, None, w)
+        return verdict
+
+    assert check()
+    assert not check((mono("V", 1), "x0"))
+
+
 def test_bad_solver_witness_raises(monkeypatch):
     # the certificate check must not vanish under python -O
     monkeypatch.setattr(localmaps, "_check_witness", lambda *args: False)
