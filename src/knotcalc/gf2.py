@@ -3,8 +3,9 @@
 Rows are Python integers used as bit masks, so a row operation is a single
 XOR regardless of width.  This is all the linear algebra the local-map
 solver needs: an echelon form that grows in place by more rows, tests
-whether more rows are consistent with it without changing it, and gives one
-solution of the affine system A x = b it stands for.
+whether more rows are consistent with it without changing it, copies itself
+for rows that may be dropped, and gives one solution of the affine system
+A x = b it stands for.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ class Echelon:
     def consistent(self, rows: Iterable[tuple[int, int]]) -> bool:
         """Whether extend(rows) would succeed; the form is not changed."""
         return self._reduce(rows) is not None
+
+    def copy(self) -> Echelon:
+        """A form of the same rows that grows apart from this one."""
+        twin = Echelon()
+        twin.pivots, twin.pivmask = dict(self.pivots), self.pivmask  # rows are tuples
+        return twin
 
     def solution(self) -> int:
         """The solution with every free variable 0, as a bit mask."""

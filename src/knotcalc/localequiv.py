@@ -27,6 +27,16 @@ Since a local class holds exactly one standard complex, that certification
 fails whenever any answer on the way was wrong, or the down-set assumption
 failed, so no candidate needs a certificate of its own.
 
+A knot Floer complex is symmetric under exchanging U and V, and so is its
+representative: a_i = -a_{n+1-i}, and its middle generator x_k has gr_U =
+gr_V.  When the target's gradings read backwards are its gradings swapped,
+each k after whose push f(x_k) must have gr_U = gr_V is a candidate middle.
+Once the next two parameters mirror a_k and a_{k-1}, the rest of the mirror
+is pushed onto a copy of the system and kept only if both certification
+maps exist (a bad witness still raises).  A class holds one standard
+complex, so a kept mirror is what the full search returns, with the same
+witnesses; a dropped one leaves the search as it was.
+
 A torsion order over MAX_PARAMETER is refused before the search.
 """
 
@@ -63,7 +73,9 @@ def standard_rep(c: Union[Complex, Prepared]) -> RepResult:
     reduced and prepared with prepare_target, which sweeps its homology.  A
     Prepared is taken as already reduced and normalized: a fold step passes
     localmaps.prepare_standard's, read off its two factors' parameters.  The
-    representative is certified against prepare_standard(rep).  Raises
+    representative is certified against prepare_standard(rep).  The trace
+    of positions read off a mirror, and of the stop position after them,
+    has candidates=(): none was probed.  Raises
     NotKnotLikeError when the tower conditions fail, ParameterTooLargeError
     before the search when a torsion order exceeds MAX_PARAMETER, and
     LengthCapExceededError or VerificationFailedError only on internal
@@ -77,6 +89,10 @@ def standard_rep(c: Union[Complex, Prepared]) -> RepResult:
         )
     cap = 4 * len(tgt.c.gens) + 4
 
+    # the gate for the mirror (module docstring): gradings reversed = swapped
+    gens = tgt.c.gens
+    symmetric = all(g.grading == h.grading[::-1] for g, h in zip(gens, reversed(gens)))
+    middles: list[int] = []  # candidate middles k, kept while a_j = -a_{2k+1-j}
     system = PrefixSystem(tgt)
     trace: list[PositionTrace] = []
     while True:
@@ -92,18 +108,44 @@ def standard_rep(c: Union[Complex, Prepared]) -> RepResult:
                 f"no candidate accepted at position {position} of {list(system.params)}"
             )
         system.push(found)
-        if len(system.params) > cap:
-            raise LengthCapExceededError(
-                f"representative exceeded length cap {cap}"
-            )
+        n = len(system.params)
+        if n > cap:
+            raise LengthCapExceededError(f"representative exceeded length cap {cap}")
+        if not symmetric:
+            continue
+        params = system.params
+        middles = [k for k in middles if params[-1] == -params[2 * k - n]]
+        if middles and middles[0] == n - 2:
+            # a_{k+1} and a_{k+2} match: certify the rest of the mirror on a copy
+            mirror = system.copy()
+            for a in reversed(params[: n - 4]):
+                mirror.push(-a)
+            witnesses = _certified(mirror, tgt)
+            if witnesses is not None:
+                rest = [*mirror.params[n:], None]  # None: the stop position
+                trace += [PositionTrace(n + 1 + j, (), a) for j, a in enumerate(rest)]
+                return RepResult(tuple(mirror.params), witnesses, tuple(trace))
+            del middles[0]
+        if n >= 2 and system.want[0] == system.want[1]:  # a_{k-1} must exist
+            middles.append(n)
 
     rep = tuple(system.params)
-    s = prepare_standard(rep)
-    forward = system.full_map(s)
-    backward = map_between(tgt, s)
-    if backward is None:
+    witnesses = _certified(system, tgt)
+    if witnesses is None:
         raise VerificationFailedError(f"representative {rep} failed certification")
-    return RepResult(params=rep, witnesses=(forward, backward), trace=tuple(trace))
+    return RepResult(params=rep, witnesses=witnesses, trace=tuple(trace))
+
+
+def _certified(
+    system: PrefixSystem, tgt: Prepared
+) -> Optional[tuple[LocalMapWitness, LocalMapWitness]]:
+    """The checked local maps C(params) -> tgt (PrefixSystem.full_map, which
+    first adds the stop test's rows) and tgt -> C(params), or None if either
+    does not exist."""
+    s = prepare_standard(tuple(system.params))
+    forward = system.full_map(s)
+    backward = None if forward is None else map_between(tgt, s)
+    return None if backward is None else (forward, backward)
 
 
 def _next_parameter(

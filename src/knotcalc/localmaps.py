@@ -113,9 +113,11 @@ def prepare_target(c: Complex) -> Prepared:
     )
 
 
-def prepare_standard(a: Params, b: Optional[Params] = None) -> Prepared:
+def prepare_standard(a: Params, b: Optional[Params] = None, *, buckets: bool = True) -> Prepared:
     """prepare_target(C(a)), or prepare_target(C(a) (x) C(b)), read off the
-    parameters with no homology sweep and no shift.
+    parameters with no homology sweep and no shift.  With buckets=False,
+    by_gru and by_grv are left empty: only a solve reads them, and a map
+    checked against the definition reads neither side's.
 
     Both towers of a standard complex, and so of a product of two, already
     sit at grading 0.  The mod-U tower is generator 0 (x0, or x0|x0): it has
@@ -127,7 +129,7 @@ def prepare_standard(a: Params, b: Optional[Params] = None) -> Prepared:
     """
     factors = (a,) if b is None else (a, b)
     c = build_standard(a) if b is None else tensor(build_standard(a), build_standard(b))
-    by_gru, by_grv = _grading_buckets(c)
+    by_gru, by_grv = _grading_buckets(c) if buckets else ({}, {})
     return Prepared(
         c=c,
         q=c.gens[0].grading.grv,
@@ -411,7 +413,7 @@ def identity_maps(a: Params) -> tuple[LocalMapWitness, LocalMapWitness]:
     map, checked against the definition, in both directions.  With the
     paper's theorem that a local class holds exactly one standard complex,
     they certify that a is the standard representative of C(a)."""
-    s = prepare_standard(a)
+    s = prepare_standard(a, buckets=False)
     identity = _checked_map(s, s, [[(UNIT, i)] for i in range(len(s.c.gens))], "identity")
     return identity, identity
 
@@ -425,7 +427,8 @@ def mirror_maps(a: Params) -> tuple[LocalMapWitness, LocalMapWitness]:
     C(-a) has the negated gradings of C(a), so every x_i|x_i sits at
     grading (0, 0) with C()'s x0, and x0|x0 is the product's tower.  The
     product is built C(a) first, so an invalid a is reported as given."""
-    unit, pair = prepare_standard(()), prepare_standard(a, negate(a))
+    unit = prepare_standard((), buckets=False)
+    pair = prepare_standard(a, negate(a), buckets=False)
     n = len(a) + 1
     diagonal = range(0, n * n, n + 1)  # the indices of x_i|x_i
     coevaluation = _checked_map(unit, pair, [[(UNIT, t) for t in diagonal]], "coevaluation")
@@ -487,7 +490,8 @@ class PrefixSystem:
     solution is back-substituted and no witness built.  full_map builds the
     one witness the caller needs, the checked forward map of the final
     representative, which localequiv's standard_rep pairs with a checked
-    map back.
+    map back.  copy gives a system that can be pushed further and dropped,
+    as standard_rep does with the mirror of a symmetric prefix.
     """
 
     def __init__(self, tgt: Prepared):
@@ -561,11 +565,19 @@ class PrefixSystem:
         self.feasible = self.feasible and self.form.extend(at_n)
         self._open_position()
 
-    def full_map(self, src: Prepared) -> LocalMapWitness:
+    def copy(self) -> PrefixSystem:
+        """A system of the same prefix whose pushes leave this one unchanged."""
+        twin = object.__new__(PrefixSystem)
+        vars(twin).update(vars(self), params=self.params.copy(),
+                          by_source=self.by_source.copy(), form=self.form.copy())
+        return twin
+
+    def full_map(self, src: Prepared) -> Optional[LocalMapWitness]:
         """The witness map_between(src, tgt) returns, where src is
-        prepare_standard(params); it is checked against the definition, and
-        VerificationFailedError is raised if there is none or the check
-        fails.  This adds the rows at x_n to form, which ends the search.
+        prepare_standard(params), or None if there is none, as
+        map_between's; it is checked against the definition, and a bad one
+        raises VerificationFailedError.  This adds the rows at x_n to form,
+        which ends the search.
 
         form is then the echelon form of that map's system: the same slots
         and bits, and rows with the same span.  Its pivots, and its solution
@@ -573,8 +585,7 @@ class PrefixSystem:
         the one a fresh solve would give.
         """
         if not (self.feasible and self.form.extend(self.closing_rows)):
-            rep = tuple(self.params)
-            raise VerificationFailedError(f"representative {rep} failed certification")
+            return None
         mask, v_shift = self.form.solution(), self.tgt.q - src.q
         return _checked_witness(src.c, src.tower, self.tgt, None, self.by_source, mask, v_shift)
 

@@ -1,6 +1,7 @@
 """Shared builders: box complexes, basis scrambling, direct sums, the
-monomial of a grading, and the image of an element under a map; and a
-fixture that makes building an Alexander polynomial fail."""
+monomial of a grading, the image of an element under a map and a complex
+checked without the library's builder; and a fixture that makes building
+an Alexander polynomial fail."""
 
 from __future__ import annotations
 
@@ -10,7 +11,12 @@ from typing import Optional
 import pytest
 
 from knotcalc import alexander
-from knotcalc.algebra import UNIT, Bigrading, Complex, Monomial, mono_mul, validate, xor_term
+from knotcalc.algebra import (
+    UNIT, Bigrading, Complex, Generator, Monomial, mono, mono_mul, validate, xor_term,
+)
+from knotcalc.errors import (
+    DegreeViolationError, DSquaredNonzeroError, DuplicateGeneratorError, UnknownGeneratorError,
+)
 
 
 def mono_for_grading(g: Bigrading) -> Optional[Monomial]:
@@ -42,6 +48,44 @@ def apply_map(
             if p is not None:
                 xor_term(out, t, p)
     return out
+
+
+def check_complex(
+    generators: list[tuple[str, tuple[int, int]]],
+    differential: list[tuple[str, list[tuple[Monomial, str]]]],
+) -> Complex:
+    """The Complex of (name, grading) declarations and (source, terms) d
+    lines, checked rule by rule with no ComplexBuilder: the reference for
+    the parser.  Raises, in this order, the first duplicate name; the first
+    unknown name, malformed monomial (ValueError) or degree violation, in
+    row-then-term order; and d^2 != 0 at the least source, path by path.
+    Rows are XORed in d-line order."""
+    gradings: dict[str, Bigrading] = {}
+    for name, (gu, gv) in generators:
+        if name in gradings:
+            raise DuplicateGeneratorError(name)
+        gradings[name] = Bigrading(gu, gv)
+    index = {name: i for i, name in enumerate(gradings)}
+    diff: dict[int, dict[int, Monomial]] = {}
+    for source, terms in differential:
+        if source not in index:
+            raise UnknownGeneratorError(source)
+        row = diff.setdefault(index[source], {})
+        for m, target in terms:
+            if target not in index:
+                raise UnknownGeneratorError(target)
+            m = mono(*m)  # U^0 and V^0 are the unit
+            have, want = m.grading() + gradings[target], gradings[source] - (1, 1)
+            if have != want:
+                detail = f"gr({m}) + gr(tgt) = {have}, need {want}"
+                raise DegreeViolationError(source, target, detail)
+            xor_term(row, index[target], m)
+    gens = tuple(Generator(name, g) for name, g in gradings.items())
+    c = Complex(gens, {s: row for s, row in diff.items() if row})
+    for s, g in enumerate(gens):
+        if apply_map(c.diff, apply_map(c.diff, {s: UNIT})):
+            raise DSquaredNonzeroError(g.name)
+    return c
 
 
 def direct_sum(*cs: Complex) -> Complex:

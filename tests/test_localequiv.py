@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import box, direct_sum, scramble
-from knotcalc import localmaps
+from knotcalc import localequiv, localmaps
 from knotcalc.alexander import _fold, _fold_order, eval_recipe, recipe_factors
 from knotcalc.algebra import dual, reduce, tensor, tensor_many, unit_complex
 from knotcalc.errors import LengthCapExceededError, NotKnotLikeError, VerificationFailedError
@@ -257,23 +257,116 @@ def _one_shot_answer(prefix, b, tgt):
     return short_map((*prefix, b), tgt) is not None if b else _has_map_from_standard(prefix, tgt)
 
 
+def _assert_matches_one_shot_solves(r, c):
+    """standard_rep's result *r* on *c* against the one-shot loop: params,
+    witnesses, the accepted candidate of each position, and every probe it
+    recorded (the search probes some candidates of each position, not all)."""
+    params, witnesses, trace = _greedy_by_one_shot_solves(c)
+    assert (r.params, r.witnesses) == (params, witnesses)
+    accepted = [(t.position, t.accepted) for t in trace]
+    assert [(t.position, t.accepted) for t in r.trace] == accepted
+    tgt = prepare_target(reduce(c))
+    known = {(t.position, b): ok for t in trace for b, ok in t.candidates}
+    for t in r.trace:
+        prefix = params[: t.position - 1]
+        for b, ok in t.candidates:
+            if (t.position, b) not in known:
+                known[t.position, b] = _one_shot_answer(prefix, b, tgt)
+            assert ok == known[t.position, b], (prefix, b)
+
+
 def test_greedy_matches_one_shot_solves():
-    # the search probes some candidates of each position, not all of them,
-    # so its trace is checked probe by probe against the one-shot answers
     for c in _oracle_pool():
-        r = standard_rep(c)
-        params, witnesses, trace = _greedy_by_one_shot_solves(c)
-        assert (r.params, r.witnesses) == (params, witnesses)
-        accepted = [(t.position, t.accepted) for t in trace]
-        assert [(t.position, t.accepted) for t in r.trace] == accepted
-        tgt = prepare_target(reduce(c))
-        known = {(t.position, b): ok for t in trace for b, ok in t.candidates}
-        for t in r.trace:
-            prefix = params[: t.position - 1]
-            for b, ok in t.candidates:
-                if (t.position, b) not in known:
-                    known[t.position, b] = _one_shot_answer(prefix, b, tgt)
-                assert ok == known[t.position, b], (prefix, b)
+        _assert_matches_one_shot_solves(standard_rep(c), c)
+
+
+_symmetric_tuples = st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=3).map(
+    lambda half: (*half, *negate(reversed(half)))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symmetric_tuples, _symmetric_tuples)
+def test_mirrored_representative_matches_one_shot_solves(a, b):
+    # the product of two symmetric complexes passes the search's symmetry
+    # gate, so its representative may be read off a mirror
+    c = tensor(build_standard(a), build_standard(b))
+    _assert_matches_one_shot_solves(standard_rep(prepare_standard(a, b)), c)
+
+
+def _certification_log(monkeypatch):
+    """Record, in order, each forward map's prefix length and whether it
+    exists, and whether each backward map exists."""
+    log = []
+    full_map, map_back = PrefixSystem.full_map, localequiv.map_between
+
+    def logged_full_map(self, src):
+        w = full_map(self, src)
+        log.append(("forward", len(self.params), w is not None))
+        return w
+
+    def logged_map_back(tgt, src):
+        w = map_back(tgt, src)
+        log.append(("backward", w is not None))
+        return w
+
+    monkeypatch.setattr(PrefixSystem, "full_map", logged_full_map)
+    monkeypatch.setattr(localequiv, "map_between", logged_map_back)
+    return log
+
+
+@pytest.mark.parametrize(
+    "a, b, route, length",
+    [
+        # the mirror (-2, 2, -2, 2) at k = 2 has a forward map but no map back
+        ((-2, 2), (-2, 2, 2, -2, -2, 2), [("forward", 4, True), ("backward", False)], 16),
+        # the mirror (-2, 2, 3, -2, 2, -3, -2, 2) at k = 4 has no forward map
+        ((-2, 2), (3, -3, -3, 3, 3, -3), [("forward", 8, False)], 20),
+    ],
+)
+def test_a_rejected_mirror_leaves_the_search_as_it_was(monkeypatch, a, b, route, length):
+    log = _certification_log(monkeypatch)
+    r = standard_rep(prepare_standard(a, b))
+    assert len(r.params) == length
+    assert log == [*route, ("forward", length, True), ("backward", True)]
+    monkeypatch.undo()
+    _assert_matches_one_shot_solves(r, tensor(build_standard(a), build_standard(b)))
+
+
+def test_a_deep_recipe_reads_its_second_half_off_the_mirror():
+    r = eval_recipe(DEEP_RECIPES[0])
+    mirrored = [t for t in r.trace if not t.candidates]
+    assert mirrored and mirrored[-1] == PositionTrace(len(r.params) + 1, (), None)
+    n = len(r.params)
+    first = mirrored[0].position
+    assert [t.position for t in mirrored] == list(range(first, n + 2))
+    assert [t.accepted for t in mirrored[:-1]] == [-a for a in reversed(r.params[: n + 1 - first])]
+    assert first == n // 2 + 3  # the two parameters after the middle were searched
+
+
+def test_pushing_onto_a_copy_leaves_the_system_unchanged():
+    tgt = prepare_standard((2, -1, 1, -2), (1, -2, 2, -1))
+    rep = standard_rep(tgt).params
+    system = PrefixSystem(tgt)
+    for b in rep[:4]:
+        system.push(b)
+
+    def state(system):
+        form = system.form
+        slots = [list(source) for source in system.by_source]
+        return list(system.params), slots, system.nbits, dict(form.pivots), form.pivmask
+
+    before = state(system)
+    twin = system.copy()
+    for b in rep[4:]:
+        twin.passes(b)
+        twin.push(b)
+    forward = twin.full_map(prepare_standard(rep))
+    assert forward is not None and len(twin.form.pivots) > len(before[3])
+    assert state(system) == before
+    for b in rep[4:]:
+        system.push(b)
+    assert system.full_map(prepare_standard(rep)) == forward
 
 
 def _random_prefix(rng, rep, bound):
