@@ -119,8 +119,8 @@ class Complex:
     """An immutable bigraded complex over R.
 
     gens is a tuple of Generator in declaration order; diff maps a source
-    index to {target index: Monomial}.  Use validate() or a ComplexBuilder
-    to build one from raw data with all invariants checked.
+    index to {target index: Monomial}.  Use validate() to build one from
+    raw data with all invariants checked.
     """
 
     __slots__ = ("gens", "diff", "_index")
@@ -202,69 +202,49 @@ def _check_d_squared(c: Complex) -> None:
             raise DSquaredNonzeroError(c.gens[s].name)
 
 
-class ComplexBuilder:
-    """Builds a checked Complex one generator and one differential line at a
-    time, for callers that read lines in file order.
+def validate(
+    generators: Iterable[tuple[str, tuple[int, int]]],
+    differential: Iterable[tuple[str, Iterable[tuple[Monomial, str]]]] = (),
+) -> Complex:
+    """Build a Complex from raw data, checking every structural invariant.
 
-    gen declares a generator; row resolves each term's target, checks the
-    degree rule and XORs the term into the source's row as it is read;
-    finish returns the Complex.  Errors are recorded, not raised, so that a
-    reader can still report a later syntax error first.  finish raises the
-    first duplicate generator, else the first unknown name, degree violation
-    or malformed monomial (ValueError) in row and then term order, else
-    DSquaredNonzeroError.  A row may name generators declared after it: it is
-    set aside at the first such name and finished by finish.  The rows of
-    one source add up over F2.
+    Every generator is declared before any row is resolved, so a row may
+    name generators listed after it.  Rows are then resolved in order, each
+    term's target looked up, its degree checked and the term XORed into the
+    source's row.  The rows of one source add up over F2, and a row left
+    empty is dropped where it ends, so a later row of its source puts it last.
+
+    Args:
+        generators: (name, (gr_U, gr_V)) in declaration order.
+        differential: (source name, [(monomial, target name), ...]).
+
+    Raises, at once, the first DuplicateGeneratorError; else the first
+    UnknownGeneratorError, malformed monomial (ValueError) or
+    DegreeViolationError in row and then term order; else
+    DSquaredNonzeroError.
     """
-
-    __slots__ = ("_index", "_diff", "_gradings", "_pending", "_duplicate", "_error")
-
-    def __init__(self) -> None:
-        self._index: dict[str, int] = {}  # each name's position, in declaration order
-        self._diff: dict[int, dict[int, Monomial]] = {}
-        self._gradings: list[tuple[int, int]] = []
-        # rows set aside: (the undeclared name, source name, terms left); a
-        # row whose source is undeclared keeps its place in diff under the
-        # key ~k, k its position here
-        self._pending: list[tuple[str, str, list]] = []
-        self._duplicate: Optional[str] = None
-        # the first error of a row read to its end, as (exception class,
-        # args): an exception kept here would hold the builder in a cycle
-        # through its traceback
-        self._error: Optional[tuple[type, tuple]] = None
-
-    def gen(self, name: str, gu: int, gv: int) -> None:
-        """Declare generator *name* with grading (gu, gv)."""
-        index = self._index
+    new = tuple.__new__  # skips each NamedTuple's Python-level __new__
+    index: dict[str, int] = {}  # each name's position, in declaration order
+    gradings: list[Bigrading] = []
+    for name, (gu, gv) in generators:
         if name in index:
-            if self._duplicate is None:
-                self._duplicate = name
-            return
-        index[name] = len(index)
-        self._gradings.append((gu, gv))
+            raise DuplicateGeneratorError(name)
+        index[name] = len(gradings)
+        gradings.append(new(Bigrading, (gu, gv)))
 
-    def row(self, source: str, terms: Iterable[tuple[Monomial, str]]) -> None:
-        """Add the arrows (monomial, target name) of *terms* to the
-        differential of *source*."""
-        if self._error is not None:
-            return  # only a row set aside before it can still come first
-        index = self._index
+    diff: dict[int, dict[int, Monomial]] = {}
+    for source, terms in differential:
         s = index.get(source)
         if s is None:
-            self._diff[~len(self._pending)] = {}
-            self._pending.append((source, source, list(terms)))
-            return
-        row = self._diff.setdefault(s, {})
-        gradings = self._gradings
+            raise UnknownGeneratorError(source)
+        row = diff.setdefault(s, {})
         su, sv = gradings[s]
         su -= 1  # the degree rule: gr(m) + gr(tgt) = gr(src) - (1, 1)
         sv -= 1
-        terms = iter(terms)
         for m, target in terms:
             t = index.get(target)
             if t is None:
-                self._pending.append((target, source, [(m, target), *terms]))
-                return
+                raise UnknownGeneratorError(target)
             kind, exponent = m
             tu, tv = gradings[t]
             if kind == "U" and exponent > 0:
@@ -272,74 +252,22 @@ class ComplexBuilder:
             elif kind == "V" and exponent > 0:
                 tv -= 2 * exponent
             elif m is not UNIT:
-                try:
-                    m = mono(kind, exponent)  # U^0 and V^0 are the unit; anything else raises
-                except ValueError as e:
-                    self._error = ValueError, e.args
-                    return
+                m = mono(kind, exponent)  # U^0 and V^0 are the unit; anything else raises
             if tu != su or tv != sv:
                 have, want = Bigrading(tu, tv), Bigrading(su, sv)
-                self._error = DegreeViolationError, (
-                    source, target, f"gr({m}) + gr(tgt) = {have}, need {want}")
-                return
+                raise DegreeViolationError(source, target, f"gr({m}) + gr(tgt) = {have}, need {want}")
             # xor_term inline: the gradings fix m, so a repeat is the same arrow
             if t in row:
                 del row[t]
             else:
                 row[t] = m
         if not row:
-            del self._diff[s]
+            del diff[s]
 
-    def finish(self) -> Complex:
-        """The checked Complex, or the first error (see the class docstring)."""
-        if self._duplicate is not None:
-            raise DuplicateGeneratorError(self._duplicate)
-        error, self._error = self._error, None
-        pending, self._pending = self._pending, []
-        for _, source, terms in pending:  # each was set aside before the error, if any
-            self.row(source, terms)
-            if self._error is not None:
-                error = self._error
-                break
-            if self._pending:
-                error = UnknownGeneratorError, (self._pending[0][0],)
-                break
-        if error is not None:
-            kind, args = error
-            raise kind(*args)
-        if pending:
-            # a source resolved here takes the place its row was read at
-            index, diff = self._index, self._diff
-            keys = dict.fromkeys([index[pending[~k][1]] if k < 0 else k for k in diff])
-            self._diff = {k: diff[k] for k in keys if k in diff}
-        new = tuple.__new__  # skips each NamedTuple's Python-level __new__
-        gradings = map(new, repeat(Bigrading), self._gradings)
-        gens = tuple(map(new, repeat(Generator), zip(self._index, gradings)))
-        c = Complex(gens, self._diff, self._index)
-        _check_d_squared(c)
-        return c
-
-
-def validate(
-    generators: Iterable[tuple[str, tuple[int, int]]],
-    differential: Iterable[tuple[str, Iterable[tuple[Monomial, str]]]] = (),
-) -> Complex:
-    """Build a Complex from raw data, checking every structural invariant.
-
-    Args:
-        generators: (name, (gr_U, gr_V)) in declaration order.
-        differential: (source name, [(monomial, target name), ...]).
-
-    Raises:
-        DuplicateGeneratorError, UnknownGeneratorError, DegreeViolationError,
-        DSquaredNonzeroError, in that order of precedence (ComplexBuilder).
-    """
-    builder = ComplexBuilder()
-    for name, (gu, gv) in generators:
-        builder.gen(name, gu, gv)
-    for source, terms in differential:
-        builder.row(source, terms)
-    return builder.finish()
+    gens = tuple(map(new, repeat(Generator), zip(index, gradings)))
+    c = Complex(gens, diff, index)
+    _check_d_squared(c)
+    return c
 
 
 def reduce(c: Complex) -> Complex:

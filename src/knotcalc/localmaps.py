@@ -9,10 +9,11 @@ alignment, so a candidate map is a choice of one bit per grading-feasible
 conditions are linear in those bits and the tower condition contributes a
 single affine equation, so existence reduces to one GF(2) linear solve.
 One rule, _gen_slots, lists the slots of a source from the target's
-grading buckets; a one-shot solve applies it to each source in turn and
-the greedy to each new final generator.  Rows are built only at the
-sources with a slot and at the sources with an arrow into them; elsewhere
-the chain condition has no term.
+grading buckets, which each solve builds once from the target's gradings;
+a one-shot solve applies it to each source in turn and the greedy to each
+new final generator.  Rows are built only at the sources with a slot and
+at the sources with an arrow into them; elsewhere the chain condition has
+no term.
 
 Short maps relax the chain condition at the final generator x_n of a
 truncated standard complex: only the part of the condition in the direction
@@ -42,7 +43,7 @@ definition directly; it is the independent oracle for the solver.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import NamedTuple, Optional, Sequence
 
 from . import gf2
@@ -74,7 +75,8 @@ class Prepared(NamedTuple):
     The same value serves as the source or the target of a local map.
     tower is the mod-U tower element and tower_dual its coordinate on each
     generator, both as generator index -> V-exponent (see
-    TowerReport.tower_dual).
+    TowerReport.tower_dual).  A solve builds the grading buckets of c as a
+    target itself, so a map checked against the definition builds none.
     """
 
     c: Complex
@@ -83,10 +85,6 @@ class Prepared(NamedTuple):
     m_v: int  # the largest V-arrow torsion order (mod U), or 0
     tower: dict[int, int]
     tower_dual: dict[int, int]
-    # _grading_buckets(c): _gen_slots reads a source's feasible slots off
-    # these when c is the target
-    by_gru: dict[int, list[tuple[int, int]]]
-    by_grv: dict[int, list[tuple[int, int]]]
 
 
 def prepare_target(c: Complex) -> Prepared:
@@ -100,7 +98,6 @@ def prepare_target(c: Complex) -> Prepared:
         raise NotKnotLikeError(report.reasons)
     cn = apply_shift(c, report.applied_shift)
     mod_u = report.mod_u
-    by_gru, by_grv = _grading_buckets(cn)
     return Prepared(
         c=cn,
         q=mod_u.tower_top_grading.grv + report.applied_shift[1],
@@ -108,16 +105,12 @@ def prepare_target(c: Complex) -> Prepared:
         m_v=max(mod_u.etas, default=0),
         tower=dict(mod_u.tower_generator),
         tower_dual=dict(mod_u.tower_dual),
-        by_gru=by_gru,
-        by_grv=by_grv,
     )
 
 
-def prepare_standard(a: Params, b: Optional[Params] = None, *, buckets: bool = True) -> Prepared:
+def prepare_standard(a: Params, b: Optional[Params] = None) -> Prepared:
     """prepare_target(C(a)), or prepare_target(C(a) (x) C(b)), read off the
-    parameters with no homology sweep and no shift.  With buckets=False,
-    by_gru and by_grv are left empty: only a solve reads them, and a map
-    checked against the definition reads neither side's.
+    parameters with no homology sweep and no shift.
 
     Both towers of a standard complex, and so of a product of two, already
     sit at grading 0.  The mod-U tower is generator 0 (x0, or x0|x0): it has
@@ -129,7 +122,6 @@ def prepare_standard(a: Params, b: Optional[Params] = None, *, buckets: bool = T
     """
     factors = (a,) if b is None else (a, b)
     c = build_standard(a) if b is None else tensor(build_standard(a), build_standard(b))
-    by_gru, by_grv = _grading_buckets(c) if buckets else ({}, {})
     return Prepared(
         c=c,
         q=c.gens[0].grading.grv,
@@ -137,8 +129,6 @@ def prepare_standard(a: Params, b: Optional[Params] = None, *, buckets: bool = T
         m_v=max((abs(x) for p in factors for x in p[1::2]), default=0),
         tower={0: 0},
         tower_dual={0: 0},
-        by_gru=by_gru,
-        by_grv=by_grv,
     )
 
 
@@ -155,21 +145,23 @@ def _grading_buckets(c: Complex) -> tuple[dict, dict]:
     return by_gru, by_grv
 
 
-def _gen_slots(want: tuple[int, int], tgt: Prepared, bit: int) -> SourceSlots:
-    """The feasible slots of one source whose image has grading *want*, in
-    the target order (gr_U, gr_V, index), their bits numbered from *bit*: the
-    unit and V^k slots share the wanted gr_U, the U^k slots have a larger one.
+def _gen_slots(want: tuple[int, int], buckets: tuple[dict, dict], bit: int) -> SourceSlots:
+    """The feasible slots of one source whose image has grading *want*, read
+    off the target's _grading_buckets, in the target order (gr_U, gr_V,
+    index), their bits numbered from *bit*: the unit and V^k slots share the
+    wanted gr_U, the U^k slots have a larger one.
     """
     wu, wv = want
+    by_gru, by_grv = buckets
     out: SourceSlots = []
-    same_u = tgt.by_gru.get(wu)
+    same_u = by_gru.get(wu)
     if same_u:
         for gv, t in same_u[bisect_left(same_u, (wv, 0)):]:
             if (gv - wv) % 2 == 0:
                 out.append((t, bit + len(out), power("V", (gv - wv) // 2) if gv != wv else UNIT))
-    same_v = tgt.by_grv.get(wv)
+    same_v = by_grv.get(wv)
     if same_v:
-        for gu, t in same_v[bisect_right(same_v, (wu, len(tgt.c.gens))):]:
+        for gu, t in same_v[bisect_left(same_v, (wu + 1,)):]:
             if (gu - wu) % 2 == 0:
                 out.append((t, bit + len(out), power("U", (gu - wu) // 2)))
     return out
@@ -182,10 +174,10 @@ def _slots(dom: Complex, v_shift: int, tgt: Prepared) -> tuple[list[SourceSlots]
     none."""
     by_source: list[SourceSlots] = []
     nbits = 0
-    by_gru, by_grv = tgt.by_gru, tgt.by_grv
+    buckets = by_gru, by_grv = _grading_buckets(tgt.c)
     for _, (gu, gv) in dom.gens:
         gv += v_shift
-        slots = _gen_slots((gu, gv), tgt, nbits) if gu in by_gru or gv in by_grv else []
+        slots = _gen_slots((gu, gv), buckets, nbits) if gu in by_gru or gv in by_grv else []
         by_source.append(slots)
         nbits += len(slots)
     return by_source, nbits
@@ -413,7 +405,7 @@ def identity_maps(a: Params) -> tuple[LocalMapWitness, LocalMapWitness]:
     map, checked against the definition, in both directions.  With the
     paper's theorem that a local class holds exactly one standard complex,
     they certify that a is the standard representative of C(a)."""
-    s = prepare_standard(a, buckets=False)
+    s = prepare_standard(a)
     identity = _checked_map(s, s, [[(UNIT, i)] for i in range(len(s.c.gens))], "identity")
     return identity, identity
 
@@ -427,8 +419,8 @@ def mirror_maps(a: Params) -> tuple[LocalMapWitness, LocalMapWitness]:
     C(-a) has the negated gradings of C(a), so every x_i|x_i sits at
     grading (0, 0) with C()'s x0, and x0|x0 is the product's tower.  The
     product is built C(a) first, so an invalid a is reported as given."""
-    unit = prepare_standard((), buckets=False)
-    pair = prepare_standard(a, negate(a), buckets=False)
+    unit = prepare_standard(())
+    pair = prepare_standard(a, negate(a))
     n = len(a) + 1
     diagonal = range(0, n * n, n + 1)  # the indices of x_i|x_i
     coevaluation = _checked_map(unit, pair, [[(UNIT, t) for t in diagonal]], "coevaluation")
@@ -497,9 +489,10 @@ class PrefixSystem:
     def __init__(self, tgt: Prepared):
         """The systems of the empty prefix, whose C() is x_0 alone."""
         self.tgt = tgt
+        self.buckets = _grading_buckets(tgt.c)
         self.params: list[int] = []  # grows in place: a tuple would be copied on every push
         self.want = (0, tgt.q)  # the grading of f(x_n)
-        self.by_source = [_gen_slots(self.want, tgt, 0)]
+        self.by_source = [_gen_slots(self.want, self.buckets, 0)]
         self.nbits = len(self.by_source[0])  # the next free bit
         self.form = gf2.Echelon()
         self.feasible = self.form.extend([_tower_row({0: 0}, self.by_source, tgt)])
@@ -521,7 +514,7 @@ class PrefixSystem:
         return the full chain condition at x_n there."""
         n = len(self.params)
         du, dv = step(n + 1, b)
-        new = _gen_slots((self.want[0] + du, self.want[1] + dv), self.tgt, self.nbits)
+        new = _gen_slots((self.want[0] + du, self.want[1] + dv), self.buckets, self.nbits)
         self.by_source.append(new)
         if b > 0:
             return self.closing_rows

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional, Union
 
-from .algebra import UNIT, Complex, ComplexBuilder, Monomial, mono
+from .algebra import UNIT, Complex, Monomial, mono, validate
 from .errors import ParseError
 
 _GEN_RE = re.compile(r"gen\s+([^\s+]+)\s+(-?\d+)\s+(-?\d+)\s*$")
@@ -72,21 +72,26 @@ def _read_coefficients(tokens: list[str], cache: dict[str, Monomial], line: int)
 
 
 def parse_complex_file(text: str) -> Complex:
-    """Parse and check a complex file in one pass.
+    """Parse and check a complex file in two passes.
 
-    Canonical lines are read off their tokens; every other line goes through
-    the grammar's regexes, which word every syntax error, raised at the first
-    bad line.  Each line goes on to an algebra.ComplexBuilder as it is read,
-    which resolves names, checks degrees and builds rows; a d line may name
-    generators declared after it.  The builder's errors come after every
-    syntax error, in the order its docstring gives.
+    The first pass reads every line: canonical lines off their tokens, every
+    other line through the grammar's regexes, which word every syntax error,
+    raised at the first bad line.  It keeps, for each gen line, the name and
+    grading, and for each d line, the source, monomials and target names.
+    The second pass is one algebra.validate call, which resolves the names
+    (a d line may name generators declared after it), checks degrees and
+    d^2 = 0, and raises its errors in the order its docstring gives, so
+    every syntax error comes before them.
     """
-    builder = ComplexBuilder()
-    gen, row = builder.gen, builder.row
+    # each d line field by field, so that no tuple is kept per line or term
+    generators: list[tuple[str, tuple[int, int]]] = []
+    sources: list[str] = []
+    monomials: list[list[Monomial]] = []
+    targets: list[list[str]] = []
     # each distinct coefficient token ("U^2", "1", ...) of a canonical line is parsed once
     coefficients: dict[str, Monomial] = {}
     coefficient = coefficients.__getitem__
-    sources: set[str] = set()
+    seen: set[str] = set()  # the sources of the d lines read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
@@ -95,23 +100,24 @@ def parse_complex_file(text: str) -> Complex:
         if head == "gen" and n == 4 and "+" not in raw and "_" not in raw:
             # int() reads what -?\d+ matches, and also "+" and "_", refused here
             try:
-                gen(tokens[1], int(tokens[2]), int(tokens[3]))
+                generators.append((tokens[1], (int(tokens[2]), int(tokens[3]))))
                 continue
             except ValueError:
                 pass
-        elif (head == "d" and n > 3 and tokens[2] == "=" and tokens[1] not in sources
+        elif (head == "d" and n > 3 and tokens[2] == "=" and tokens[1] not in seen
               and (n == 4 and tokens[3] == "0"
                    or n % 3 == 2 and raw.count("+") == tokens[5::3].count("+") == n // 3 - 1)):
             # d NAME = 0, or d NAME = C N + C N + ...
             tokens_c = tokens[3:n - 1:3]
             try:
-                monomials = [*map(coefficient, tokens_c)]
+                row_monomials = [*map(coefficient, tokens_c)]
             except KeyError:
-                monomials = _read_coefficients(tokens_c, coefficients, lineno)
-            if monomials is not None:  # else the regex path words the error
-                source = tokens[1]
-                sources.add(source)
-                row(source, zip(monomials, tokens[4::3]))
+                row_monomials = _read_coefficients(tokens_c, coefficients, lineno)
+            if row_monomials is not None:  # else the regex path words the error
+                seen.add(tokens[1])
+                sources.append(tokens[1])
+                monomials.append(row_monomials)
+                targets.append(tokens[4::3])
                 continue
         line = raw.strip()
         if line.startswith("gen"):
@@ -119,17 +125,17 @@ def parse_complex_file(text: str) -> Complex:
             if not m:
                 raise ParseError(f"bad gen line {raw!r}", line=lineno)
             name, gu, gv = m.groups()
-            gen(name, int_literal(gu, lineno), int_literal(gv, lineno))
+            generators.append((name, (int_literal(gu, lineno), int_literal(gv, lineno))))
         elif line.startswith("d"):
             m = _D_RE.match(line)
             if not m:
                 raise ParseError(f"bad d line {raw!r}", line=lineno)
             src, rhs = m.groups()
             rhs = rhs.strip()
-            if src in sources:
+            if src in seen:
                 raise ParseError(f"duplicate differential for {src!r}", line=lineno)
-            sources.add(src)
-            terms = []
+            seen.add(src)
+            row_monomials, row_targets = [], []
             if rhs != "0":
                 for chunk in rhs.split("+"):
                     # a term is a coefficient and a name, split by whitespace
@@ -137,13 +143,16 @@ def parse_complex_file(text: str) -> Complex:
                     if len(parts) == 2:
                         monomial = _coefficient(parts[0], lineno)
                         if monomial is not None:
-                            terms.append((monomial, parts[1]))
+                            row_monomials.append(monomial)
+                            row_targets.append(parts[1])
                             continue
                     raise ParseError(f"bad term {chunk.strip()!r}", line=lineno)
-            row(src, terms)
+            sources.append(src)
+            monomials.append(row_monomials)
+            targets.append(row_targets)
         else:
             raise ParseError(f"unrecognized line {raw!r}", line=lineno)
-    return builder.finish()
+    return validate(generators, zip(sources, map(zip, monomials, targets)))
 
 
 def serialize_complex(c: Complex) -> str:

@@ -1,7 +1,7 @@
 """Shared builders: box complexes, basis scrambling, direct sums, the
 monomial of a grading, the image of an element under a map and a complex
-checked without the library's builder; and a fixture that makes building
-an Alexander polynomial fail."""
+checked rule by rule, apart from algebra.validate; and a fixture that makes
+building an Alexander polynomial fail."""
 
 from __future__ import annotations
 
@@ -55,11 +55,13 @@ def check_complex(
     differential: list[tuple[str, list[tuple[Monomial, str]]]],
 ) -> Complex:
     """The Complex of (name, grading) declarations and (source, terms) d
-    lines, checked rule by rule with no ComplexBuilder: the reference for
-    the parser.  Raises, in this order, the first duplicate name; the first
-    unknown name, malformed monomial (ValueError) or degree violation, in
-    row-then-term order; and d^2 != 0 at the least source, path by path.
-    Rows are XORed in d-line order."""
+    lines, checked rule by rule: the reference for the parser and for
+    algebra.validate.  Raises, in this order, the first duplicate name; the
+    first unknown name, malformed monomial (ValueError) or degree
+    violation, in row-then-term order; and d^2 != 0 at the least source,
+    path by path.  Rows are XORed in d-line order; a row that is empty at
+    the end of a line is dropped there, so a later line of its source puts
+    it last."""
     gradings: dict[str, Bigrading] = {}
     for name, (gu, gv) in generators:
         if name in gradings:
@@ -80,8 +82,10 @@ def check_complex(
                 detail = f"gr({m}) + gr(tgt) = {have}, need {want}"
                 raise DegreeViolationError(source, target, detail)
             xor_term(row, index[target], m)
+        if not row:
+            del diff[index[source]]
     gens = tuple(Generator(name, g) for name, g in gradings.items())
-    c = Complex(gens, {s: row for s, row in diff.items() if row})
+    c = Complex(gens, diff)
     for s, g in enumerate(gens):
         if apply_map(c.diff, apply_map(c.diff, {s: UNIT})):
             raise DSquaredNonzeroError(g.name)

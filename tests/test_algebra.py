@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import apply_map, box, direct_sum, mono_for_grading, scramble
+from conftest import apply_map, box, check_complex, direct_sum, mono_for_grading, scramble
 from knotcalc import algebra, standard
 from knotcalc.algebra import (
     MAX_PARAMETER,
@@ -26,6 +26,7 @@ from knotcalc.errors import (
     DegreeViolationError,
     DSquaredNonzeroError,
     DuplicateGeneratorError,
+    KnotCalcError,
     UnknownGeneratorError,
 )
 from knotcalc.homology import apply_shift
@@ -255,6 +256,76 @@ def test_validate_normalizes_raw_monomials():
     for bad in (Monomial("U", -1), Monomial("W", 1), Monomial("1", 2)):
         with pytest.raises(ValueError):
             validate(gens, [("a", [(bad, "b")])])
+
+
+# the malformed raw monomials, and the ones that raise nothing
+_MALFORMED = (Monomial("U", -1), Monomial("W", 1), Monomial("1", 2))
+_WELL_FORMED = (UNIT, Monomial("U", 0), Monomial("V", 0), Monomial("U", 1), Monomial("V", 2))
+
+
+@st.composite
+def _raw_complexes(draw):
+    """Raw (generators, differential) for validate, with a drawn set of
+    flaws.  Generator i has grading (2u - h, 2v - h), with u, v in {0, 1}
+    and level h = i mod 3, so an arrow one level down often has a monomial
+    that fits the degree rule, and paths of two arrows can break d^2 = 0.
+    A source may have several rows, and a term carries the monomial that
+    fits its target, with U^0 or V^0 for some units, so repeats cancel.
+    The flaws: a name declared twice, an undeclared source "y" and target
+    "z", which name their kind of error, malformed monomials, and
+    monomials or targets that break the degree rule."""
+    flaws = {f for f in ("duplicate", "unknown", "malformed", "degree") if draw(st.integers(0, 3)) == 1}
+    n = draw(st.integers(1, 7))
+    uv = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=n, max_size=n))
+    generators = [(f"g{i}", (2 * u - i % 3, 2 * v - i % 3)) for i, (u, v) in enumerate(uv)]
+    if "duplicate" in flaws:
+        generators.insert(draw(st.integers(0, n)), (f"g{draw(st.integers(0, n - 1))}", (0, 0)))
+    gradings = dict(reversed(generators))  # the first declaration of each name
+    names = [*gradings, "z"] if "unknown" in flaws else [*gradings]  # the targets
+
+    def fit(source, target):
+        if source in gradings and target in gradings:
+            (su, sv), (tu, tv) = gradings[source], gradings[target]
+            return mono_for_grading(Bigrading(su - 1 - tu, sv - 1 - tv))
+        return None
+
+    fits = {s: [t for t in names if fit(s, t) is not None] for s in [*gradings, "y"]}
+    sources = [s for s in gradings if fits[s] or {"degree", "unknown"} & flaws] or [*gradings]
+    if "unknown" in flaws:
+        sources.append("y")
+    # a row at each source in some order, then a few more rows of the same sources
+    sources = draw(st.permutations(sources)) + draw(st.lists(st.sampled_from(sources), max_size=3))
+    differential = []
+    for source in sources:
+        targets = names if not fits[source] or {"degree", "unknown"} & flaws else fits[source]
+        terms = []
+        for target in draw(st.lists(st.sampled_from(targets), max_size=4)):
+            m = fit(source, target)
+            if m is None or "degree" in flaws and draw(st.booleans()):
+                m = draw(st.sampled_from(_WELL_FORMED))
+            elif m is UNIT:
+                m = draw(st.sampled_from(_WELL_FORMED[:3]))
+            if "malformed" in flaws and draw(st.integers(0, 3)) == 1:
+                m = draw(st.sampled_from(_MALFORMED))
+            terms.append((m, target))
+        differential.append((source, terms))
+    return generators, differential
+
+
+def _validated(build, generators, differential):
+    """The outcome of *build*: the error, or the complex with the key order
+    of its differential and the item order of each row."""
+    try:
+        c = build(generators, differential)
+    except (KnotCalcError, ValueError) as e:
+        return type(e), str(e)
+    return c.gens, [(s, list(row.items())) for s, row in c.diff.items()]
+
+
+@settings(max_examples=300)
+@given(_raw_complexes())
+def test_validate_matches_the_rule_by_rule_check(raw):
+    assert _validated(validate, *raw) == _validated(check_complex, *raw)
 
 
 def _d_squared_by_apply_map(c):

@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import itertools
 import random
 from pathlib import Path
@@ -17,11 +19,13 @@ from knotcalc.homology import (
     check_knot_like,
     simplify,
 )
+from knotcalc.localequiv import standard_rep
 from knotcalc.localmaps import prepare_target
 from knotcalc.parsing import parse_complex_file
 from knotcalc.standard import build_standard
 
 DATA = Path(__file__).parent / "data"
+NOISY = Path(__file__).parent.parent / "bench" / "noisy.py"
 
 
 def fig2(base=(-1, -1)):
@@ -295,6 +299,38 @@ def _scrambled_complexes():
     return complexes
 
 
+# (size, seed) of seeded bench/noisy.py files on which a broken sweep gives a
+# wrong answer.  (121, 8) catches add_multiple adding to a new row or column
+# of the pivot that it never stores; (121, 2) catches the sweep taking a
+# stale heap entry as a pivot, and a new column never stored too.
+NOISY_FILES = ((121, 2), (121, 8))
+
+
+@functools.lru_cache(maxsize=None)
+def _noisy_files():
+    """(hidden tuple, text) of each of NOISY_FILES: a file written by
+    bench/noisy.py, whose standard representative is the hidden tuple of 2,
+    4 or 6 parameters drawn from the same seeded generator."""
+    spec = importlib.util.spec_from_file_location("noisy", NOISY)
+    noisy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(noisy)
+    out = []
+    for size, seed in NOISY_FILES:
+        rng = random.Random(seed)
+        hidden = tuple(rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(rng.choice((2, 4, 6))))
+        out.append((hidden, noisy.noisy_complex(rng, hidden, size)))
+    return tuple(out)
+
+
+def _noisy_reduced():
+    return [reduce(parse_complex_file(text)) for _, text in _noisy_files()]
+
+
+def test_noisy_files_give_their_hidden_representative():
+    for hidden, text in _noisy_files():
+        assert standard_rep(parse_complex_file(text)).params == hidden
+
+
 def _products():
     pool = [(1, -1), (2, -2), (1, -2, 2, -1), (-1, 2), (2, 1, -1, -2)]
     return [tensor(build_standard(p), build_standard(q)) for p, q in itertools.combinations(pool, 2)]
@@ -317,7 +353,7 @@ def _tower_mixed():
 
 
 # the pools of the sweep tests above, and one whose tower coordinates are mixed
-POOLS = [_data_files, _scrambled_complexes, _products, _tower_mixed]
+POOLS = [_data_files, _scrambled_complexes, _products, _tower_mixed, _noisy_reduced]
 
 
 def test_sweep_matches_rescan_on_data_files(monkeypatch):
@@ -330,6 +366,10 @@ def test_sweep_matches_rescan_on_scrambled_complexes(monkeypatch):
 
 def test_sweep_matches_rescan_on_products(monkeypatch):
     _assert_sweeps_match(monkeypatch, _products())
+
+
+def test_sweep_matches_rescan_on_noisy_files(monkeypatch):
+    _assert_sweeps_match(monkeypatch, _noisy_reduced())
 
 
 # --- the dual by row against the per-generator inverse scan ------------------

@@ -522,8 +522,7 @@ def test_every_fold_order_matches_monolithic_product():
 
 def _read_fields(tgt):
     """Every field of a Prepared that the solver reads."""
-    return (tgt.c.gens, tgt.c.diff, tgt.q, tgt.m_u, tgt.m_v, tgt.tower, tgt.tower_dual,
-            tgt.by_gru, tgt.by_grv)
+    return tgt.c.gens, tgt.c.diff, tgt.q, tgt.m_u, tgt.m_v, tgt.tower, tgt.tower_dual
 
 
 @functools.lru_cache(maxsize=None)

@@ -121,7 +121,7 @@ _TERM_RE = re.compile(r"(U\^(\d+)|V\^(\d+)|1)\s+(\S+)\s*$")
 def _parse_by_regex(text):
     """parse_complex_file with every term matched by one regex, the grammar's
     first implementation, and the complex checked by conftest's
-    check_complex, not by the library's builder."""
+    check_complex, not by algebra.validate."""
     generators, differential, sources = [], [], set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

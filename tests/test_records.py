@@ -15,7 +15,7 @@ RECORDS = [
     (TowerReport, ("side", "tower_generator", "tower_top_grading", "etas", "tower_dual"), 5),
     (KnotLikeReport, ("is_knot_like", "applied_shift", "reasons", "mod_u", "mod_v"), 5),
     (LocalMapWitness, ("assignment", "v_shift"), 2),
-    (Prepared, ("c", "q", "m_u", "m_v", "tower", "tower_dual", "by_gru", "by_grv"), 8),
+    (Prepared, ("c", "q", "m_u", "m_v", "tower", "tower_dual"), 6),
     (RepResult, ("params", "witnesses", "trace"), 3),
     (Torus, ("p", "q"), 2),
     (CableAtom, ("inner", "p", "q"), 3),
