@@ -1,29 +1,30 @@
 """Existence of local maps and short local maps, decided over F2.
 
-A local map f: S -> C is a grading-compatible R-equivariant chain map that
-carries the generator of the nontorsion tower of H(S/U) to a generator of
-the tower of H(C/U).  Once both complexes are normalized, the U-grading of
-f is preserved on the nose and the V-grading shift is pinned by tower-top
-alignment, so a candidate map is a choice of one bit per grading-feasible
-(source generator, monomial * target generator) slot.  The chain-map
-conditions are linear in those bits and the tower condition contributes a
-single affine equation, so existence reduces to one GF(2) linear solve.
-One rule, _gen_slots, lists the slots of a source from the target's
-grading buckets, which each solve builds once from the target's gradings;
-a one-shot solve applies it to each source in turn and the greedy to each
-new final generator.  Rows are built only at the sources with a slot and
-at the sources with an arrow into them; elsewhere the chain condition has
-no term.
+Every map here runs from one Prepared to another; knotcalc.witness holds
+the definition and its check.  Once both complexes are normalized, the
+U-grading of f is preserved on the nose and the V-grading shift is
+tgt.q - src.q, pinned by tower-top alignment, so a candidate map is a
+choice of one bit per grading-feasible (source generator, monomial * target
+generator) slot.  The chain-map conditions are linear in those bits and the
+tower condition contributes a single affine equation, so existence reduces
+to one GF(2) linear solve.  One rule, _gen_slots, lists the slots of a
+source from the target's grading buckets, which each solve builds once from
+the target's gradings; a one-shot solve applies it to each source in turn
+and the greedy to each new final generator.  Rows are built only at the
+sources with a slot and at the sources with an arrow into them; elsewhere
+the chain condition has no term.
 
 Short maps relax the chain condition at the final generator x_n of a
-truncated standard complex: only the part of the condition in the direction
-of the final arrow type is kept (the V-part when the parameter sequence has
-even length, the U-part when odd).
+truncated standard complex, wrapped in a Prepared whose tower is x_0 at
+gr_V 0: only the part of the condition in the direction of the final arrow
+type is kept (the V-part when the parameter sequence has even length, the
+U-part when odd).
 
-Every witness a solve returns is checked against the definition before it
-is returned, and a bad one raises VerificationFailedError.  identity_maps
-and mirror_maps write down, with no solve, the maps that certify a lone
-recipe factor and an exact mirror pair, and check them the same way.
+Every witness returned comes from witness.certified_witness, which checks
+it against the definition and raises VerificationFailedError if the check
+fails: a solve's, full_map's, and the maps that identity_maps and
+mirror_maps write down with no solve for a lone recipe factor and an exact
+mirror pair.
 
 PrefixSystem serves the greedy search of localequiv: the candidates
 C(a_1 .. a_k, b) share the prefix's slots and its chain conditions at
@@ -37,54 +38,26 @@ map and a checked map back; a wrong answer on the way would give a
 standard complex that is not locally equivalent to the input, so that
 certification would fail.
 
-brute_force_local_map enumerates every bit assignment and checks the
-definition directly; it is the independent oracle for the solver.
+brute_force_local_map enumerates every bit assignment and checks each with
+witness.check_witness; it is the independent oracle for the solver.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import gf2
-from .algebra import UNIT, Complex, Monomial, mono_mul, power, tensor, xor_term
-from .errors import BudgetExceededError, NotKnotLikeError, VerificationFailedError
+from .algebra import UNIT, Complex, Monomial, power, tensor
+from .errors import BudgetExceededError, NotKnotLikeError
 from .homology import apply_shift, check_knot_like
 from .standard import Params, arrow, build_standard, negate, step
+from .witness import LocalMapWitness, Prepared, build_witness, certified_witness, check_witness
+from .witness import Relaxed, touching
 
 # The slots of one source as (target index, bit, monomial), the bit being the
 # slot's position in the map's whole system.
 SourceSlots = list[tuple[int, int, Monomial]]
-
-
-class LocalMapWitness(NamedTuple):
-    """A concrete map assignment certifying S <= C.
-
-    assignment maps each source generator name to its image, a sum of
-    (monomial, target generator name) terms.  Every term satisfies
-    gr(m) + gr(target) = gr(source) + (0, v_shift).
-    """
-
-    assignment: tuple[tuple[str, tuple[tuple[Monomial, str], ...]], ...]
-    v_shift: int
-
-
-class Prepared(NamedTuple):
-    """A normalized knot-like complex with its tower data.
-
-    The same value serves as the source or the target of a local map.
-    tower is the mod-U tower element and tower_dual its coordinate on each
-    generator, both as generator index -> V-exponent (see
-    TowerReport.tower_dual).  A solve builds the grading buckets of c as a
-    target itself, so a map checked against the definition builds none.
-    """
-
-    c: Complex
-    q: int  # gr_V of the mod-U tower top
-    m_u: int  # the largest U-arrow torsion order (mod V), or 0
-    m_v: int  # the largest V-arrow torsion order (mod U), or 0
-    tower: dict[int, int]
-    tower_dual: dict[int, int]
 
 
 def prepare_target(c: Complex) -> Prepared:
@@ -167,27 +140,20 @@ def _gen_slots(want: tuple[int, int], buckets: tuple[dict, dict], bit: int) -> S
     return out
 
 
-def _slots(dom: Complex, v_shift: int, tgt: Prepared) -> tuple[list[SourceSlots], int]:
-    """The grading-feasible slots of each source of a map dom -> tgt with
-    the given V-shift, their bits numbered source by source, and the number
-    of slots.  A source whose wanted gr_U and gr_V both miss the target has
-    none."""
+def _slots(src: Prepared, tgt: Prepared) -> tuple[list[SourceSlots], int]:
+    """The grading-feasible slots of each source of a map src -> tgt, their
+    bits numbered source by source, and the number of slots.  A source whose
+    wanted gr_U and gr_V both miss the target has none."""
     by_source: list[SourceSlots] = []
     nbits = 0
+    v_shift = tgt.q - src.q
     buckets = by_gru, by_grv = _grading_buckets(tgt.c)
-    for _, (gu, gv) in dom.gens:
+    for _, (gu, gv) in src.c.gens:
         gv += v_shift
         slots = _gen_slots((gu, gv), buckets, nbits) if gu in by_gru or gv in by_grv else []
         by_source.append(slots)
         nbits += len(slots)
     return by_source, nbits
-
-
-def _touching(dom: Complex, support: set[int]) -> set[int]:
-    """The sources in *support* or with an arrow into it: the only sources
-    where the chain condition d f(s) = f(d s) of a map that is 0 outside
-    *support* has a term."""
-    return support.union(s for s, row in dom.diff.items() if not support.isdisjoint(row))
 
 
 def _source_rows(
@@ -236,11 +202,12 @@ def _compose(rows: dict[int, int], k1: str, slots: SourceSlots) -> None:
 
 
 def _tower_row(
-    dom_tower: dict[int, int], by_source: Sequence[SourceSlots], tgt: Prepared
+    tower: dict[int, int], by_source: Sequence[SourceSlots], tgt: Prepared
 ) -> tuple[int, int]:
-    """The tower condition: f(tower) has unit coefficient on the target's tower."""
+    """The tower condition: f(tower) has unit coefficient on the target's
+    tower, for the source's tower element *tower*."""
     mask = 0
-    for g, k in dom_tower.items():
+    for g, k in tower.items():
         if k != 0:
             continue
         for t, bit, m in by_source[g]:
@@ -249,155 +216,38 @@ def _tower_row(
     return mask, 1
 
 
-def _solve(
-    dom: Complex,
-    dom_tower: dict[int, int],
-    v_shift: int,
-    tgt: Prepared,
-    relaxed: Optional[tuple[int, str]],
-) -> Optional[LocalMapWitness]:
-    """Build and solve the linear system for a (short) local map dom -> tgt.
+def _images(by_source: Sequence[SourceSlots], mask: int) -> list:
+    """The image of each source, as (monomial, target index) terms, under the
+    map whose nonzero slots are the set bits of *mask*."""
+    return [[(m, t) for t, bit, m in source if mask >> bit & 1] if source else ()
+            for source in by_source]
 
-    dom_tower is the mod-U tower element of the domain (generator index ->
-    V-exponent), and v_shift the V-shift that aligns its grading with the
-    target's tower top.  relaxed, when given, is (generator index, kind):
-    only the chain condition in direction *kind* is imposed at that
-    generator.
 
-    Rows are built only at the sources _touching the slots, in index order.
+def _solve(src: Prepared, tgt: Prepared, relaxed: Relaxed) -> Optional[LocalMapWitness]:
+    """Build and solve the linear system for a (short) local map src -> tgt.
+
+    relaxed, when given, is (generator index, kind): only the chain
+    condition in direction *kind* is imposed at that generator.  Rows are
+    built only at the sources touching the slots, in index order.
     """
-    by_source, nbits = _slots(dom, v_shift, tgt)
+    dom = src.c
+    by_source, nbits = _slots(src, tgt)
     system: list[tuple[int, int]] = []
-    for s in sorted(_touching(dom, {s for s, slots in enumerate(by_source) if slots})):
+    for s in sorted(touching(dom, {s for s, slots in enumerate(by_source) if slots})):
         kind = relaxed[1] if relaxed and relaxed[0] == s else None
         rows = _source_rows(s, dom.diff.get(s, {}), by_source, tgt, kind)
         system += [(mask, 0) for mask in rows.values()]
-    system.append(_tower_row(dom_tower, by_source, tgt))
+    system.append(_tower_row(src.tower, by_source, tgt))
 
     solution = gf2.solve_affine(system, nbits)
     if solution is None:
         return None
-    return _checked_witness(dom, dom_tower, tgt, relaxed, by_source, solution, v_shift)
-
-
-def _checked_witness(
-    dom: Complex,
-    dom_tower: dict[int, int],
-    tgt: Prepared,
-    relaxed: Optional[tuple[int, str]],
-    by_source: Sequence[SourceSlots],
-    mask: int,
-    v_shift: int,
-) -> LocalMapWitness:
-    """The witness a solution *mask* over the slots stands for, checked
-    against the definition; VerificationFailedError if the check fails."""
-    witness = _witness_from_mask(dom, tgt.c, by_source, mask, v_shift)
-    if not _check_witness(dom, dom_tower, tgt, relaxed, witness):
-        raise VerificationFailedError("solver produced a bad witness")
-    return witness
-
-
-def _witness_from_mask(
-    dom: Complex, tgt: Complex, by_source: Sequence[SourceSlots], mask: int, v_shift: int
-) -> LocalMapWitness:
-    assignment = tuple(
-        (g.name, tuple((m, tgt.gens[t].name) for t, bit, m in source if mask >> bit & 1)
-         if source else ())
-        for g, source in zip(dom.gens, by_source)
-    )
-    return LocalMapWitness(assignment=assignment, v_shift=v_shift)
-
-
-# ---------------------------------------------------------------------------
-# Definition-level checking (shared by the oracle and witness verification)
-
-
-def _check_witness(
-    dom: Complex,
-    dom_tower: dict[int, int],
-    tgt: Prepared,
-    relaxed: Optional[tuple[int, str]],
-    witness: LocalMapWitness,
-) -> bool:
-    """Check a candidate map directly against the definition.
-
-    Each term's grading gr(m) + gr(target) = gr(source) + (0, v_shift) is
-    checked on plain ints.  The chain condition d f(s) = f(d s) is tested
-    only at the sources _touching the support of f, where both sides are
-    accumulated term by term and compared as monomials; elsewhere both
-    sides are 0.
-    """
-    tc = tgt.c
-    f: dict[int, dict[int, Monomial]] = {}
-    for src_name, terms in witness.assignment:
-        s = dom.index(src_name)
-        f[s] = image = {}
-        if not terms:
-            continue
-        su, sv = dom.gens[s].grading
-        sv += witness.v_shift
-        for m, tgt_name in terms:
-            t = tc.index(tgt_name)
-            tu, tv = tc.gens[t].grading
-            kind, exponent = m
-            if kind == "U":
-                tu -= 2 * exponent
-            elif kind == "V":
-                tv -= 2 * exponent
-            if tu != su or tv != sv:
-                return False
-            image[t] = m
-
-    tdiff, ddiff = tc.diff, dom.diff
-    for s in _touching(dom, {s for s, image in f.items() if image}):
-        kind = relaxed[1] if relaxed and relaxed[0] == s else None
-        lhs: dict[int, Monomial] = {}  # d f(s)
-        for t, m in f.get(s, {}).items():
-            for u, d in tdiff.get(t, {}).items():
-                if not kind or d.kind == kind:
-                    p = mono_mul(m, d)
-                    if p is not None:
-                        xor_term(lhs, u, p)
-        rhs: dict[int, Monomial] = {}  # f(d s)
-        for sp, e in ddiff.get(s, {}).items():
-            if not kind or e.kind == kind:
-                for t, m in f.get(sp, {}).items():
-                    p = mono_mul(e, m)
-                    if p is not None:
-                        xor_term(rhs, t, p)
-        if lhs != rhs:
-            return False
-
-    # tower condition: the mod-U reduction of f(tower) must have unit
-    # coefficient on the tower basis element of the target
-    image_mod_u: dict[int, int] = {}
-    for g, k in dom_tower.items():
-        for t, m in f.get(g, {}).items():
-            if m.kind == "U":
-                continue
-            exp = k + m.exponent if m.kind == "V" else k
-            if t in image_mod_u and image_mod_u[t] == exp:
-                del image_mod_u[t]
-            elif t in image_mod_u:
-                return False
-            else:
-                image_mod_u[t] = exp
-    coeff: dict[int, int] = {}
-    for t, vexp in image_mod_u.items():
-        if t in tgt.tower_dual:
-            total = vexp + tgt.tower_dual[t]
-            coeff[total] = coeff.get(total, 0) ^ 1
-    coeff = {e: v for e, v in coeff.items() if v}
-    return coeff == {0: 1}
-
-
-# ---------------------------------------------------------------------------
-# Public interface
+    return certified_witness(src, tgt, _images(by_source, solution), "solved", relaxed)
 
 
 def map_between(src: Prepared, tgt: Prepared) -> Optional[LocalMapWitness]:
     """Witness for a local map src -> tgt between prepared complexes, or None."""
-    return _solve(src.c, src.tower, tgt.q - src.q, tgt, relaxed=None)
+    return _solve(src, tgt, relaxed=None)
 
 
 def identity_maps(a: Params) -> tuple[LocalMapWitness, LocalMapWitness]:
@@ -406,7 +256,7 @@ def identity_maps(a: Params) -> tuple[LocalMapWitness, LocalMapWitness]:
     paper's theorem that a local class holds exactly one standard complex,
     they certify that a is the standard representative of C(a)."""
     s = prepare_standard(a)
-    identity = _checked_map(s, s, [[(UNIT, i)] for i in range(len(s.c.gens))], "identity")
+    identity = certified_witness(s, s, [[(UNIT, i)] for i in range(len(s.c.gens))], "identity")
     return identity, identity
 
 
@@ -423,30 +273,11 @@ def mirror_maps(a: Params) -> tuple[LocalMapWitness, LocalMapWitness]:
     pair = prepare_standard(a, negate(a))
     n = len(a) + 1
     diagonal = range(0, n * n, n + 1)  # the indices of x_i|x_i
-    coevaluation = _checked_map(unit, pair, [[(UNIT, t) for t in diagonal]], "coevaluation")
-    evaluation = _checked_map(
+    coevaluation = certified_witness(unit, pair, [[(UNIT, t) for t in diagonal]], "coevaluation")
+    evaluation = certified_witness(
         pair, unit, [[(UNIT, 0)] if s in diagonal else [] for s in range(n * n)], "evaluation"
     )
     return coevaluation, evaluation
-
-
-def _checked_map(
-    src: Prepared, tgt: Prepared, images: Sequence[Sequence[tuple[Monomial, int]]], name: str
-) -> LocalMapWitness:
-    """The witness of the map that sends source s to the sum of m * t over
-    images[s], every source listed and v_shift = tgt.q - src.q, checked
-    against the definition; VerificationFailedError if the check fails."""
-    tgt_gens = tgt.c.gens
-    witness = LocalMapWitness(
-        assignment=tuple(
-            (g.name, tuple((m, tgt_gens[t].name) for m, t in image))
-            for g, image in zip(src.c.gens, images)
-        ),
-        v_shift=tgt.q - src.q,
-    )
-    if not _check_witness(src.c, src.tower, tgt, None, witness):
-        raise VerificationFailedError(f"the {name} map failed its check")
-    return witness
 
 
 def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]:
@@ -455,13 +286,13 @@ def short_map(params: Sequence[int], tgt: Prepared) -> Optional[LocalMapWitness]
     The domain is the truncated standard complex of the parameters, built
     with its grading anchored at x_0; the chain condition is imposed at
     x_0 .. x_{n-1} and only its V-part (even length) or U-part (odd length)
-    at the final generator.  The tower condition is imposed at x_0.
+    at the final generator.  The tower condition is imposed at x_0, the
+    domain's tower, at gr_V 0.
     """
     p = tuple(params)
     n = len(p)
-    domain = build_standard(p, v_anchor=0)  # its tower top x_0 has gr_V 0
-    relaxed = (n, "V" if n % 2 == 0 else "U")
-    return _solve(domain, {0: 0}, tgt.q, tgt, relaxed)
+    domain = Prepared(build_standard(p, v_anchor=0), 0, 0, 0, {0: 0}, {0: 0})
+    return _solve(domain, tgt, (n, "V" if n % 2 == 0 else "U"))
 
 
 class PrefixSystem:
@@ -579,8 +410,8 @@ class PrefixSystem:
         """
         if not (self.feasible and self.form.extend(self.closing_rows)):
             return None
-        mask, v_shift = self.form.solution(), self.tgt.q - src.q
-        return _checked_witness(src.c, src.tower, self.tgt, None, self.by_source, mask, v_shift)
+        images = _images(self.by_source, self.form.solution())
+        return certified_witness(src, self.tgt, images, "forward")
 
 
 def exists_local_map(s: Complex, c: Complex) -> Optional[LocalMapWitness]:
@@ -602,7 +433,7 @@ def verify_local_map(s: Complex, c: Complex, witness: LocalMapWitness) -> bool:
     """Re-check a full local-map witness against the definition."""
     tgt = prepare_target(c)
     src = prepare_target(s)
-    return _check_witness(src.c, src.tower, tgt, None, witness)
+    return check_witness(src, tgt, witness)
 
 
 def brute_force_local_map(
@@ -616,12 +447,11 @@ def brute_force_local_map(
     """
     tgt = prepare_target(c)
     src = prepare_target(s)
-    v_shift = tgt.q - src.q
-    by_source, nbits = _slots(src.c, v_shift, tgt)
+    by_source, nbits = _slots(src, tgt)
     if nbits > budget:
         raise BudgetExceededError(nbits, budget)
     for mask in range(1 << nbits):
-        witness = _witness_from_mask(src.c, tgt.c, by_source, mask, v_shift)
-        if _check_witness(src.c, src.tower, tgt, None, witness):
+        witness = build_witness(src, tgt, _images(by_source, mask))
+        if check_witness(src, tgt, witness):
             return witness
     return None

@@ -42,9 +42,74 @@ MUTANTS = [
     ("src/knotcalc/algebra.py", "heapq.heappush(units, (y, b))", "pass",
      ["tests/test_algebra.py::test_reduce_matches_rescan_on_scrambled_inputs"]),
     # the witness check accepts two V-powers of the tower at one target
-    ("src/knotcalc/localmaps.py", "            elif t in image_mod_u:\n                return False\n",
+    ("src/knotcalc/witness.py", "            elif t in image_mod_u:\n                return False\n",
      "            elif t in image_mod_u:\n                return True\n",
      ["tests/test_localmaps.py::test_check_refuses_two_tower_exponents_at_one_target"]),
+    # the witness check drops the gr_V half of the grading rule
+    ("src/knotcalc/witness.py", "if tu != su or tv != sv:", "if tu != su:",
+     ["tests/test_localmaps.py::test_check_refuses_a_term_of_the_wrong_grading"]),
+    # the witness check never compares the two sides of the chain condition
+    ("src/knotcalc/witness.py", "        if lhs != rhs:\n            return False\n", "",
+     ["tests/test_localmaps.py::test_sparse_check_rejects_a_map_nonzero_only_on_a_target"]),
+    # the witness check passes every tower condition
+    ("src/knotcalc/witness.py", "return coeff == {0: 1}", "return True",
+     ["tests/test_localmaps.py::test_witness_verification_rejects_tampering"]),
+    # the witness check reads a source listed twice by its last entry
+    ("src/knotcalc/witness.py",
+     "    if len(dict(assignment)) != len(assignment):  # a source listed twice\n        return False\n", "",
+     ["tests/test_localmaps.py::test_check_refuses_an_ambiguous_witness"]),
+    # the witness check counts a term repeated at one source once
+    ("src/knotcalc/witness.py",
+     "        if len(image) != len(terms):  # a target repeated\n            return False\n", "",
+     ["tests/test_localmaps.py::test_check_refuses_an_ambiguous_witness"]),
+    # a certificate route returns its witness unchecked: the one-shot solve,
+    # the greedy's forward map, a lone factor's identity, a mirror pair's maps
+    ("src/knotcalc/localmaps.py",
+     'return certified_witness(src, tgt, _images(by_source, solution), "solved", relaxed)',
+     "return build_witness(src, tgt, _images(by_source, solution))",
+     ["tests/test_localmaps.py::test_bad_solver_witness_raises",
+      "tests/test_localequiv.py::test_certification_cannot_be_skipped[backward]"]),
+    ("src/knotcalc/localmaps.py", 'return certified_witness(src, self.tgt, images, "forward")',
+     "return build_witness(src, self.tgt, images)",
+     ["tests/test_localequiv.py::test_certification_cannot_be_skipped[forward]"]),
+    ("src/knotcalc/localmaps.py",
+     'identity = certified_witness(s, s, [[(UNIT, i)] for i in range(len(s.c.gens))], "identity")',
+     "identity = build_witness(s, s, [[(UNIT, i)] for i in range(len(s.c.gens))])",
+     ["tests/test_localequiv.py::test_group_law_certificates_cannot_be_skipped[T(3,4)]"]),
+    ("src/knotcalc/localmaps.py",
+     '    coevaluation = certified_witness(unit, pair, [[(UNIT, t) for t in diagonal]], "coevaluation")\n'
+     "    evaluation = certified_witness(\n"
+     '        pair, unit, [[(UNIT, 0)] if s in diagonal else [] for s in range(n * n)], "evaluation"\n'
+     "    )\n",
+     "    coevaluation = build_witness(unit, pair, [[(UNIT, t) for t in diagonal]])\n"
+     "    evaluation = build_witness(pair, unit, [[(UNIT, 0)] if s in diagonal else [] for s in range(n * n)])\n",
+     ["tests/test_localequiv.py::test_group_law_certificates_cannot_be_skipped[T(3,4) - T(3,4)]"]),
+    # validate keeps a row that ends empty
+    ("src/knotcalc/algebra.py", "        if not row:\n            del diff[s]\n", "",
+     ["tests/test_algebra.py::test_validate_repeated_arrow",
+      "tests/test_parsing.py::test_zero_differential_line"]),
+    # validate keeps the last copy of a repeated arrow instead of cancelling the two
+    ("src/knotcalc/algebra.py",
+     "            if t in row:\n                del row[t]\n            else:\n                row[t] = m\n",
+     "            row[t] = m\n",
+     ["tests/test_algebra.py::test_validate_repeated_arrow"]),
+    # validate lets a later generator of the same name replace the first
+    ("src/knotcalc/algebra.py", "        if name in index:\n            raise DuplicateGeneratorError(name)\n", "",
+     ["tests/test_algebra.py::test_validate_duplicate_generator"]),
+    # validate skips a term whose target is undeclared
+    ("src/knotcalc/algebra.py", "                raise UnknownGeneratorError(target)\n", "                continue\n",
+     ["tests/test_parsing.py::test_every_edit_builds_the_complex_of_the_regex_grammar[0]"]),
+    # validate skips a row whose source is undeclared
+    ("src/knotcalc/algebra.py", "            raise UnknownGeneratorError(source)\n", "            continue\n",
+     ["tests/test_algebra.py::test_validate_unknown_generator"]),
+    # validate takes a malformed monomial as given
+    ("src/knotcalc/algebra.py",
+     "                m = mono(kind, exponent)  # U^0 and V^0 are the unit; anything else raises\n",
+     "                pass\n",
+     ["tests/test_algebra.py::test_validate_normalizes_raw_monomials"]),
+    # validate never checks d^2 = 0
+    ("src/knotcalc/algebra.py", "    _check_d_squared(c)\n    return c\n", "    return c\n",
+     ["tests/test_algebra.py::test_validate_d_squared"]),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.pyc")

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import apply_map, box, check_complex, direct_sum, mono_for_grading, scramble
+from conftest import apply_map, box, check_complex, direct_sum, mono_for_grading, noisy_files, scramble
 from knotcalc import algebra, standard
 from knotcalc.algebra import (
     MAX_PARAMETER,
@@ -522,6 +522,14 @@ def test_reduce_matches_rescan_on_scrambled_inputs(p, seed, pairs):
     c = scramble(direct_sum(base, box(1, 2, tag="k"), *extra), rng)
     assert not c.is_reduced
     _assert_reduce_matches_rescan(c)
+
+
+def test_reduce_matches_rescan_on_noisy_files():
+    # the files as parsed, before reduce cancels 121 generators to 75
+    for _, text in noisy_files():
+        c = parse_complex_file(text)
+        assert not c.is_reduced
+        _assert_reduce_matches_rescan(c)
 
 
 def test_reduce_matches_rescan_on_products():

@@ -1,12 +1,10 @@
-import functools
-import importlib.util
 import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from conftest import basis_change, box, direct_sum, scramble
+from conftest import basis_change, box, direct_sum, noisy_files, scramble
 from knotcalc.algebra import Bigrading, mono, reduce, tensor, unit_complex, validate, xor_term
 from knotcalc import gf2, homology
 from knotcalc.errors import MultipleTowersError, NotReducedError
@@ -25,7 +23,6 @@ from knotcalc.parsing import parse_complex_file
 from knotcalc.standard import build_standard
 
 DATA = Path(__file__).parent / "data"
-NOISY = Path(__file__).parent.parent / "bench" / "noisy.py"
 
 
 def fig2(base=(-1, -1)):
@@ -299,35 +296,12 @@ def _scrambled_complexes():
     return complexes
 
 
-# (size, seed) of seeded bench/noisy.py files on which a broken sweep gives a
-# wrong answer.  (121, 8) catches add_multiple adding to a new row or column
-# of the pivot that it never stores; (121, 2) catches the sweep taking a
-# stale heap entry as a pivot, and a new column never stored too.
-NOISY_FILES = ((121, 2), (121, 8))
-
-
-@functools.lru_cache(maxsize=None)
-def _noisy_files():
-    """(hidden tuple, text) of each of NOISY_FILES: a file written by
-    bench/noisy.py, whose standard representative is the hidden tuple of 2,
-    4 or 6 parameters drawn from the same seeded generator."""
-    spec = importlib.util.spec_from_file_location("noisy", NOISY)
-    noisy = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(noisy)
-    out = []
-    for size, seed in NOISY_FILES:
-        rng = random.Random(seed)
-        hidden = tuple(rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(rng.choice((2, 4, 6))))
-        out.append((hidden, noisy.noisy_complex(rng, hidden, size)))
-    return tuple(out)
-
-
 def _noisy_reduced():
-    return [reduce(parse_complex_file(text)) for _, text in _noisy_files()]
+    return [reduce(parse_complex_file(text)) for _, text in noisy_files()]
 
 
 def test_noisy_files_give_their_hidden_representative():
-    for hidden, text in _noisy_files():
+    for hidden, text in noisy_files():
         assert standard_rep(parse_complex_file(text)).params == hidden
 
 

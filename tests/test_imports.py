@@ -33,3 +33,13 @@ def test_sibling_imports_are_module_level_and_public(path):
         assert not in_function, f"{where}: relative import inside a function"
         private = [a.name for a in node.names if a.name.startswith("_")]
         assert not private, f"{where}: imports private names {private}"
+
+
+def test_the_witness_check_imports_only_algebra_and_errors():
+    # every certificate rests on knotcalc.witness, so it must not rest on the
+    # solver, the homology sweep or the greedy it certifies
+    path = Path(knotcalc.__file__).parent / "witness.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {node.module or alias.name
+                for node, _ in _relative_imports(tree) for alias in node.names}
+    assert imported == {"algebra", "errors"}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import box, direct_sum, scramble
-from knotcalc import localequiv, localmaps
+from knotcalc import localequiv, witness
 from knotcalc.alexander import _fold, _fold_order, eval_recipe, recipe_factors
 from knotcalc.algebra import dual, reduce, tensor, tensor_many, unit_complex
 from knotcalc.errors import LengthCapExceededError, NotKnotLikeError, VerificationFailedError
@@ -641,17 +641,17 @@ def test_certification_cannot_be_skipped(monkeypatch, direction):
     # definition, also under python -O: failing either check must raise.
     # On a product the forward map's domain is C(rep) and the backward
     # map's is the product, so each can be failed alone.
-    check = localmaps._check_witness
+    check = witness.check_witness
     calls = []
 
-    def failing(dom, *args):
-        forward = _is_standard_domain(dom)
+    def failing(src, *args):
+        forward = _is_standard_domain(src.c)
         calls.append(forward)
         if direction == "both" or forward == (direction == "forward"):
             return False
-        return check(dom, *args)
+        return check(src, *args)
 
-    monkeypatch.setattr(localmaps, "_check_witness", failing)
+    monkeypatch.setattr(witness, "check_witness", failing)
     product = tensor(build_standard((2, -2)), build_standard((1, -1)))
     for run in (lambda: standard_rep(product), lambda: eval_recipe("T(3,4) - T(2,5) + T(2,3)")):
         calls.clear()
@@ -664,6 +664,6 @@ def test_certification_cannot_be_skipped(monkeypatch, direction):
 def test_group_law_certificates_cannot_be_skipped(monkeypatch, recipe):
     # a lone atom's identity maps and a mirror pair's coevaluation and
     # evaluation are checked against the definition, also under python -O
-    monkeypatch.setattr(localmaps, "_check_witness", lambda *args: False)
+    monkeypatch.setattr(witness, "check_witness", lambda *args: False)
     with pytest.raises(VerificationFailedError):
         eval_recipe(recipe)

@@ -33,6 +33,7 @@ from knotcalc.localmaps import (
 )
 from knotcalc.localequiv import standard_rep
 from knotcalc.standard import GT, build_standard, lex_cmp
+from knotcalc.witness import Prepared, build_witness, check_witness
 
 # small parameter pool used for exhaustive cross-checks
 SMALL = [()] + [(a, b) for a in (1, -1, 2, -2) for b in (1, -1, 2, -2)]
@@ -121,10 +122,10 @@ def test_short_maps_detect_next_parameter():
 # --- slots --------------------------------------------------------------------
 
 
-def _slots_by_scan(dom, dom_tower, tgt):
+def _slots_by_scan(dom, tower, tgt):
     """Test every (source, target) pair, targets in (grading, index) order,
     numbering the slots across all sources."""
-    v_shift = tgt.q - element_grading(dom, MOD_U, dom_tower).grv
+    v_shift = tgt.q - element_grading(dom, MOD_U, tower).grv
     by_grading = sorted(range(len(tgt.c.gens)), key=lambda t: (tuple(tgt.c.gens[t].grading), t))
     by_source, bit = [], 0
     for g in dom.gens:
@@ -138,18 +139,24 @@ def _slots_by_scan(dom, dom_tower, tgt):
     return v_shift, by_source, bit
 
 
-def _assert_slots_match(dom, dom_tower, tgt, v_shift):
-    # v_shift is the solver's shortcut, tgt.q - src.q or tgt.q for a short
-    # map's domain; the scan derives it from the domain's tower instead
-    by_source, nbits = localmaps._slots(dom, v_shift, tgt)
+def _assert_slots_match(src, tgt):
+    # the solver's V-shift is tgt.q - src.q; the scan derives it from the
+    # domain's tower instead
+    by_source, nbits = localmaps._slots(src, tgt)
     assert nbits  # the comparison is not vacuous
-    assert (v_shift, by_source, nbits) == _slots_by_scan(dom, dom_tower, tgt)
+    assert (tgt.q - src.q, by_source, nbits) == _slots_by_scan(src.c, src.tower, tgt)
+
+
+def _short_domain(p):
+    """The domain of short_map(p, tgt): C(p) anchored at gr(x_0) = (0, 0),
+    whose tower is x_0."""
+    return Prepared(build_standard(p, v_anchor=0), 0, 0, 0, {0: 0}, {0: 0})
 
 
 def test_slots_match_scan_on_standard_pairs():
     prepared = [prepare_target(build_standard(p)) for p in SMALL]
     for src, tgt in itertools.product(prepared, prepared):
-        _assert_slots_match(src.c, src.tower, tgt, tgt.q - src.q)
+        _assert_slots_match(src, tgt)
 
 
 def test_slots_match_scan_on_shifted_products():
@@ -159,7 +166,7 @@ def test_slots_match_scan_on_shifted_products():
         for p, q in itertools.combinations(pool, 2)
     ]
     for src, tgt in itertools.product(products, products + [prepare_target(build_standard((1, -1)))]):
-        _assert_slots_match(src.c, src.tower, tgt, tgt.q - src.q)
+        _assert_slots_match(src, tgt)
 
 
 def test_slots_match_scan_on_short_map_domains():
@@ -167,7 +174,7 @@ def test_slots_match_scan_on_short_map_domains():
     targets.append(prepare_target(tensor(build_standard((2, -2)), build_standard((1, -1)))))
     for tgt in targets:
         for p in [(1,), (-2,), (1, -1), (2, -1, 1), (1, -2, 2, -1), (-1, 2, 1, -2, 3)]:
-            _assert_slots_match(build_standard(p, v_anchor=0), {0: 0}, tgt, tgt.q)
+            _assert_slots_match(_short_domain(p), tgt)
 
 
 def _backward_maps():
@@ -191,7 +198,7 @@ def _backward_maps():
 def test_slots_match_scan_on_backward_maps():
     for big, rep in _backward_maps():
         assert len(big.c.gens) > 2 * len(rep.c.gens)
-        _assert_slots_match(big.c, big.tower, rep, rep.q - big.q)
+        _assert_slots_match(big, rep)
 
 
 def test_backward_witness_matches_rows_at_every_source(monkeypatch):
@@ -205,8 +212,7 @@ def test_backward_witness_matches_rows_at_every_source(monkeypatch):
     idle = 0
     for big, rep in _backward_maps():
         witness = localmaps.map_between(big, rep)
-        v_shift = rep.q - big.q
-        by_source, nbits = localmaps._slots(big.c, v_shift, rep)
+        by_source, nbits = localmaps._slots(big, rep)
         rows = []
         for s in range(len(big.c.gens)):
             at_s = localmaps._source_rows(s, big.c.diff.get(s, {}), by_source, rep, None)
@@ -215,7 +221,7 @@ def test_backward_witness_matches_rows_at_every_source(monkeypatch):
         rows.append(localmaps._tower_row(big.tower, by_source, rep))
         # the solver got every row, in the same order: the sources it skipped have none
         assert solved.pop() == rows
-        assert witness == localmaps._witness_from_mask(big.c, rep.c, by_source, real(rows, nbits), v_shift)
+        assert witness == build_witness(big, rep, localmaps._images(by_source, real(rows, nbits)))
     assert idle  # the comparison is not vacuous
 
 
@@ -275,9 +281,9 @@ def test_witness_verification_rejects_tampering():
 # --- the sparse definition check against the every-source loop ---------------
 
 
-def _check_witness_every_source(dom, dom_tower, tgt, relaxed, witness):
+def _check_witness_every_source(src, tgt, witness, relaxed=None):
     """The definition check that tests the chain condition at every source."""
-    f = {}
+    dom, f = src.c, {}
     for src_name, terms in witness.assignment:
         s = dom.index(src_name)
         f[s] = {}
@@ -293,7 +299,7 @@ def _check_witness_every_source(dom, dom_tower, tgt, relaxed, witness):
         if lhs != apply_map(f, apply_map(dom.diff, {s: UNIT}, kind)):
             return False
     image_mod_u = {}
-    for g, k in dom_tower.items():
+    for g, k in src.tower.items():
         for t, m in f.get(g, {}).items():
             if m.kind == "U":
                 continue
@@ -324,7 +330,7 @@ def _two_generator_tower():
 
 
 def _small_instances():
-    """(dom, dom_tower, tgt, relaxed) for full maps between SMALL standard
+    """(src, tgt, relaxed) for full maps between SMALL standard
     complexes and a nine-generator product, both ways, for the self-maps of
     _two_generator_tower, and for short maps from prefixes of SMALL."""
     prepared = [prepare_target(build_standard(p)) for p in SMALL]
@@ -333,21 +339,20 @@ def _small_instances():
     pairs = [*itertools.product(prepared, prepared), *((product, t) for t in prepared),
              *((t, product) for t in prepared), (towers, towers)]
     for src, tgt in pairs:
-        yield src.c, src.tower, tgt, None
+        yield src, tgt, None
     for p, tgt in itertools.product(SMALL, prepared):
         for k in range(1, len(p) + 1):
-            yield build_standard(p[:k], v_anchor=0), {0: 0}, tgt, (k, "V" if k % 2 == 0 else "U")
+            yield _short_domain(p[:k]), tgt, (k, "V" if k % 2 == 0 else "U")
 
 
 def test_sparse_check_matches_every_source_loop():
     verdicts = {True: 0, False: 0}
-    for dom, dom_tower, tgt, relaxed in _small_instances():
-        v_shift = tgt.q - element_grading(dom, MOD_U, dom_tower).grv
-        by_source, nbits = localmaps._slots(dom, v_shift, tgt)
+    for src, tgt, relaxed in _small_instances():
+        by_source, nbits = localmaps._slots(src, tgt)
         for mask in range(1 << nbits):
-            w = localmaps._witness_from_mask(dom, tgt.c, by_source, mask, v_shift)
-            got = localmaps._check_witness(dom, dom_tower, tgt, relaxed, w)
-            assert got == _check_witness_every_source(dom, dom_tower, tgt, relaxed, w)
+            w = build_witness(src, tgt, localmaps._images(by_source, mask))
+            got = check_witness(src, tgt, w, relaxed)
+            assert got == _check_witness_every_source(src, tgt, w, relaxed)
             verdicts[got] += 1
     assert verdicts[True] > 100 and verdicts[False] > 1000
 
@@ -359,20 +364,26 @@ def test_sparse_check_rejects_a_map_nonzero_only_on_a_target():
     c = prepare_target(build_standard((1, -1)))
     assert c.c.diff[1] and 0 in c.c.diff[1]
     w = LocalMapWitness(assignment=(("x0", ((UNIT, "x0"),)), ("x1", ()), ("x2", ())), v_shift=0)
-    assert not _check_witness_every_source(c.c, c.tower, c, None, w)
-    assert not localmaps._check_witness(c.c, c.tower, c, None, w)
+    assert not _check_witness_every_source(c, c, w)
+    assert not check_witness(c, c, w)
     # the identity itself passes both
     ident = LocalMapWitness(
         assignment=tuple((g.name, ((UNIT, g.name),)) for g in c.c.gens), v_shift=0
     )
-    assert localmaps._check_witness(c.c, c.tower, c, None, ident)
+    assert check_witness(c, c, ident)
 
 
 def test_sparse_check_still_looks_up_every_source_name():
     c = prepare_target(build_standard((1, -1)))
     w = LocalMapWitness(assignment=(("x0", ((UNIT, "x0"),)), ("nope", ())), v_shift=0)
     with pytest.raises(UnknownGeneratorError):
-        localmaps._check_witness(c.c, c.tower, c, None, w)
+        check_witness(c, c, w)
+
+
+def _source(dom, tower):
+    """dom with the given mod-U tower as the source of a check, which reads
+    only a source's complex and tower (the witness carries its V-shift)."""
+    return Prepared(dom, 0, 0, 0, tower, {})
 
 
 def test_check_refuses_a_term_of_the_wrong_grading():
@@ -391,7 +402,7 @@ def test_check_refuses_a_term_of_the_wrong_grading():
     def check(*image_of_z):
         ident = tuple((g.name, ((UNIT, g.name),)) for g in tgt.c.gens)
         w = LocalMapWitness(assignment=(*ident, ("z", image_of_z)), v_shift=0)
-        return localmaps._check_witness(dom, {0: 0}, tgt, None, w)
+        return check_witness(_source(dom, {0: 0}), tgt, w)
 
     assert check() and check((mono("U", 1), "x0")) and check((mono("V", 1), "x2"))
     assert check((mono("U", 1), "x0"), (mono("V", 1), "x2"))
@@ -406,7 +417,7 @@ def test_check_refuses_a_term_of_the_wrong_grading():
 def test_check_refuses_two_tower_exponents_at_one_target():
     # A homogeneous tower never sends two terms to one target with different
     # V-powers under a map that keeps the gradings, so the check refuses a
-    # dom_tower that does.  Here the tower a + V b of two lone generators,
+    # source tower that does.  Here the tower a + V b of two lone generators,
     # with b two below a, maps to the unit complex by a -> x0 and
     # b -> V x0: the gradings and chain condition hold, and the tower's
     # image meets x0 as V^0 and V^2.
@@ -415,8 +426,9 @@ def test_check_refuses_two_tower_exponents_at_one_target():
 
     def check(*image_of_b):
         w = LocalMapWitness(assignment=(("a", ((UNIT, "x0"),)), ("b", image_of_b)), v_shift=0)
-        verdict = localmaps._check_witness(dom, {0: 0, 1: 1}, tgt, None, w)
-        assert verdict == _check_witness_every_source(dom, {0: 0, 1: 1}, tgt, None, w)
+        src = _source(dom, {0: 0, 1: 1})
+        verdict = check_witness(src, tgt, w)
+        assert verdict == _check_witness_every_source(src, tgt, w)
         return verdict
 
     assert check()
@@ -425,9 +437,21 @@ def test_check_refuses_two_tower_exponents_at_one_target():
 
 def test_bad_solver_witness_raises(monkeypatch):
     # the certificate check must not vanish under python -O
-    monkeypatch.setattr(localmaps, "_check_witness", lambda *args: False)
+    monkeypatch.setattr("knotcalc.witness.check_witness", lambda *args: False)
     with pytest.raises(VerificationFailedError):
         exists_local_map(unit_complex(), build_standard((1, -1)))
+
+
+def test_check_refuses_an_ambiguous_witness():
+    # over F2, x0 -> x0 + x0 is the zero map, and a source listed twice has
+    # no one image; the check must not read either as the identity
+    c = build_standard((1, -1))
+    ident = tuple((g.name, ((UNIT, g.name),)) for g in c.gens)
+    assert verify_local_map(c, c, LocalMapWitness(ident, 0))
+    doubled = (("x0", ((UNIT, "x0"), (UNIT, "x0"))), *ident[1:])
+    relisted = (("x0", ()), *ident)
+    assert not verify_local_map(c, c, LocalMapWitness(doubled, 0))
+    assert not verify_local_map(c, c, LocalMapWitness(relisted, 0))
 
 
 def test_witnesses_are_deterministic():
