@@ -1,22 +1,28 @@
-"""Simplified bases for C/U and C/V, tower extraction, knot-like checks.
+"""Simplified C/U and C/V: torsion orders, towers, knot-like checks.
 
-Setting U = 0 leaves a complex over the PID F[V] (and symmetrically for
-V = 0 over F[U]).  Because everything is homogeneous, every matrix entry of
-the quotient differential is a single power of the surviving variable, and
-Smith-style reduction can be run with basis changes that only ever add a
-monomial multiple of one basis element to another.  The result is a basis
-in which the differential is a perfect pairing y_i -> v^{eta_i} z_i plus
-isolated elements; each isolated element spans a nontorsion tower of the
-homology.  A complex is knot-like when each side has exactly one tower,
-sitting in gr_U = 0 (mod U side) and gr_V = 0 (mod V side).
+Setting U = 0 leaves a complex over F[V] with the V-arrows (V = 0 leaves one
+over F[U] with the U-arrows; the rest reads the same with U and V swapped).
+Every arrow lowers gr_U and gr_V by 1, so a term V^e t of d(s) lies one level
+lower, gr_U(t) = gr_U(s) - 1, and its key gr_U - gr_V is 2e lower.  With
+V = 1 this is a complex over F filtered by that key, and its homology over
+F[V] is the persistence barcode: a torsion summand F[V]/V^eta is a pair of
+generators whose key drops by 2 eta, and a tower is a generator in no pair.
+simplify finds the pairs by the standard column reduction, with the
+generators sorted by key and each column a Python int with one bit per
+position, so that a step is one XOR (Zomorodian and Carlsson, "Computing
+persistent homology", 2005).  At the tower's level it redoes the columns
+while keeping their additions, which gives a cycle for the tower, and reduces
+the coboundary of that level in reverse order, which gives a cocycle dual to
+it (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
+(co)homology", 2011).  Both are checked before they are returned.  A complex
+is knot-like when each side has exactly one tower, sitting in gr_U = 0 (mod
+U side) and gr_V = 0 (mod V side).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import NamedTuple, Optional
 
-from . import gf2
 from .algebra import Bigrading, Complex, xor_term
 from .errors import MultipleTowersError, NotReducedError, VerificationFailedError
 
@@ -49,13 +55,13 @@ def element_grading(c: Complex, side: str, e: Element) -> Bigrading:
 class TowerReport(NamedTuple):
     """Result of simplifying one side of a complex.
 
-    tower_generator is an element of the quotient module written over the
-    declared generators.  tower_dual is the coordinate of the tower basis
-    element: (g, e) in it means declared generator g has coefficient v^e on
-    the tower in the final basis (v the surviving variable); a generator not
-    listed has none.  Both are stored as sorted (index, exponent) pairs.
-    etas are the torsion orders, one per pair, in the order the sweep found
-    them.
+    tower_generator is a cycle of the quotient complex, written over the
+    declared generators, whose class generates the tower.  tower_dual is a
+    cocycle that is 0 on every boundary and pairs to 1 with it: (g, e) in it
+    sends declared generator g to v^e times the tower (v the surviving
+    variable), and a generator not listed to 0, so on a cycle it reads the
+    coefficient of the tower's class.  Both are stored as sorted (index,
+    exponent) pairs.  etas are the torsion orders, one per pair, ascending.
     """
 
     side: str
@@ -65,151 +71,77 @@ class TowerReport(NamedTuple):
     tower_dual: tuple[tuple[int, int], ...]
 
 
-class _Reduction:
-    """Mutable state for the Smith-style sweep on one quotient complex."""
-
-    def __init__(self, c: Complex, side: str):
-        self.c = c
-        self.side = side
-        # basis[j] and dual[j] (the coordinate of basis element j over the
-        # declared generators) start as the identity's {j: 0}; they are
-        # stored only once a basis change touches them (see vector)
-        self.basis: dict[int, Element] = {}
-        self.dual: dict[int, Element] = {}
-        # the quotient differential by row and by column: arrows of the
-        # surviving variable's kind, by exponent; the other kind is 0 here
-        self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, dict[int, int]] = {}
-        # every entry (exp, row, col) ever added; sweep skips the stale ones
-        self.heap: list[tuple[int, int, int]] = []
-        rows, cols, heap = self.rows, self.cols, self.heap
-        kind = "V" if side == MOD_U else "U"
-        for i, row in c.diff.items():
-            out = {}
-            for j, (k, e) in row.items():
-                if k == kind:
-                    out[j] = e
-                    col = cols.get(j)
-                    if col is None:
-                        cols[j] = {i: e}
-                    else:
-                        col[i] = e
-                    heap.append((e, i, j))
-                elif k == "1":
-                    raise NotReducedError("simplify requires a reduced complex")
-            if out:
-                rows[i] = out
-        heapq.heapify(heap)
-
-    @staticmethod
-    def vector(vectors: dict[int, Element], j: int) -> Element:
-        """basis[j] or dual[j]: the stored element, or {j: 0} if none is."""
-        vec = vectors.get(j)
-        return {j: 0} if vec is None else vec
-
-    def add_multiple(self, p: int, q: int, delta: int) -> None:
-        """Basis change b_p += v^delta * b_q (valid when gradings agree)."""
-        if p == q or delta < 0:
-            raise VerificationFailedError(f"bad basis change b_{p} += v^{delta} b_{q}")
-        basis, dual, rows, cols, heap = self.basis, self.dual, self.rows, self.cols, self.heap
-        # an unstored vector is the identity's {j: 0}; it is stored once changed
-        b_p = basis.get(p)
-        if b_p is None:
-            b_p = basis[p] = {p: 0}
-        b_q = basis.get(q)
-        if b_q is None:
-            xor_term(b_p, q, delta)
-        else:
-            for g, e in b_q.items():
-                xor_term(b_p, g, e + delta)
-        # old b_p = b_p' + v^delta b_q, so the coordinate of b_q gains v^delta dual_p
-        dual_q = dual.get(q)
-        if dual_q is None:
-            dual_q = dual[q] = {q: 0}
-        dual_p = dual.get(p)
-        if dual_p is None:
-            xor_term(dual_q, p, delta)
-        else:
-            for g, e in dual_p.items():
-                xor_term(dual_q, g, e + delta)
-        # row_p += v^delta row_q, and each entry's column with it; an entry
-        # added goes on the heap.  No loop below changes the dict it walks,
-        # as no generator has an arrow to itself.
-        row_q = rows.get(q)
-        if row_q:
-            row_p = rows.get(p)
-            if row_p is None:
-                row_p = rows[p] = {}
-            for j, e in row_q.items():
-                col = cols[j]
-                if j in row_p:
-                    del row_p[j]
-                    del col[p]
-                else:
-                    e += delta
-                    row_p[j] = col[p] = e
-                    heapq.heappush(heap, (e, p, j))
-        # col_q += v^delta col_p, and each entry's row with it, with no heap
-        # push: sweep calls this to clear a pivot (i0, j0), and every entry
-        # added here lies in row or column i0, which leaves `active` with it.
-        col_p = cols.get(p)
-        if col_p:
-            col_q = cols.get(q)
-            if col_q is None:
-                col_q = cols[q] = {}
-            for i, e in col_p.items():
-                row = rows[i]
-                if i in col_q:
-                    del col_q[i]
-                    del row[q]
-                else:
-                    col_q[i] = row[q] = e + delta
-
-    def sweep(self) -> tuple[list[tuple[int, int, int]], list[int]]:
-        """Run the reduction; returns (pivot pairs (src, tgt, eta), isolated indices)."""
-        rows, cols, heap, pop = self.rows, self.cols, self.heap, heapq.heappop
-        active = set(range(len(self.c.gens)))
-        pairs: list[tuple[int, int, int]] = []
-        while heap:
-            # the least (exp, row, col) entry between active generators
-            eta, i0, j0 = pop(heap)
-            if i0 not in active or j0 not in active:
-                continue
-            row = rows[i0]
-            if row.get(j0) != eta:
-                continue
-            # clear the pivot's column, then its row, unless both hold the
-            # pivot alone
-            col = cols[j0]
-            if len(col) > 1 or len(row) > 1:
-                for i in sorted(col):
-                    if i != i0:
-                        self.add_multiple(i, i0, col[i] - eta)
-                for j in sorted(row):
-                    if j != j0:
-                        self.add_multiple(j0, j, row[j] - eta)
-            if (len(row) != 1 or len(col) != 1 or row.get(j0) != eta or col.get(i0) != eta
-                    or cols.get(i0) or rows.get(j0)):
-                raise VerificationFailedError(f"pivot ({i0}, {j0}) is not an isolated pair")
-            pairs.append((i0, j0, eta))
-            active.discard(i0)
-            active.discard(j0)
-        isolated = sorted(active)
-        return pairs, isolated
+def _column(row: Optional[dict], kind: str, pos: list[int]) -> int:
+    """The arrows of *kind* in *row* as an int with bit pos[t] set for each
+    target t."""
+    col = 0
+    if row:
+        for t, m in row.items():
+            if m.kind == kind:
+                col |= 1 << pos[t]
+            elif m.kind == "1":
+                raise NotReducedError("simplify requires a reduced complex")
+    return col
 
 
-def _invertible_mod_variable(basis: dict[int, Element]) -> bool:
-    """Whether basis elements 0 .. n-1 (n the number of declared generators)
-    stay independent with the variable set to 0; an element not in *basis*
-    is its declared generator, the row 1 << j.
+def _added(columns: list[tuple[int, int]]) -> int:
+    """The standard reduction of (generator, column) pairs, in order: the
+    generators whose columns it adds to the last one, directly or through a
+    stored column, and that generator itself, as an int with bit g for g."""
+    stored: dict[int, tuple[int, int]] = {}
+    added = 0
+    for g, col in columns:
+        added = 1 << g
+        while col:
+            hit = stored.get(col.bit_length())
+            if hit is None:
+                stored[col.bit_length()] = (col, added)
+                break
+            col ^= hit[0]
+            added ^= hit[1]
+    return added
 
-    Only the stored elements are ranked, restricted to the stored indices S.
-    With the rows and columns outside S put first, the matrix is block
-    triangular: the unit rows 1 << j (j not in S) form an identity block,
-    so it is invertible exactly when its S x S block is.
-    """
-    masks = [sum(1 << g for g, e in vec.items() if e == 0 and g in basis) for vec in basis.values()]
-    return gf2.rank(masks) == len(masks)
+
+def _exponents(bits: int, height: list[int], top: int, sign: int) -> Element:
+    """{g: e} for each bit g of *bits*, with 2e = sign * (height[g] - top);
+    raises unless every e is a whole number >= 0."""
+    out: Element = {}
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        g = low.bit_length() - 1
+        twice = sign * (height[g] - top)
+        if twice < 0 or twice & 1:
+            raise VerificationFailedError(f"generator {g} is at no power of the variable")
+        out[g] = twice >> 1
+    return out
+
+
+def _check_tower(c: Complex, kind: str, tower: Element, dual: Element, above: list[int]) -> None:
+    """Raise VerificationFailedError unless *tower* is a cycle, *dual*
+    vanishes on the boundary of each generator in *above* (the level above
+    the tower's) and the two pair to exactly 1; arrows not of *kind* are 0."""
+    diff = c.diff
+    boundary: dict[int, int] = {}
+    for g, e in tower.items():
+        for t, m in diff.get(g, {}).items():
+            if m.kind == kind:
+                xor_term(boundary, t, e + m.exponent)
+    if boundary:
+        raise VerificationFailedError("the tower is not a cycle")
+    for a in above:
+        value: dict[int, None] = {}
+        for b, m in diff.get(a, {}).items():
+            if m.kind == kind and b in dual:
+                xor_term(value, m.exponent + dual[b], None)
+        if value:
+            raise VerificationFailedError(f"the tower's dual is not 0 on the boundary of {a}")
+    pairing: dict[int, None] = {}
+    for g, e in tower.items():
+        if g in dual:
+            xor_term(pairing, e + dual[g], None)
+    if list(pairing) != [0]:
+        raise VerificationFailedError("the tower and its dual do not pair to 1")
 
 
 def simplify(c: Complex, side: str) -> TowerReport:
@@ -218,25 +150,70 @@ def simplify(c: Complex, side: str) -> TowerReport:
     Raises NotReducedError on a non-reduced complex and MultipleTowersError
     when the nontorsion rank differs from one.
     """
-    if side not in (MOD_U, MOD_V):
+    if side == MOD_U:
+        kind, at, up = "V", 0, 1  # level gr_U, height gr_V
+    elif side == MOD_V:
+        kind, at, up = "U", 1, 0
+    else:
         raise ValueError(f"bad side {side!r}")
-    red = _Reduction(c, side)
-    pairs, isolated = red.sweep()
-    n = len(c.gens)
-    if 2 * len(pairs) + len(isolated) != n:
-        raise VerificationFailedError("the sweep lost generators")
-    if not _invertible_mod_variable(red.basis):
-        raise VerificationFailedError("basis change lost rank")
-    if len(isolated) != 1:
-        raise MultipleTowersError(len(isolated), side)
-    w = isolated[0]
-    tower = red.vector(red.basis, w)
+    gens, diff = c.gens, c.diff
+    n = len(gens)
+    level = [g.grading[at] for g in gens]
+    height = [g.grading[up] for g in gens]
+    key = [lv - h for lv, h in zip(level, height)]
+    order = sorted(range(n), key=key.__getitem__)
+    pos = [0] * n
+    for p, i in enumerate(order):
+        pos[i] = p
+    # XOR each column with the stored column of its highest bit until it is
+    # 0 or that bit is new; a stored column pairs its source with that bit
+    stored: dict[int, int] = {}
+    paired: set[int] = set()
+    etas: list[int] = []
+    for i in order:
+        col = _column(diff.get(i), kind, pos)
+        while col:
+            top = col.bit_length() - 1
+            other = stored.get(top)
+            if other is None:
+                stored[top] = col
+                j = order[top]
+                etas.append((key[i] - key[j]) >> 1)
+                paired.add(i)
+                paired.add(j)
+                break
+            col ^= other
+    towers = n - len(paired)
+    if 2 * len(etas) + towers != n:
+        raise VerificationFailedError("the reduction lost generators")
+    if towers != 1:
+        raise MultipleTowersError(towers, side)
+    w = next(i for i in order if i not in paired)
+    # only w's level holds its cycle and cocycle: every kept arrow lowers the
+    # level by exactly 1, so no other column meets its level's columns
+    lv = level[w]
+    here = [i for i in order if level[i] == lv]
+    k = here.index(w)
+    cycle = _added([(i, _column(diff.get(i), kind, pos)) for i in here[:k + 1]])
+    # the coboundary of the level, a source's bit its reversed position so
+    # that the highest bit is the earliest source
+    above = [a for a in range(n) if level[a] == lv + 1]
+    cob: dict[int, int] = {}
+    for a in above:
+        bit = 1 << (n - 1 - pos[a])
+        for b, m in diff.get(a, {}).items():
+            if m.kind == kind:
+                cob[b] = cob.get(b, 0) | bit
+    cocycle = _added([(b, cob.get(b, 0)) for b in reversed(here[k:])])
+    tower = _exponents(cycle, height, height[w], 1)
+    dual = _exponents(cocycle, height, height[w], -1)
+    _check_tower(c, kind, tower, dual, above)
     return TowerReport(
         side=side,
         tower_generator=_frozen(tower),
         tower_top_grading=element_grading(c, side, tower),
-        etas=tuple(eta for _, _, eta in pairs),
-        tower_dual=_frozen(red.vector(red.dual, w)),
+        etas=tuple(sorted(etas)),
+        tower_dual=_frozen(dual),
     )
 
 

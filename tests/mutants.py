@@ -29,15 +29,24 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (file, old text, new text, tests that must fail)
 MUTANTS = [
-    # the sweep's basis change builds a new row or column of b_p's and never
-    # stores it
-    ("src/knotcalc/homology.py", "row_p = rows[p] = {}", "row_p = {}",
-     ["tests/test_homology.py::test_noisy_files_give_their_hidden_representative"]),
-    ("src/knotcalc/homology.py", "col_q = cols[q] = {}", "col_q = {}",
-     ["tests/test_homology.py::test_noisy_files_give_their_hidden_representative"]),
-    # the sweep takes a stale heap entry as a pivot
-    ("src/knotcalc/homology.py", "            if row.get(j0) != eta:\n                continue\n", "",
-     ["tests/test_homology.py::test_noisy_files_give_their_hidden_representative"]),
+    # the column reduction drops the tracked additions of the tower's cycle
+    # and cocycle, so each is its generator alone
+    ("src/knotcalc/homology.py", "            added ^= hit[1]\n", "",
+     ["tests/test_homology.py::test_simplify_scrambled_complex_needs_basis_work",
+      "tests/test_homology.py::test_noisy_files_give_their_hidden_representative"]),
+    # the column reduction reads a pair's order off its wrong end
+    ("src/knotcalc/homology.py", "etas.append((key[i] - key[j]) >> 1)", "etas.append((key[j] - key[i]) >> 1)",
+     ["tests/test_homology.py::test_simplify_staircase_mod_v",
+      "tests/test_homology.py::test_simplify_scrambled_complex_needs_basis_work"]),
+    # the column reduction accepts a second tower
+    ("src/knotcalc/homology.py", "    if towers != 1:\n", "    if towers < 1:\n",
+     ["tests/test_homology.py::test_simplify_multiple_towers",
+      "tests/test_homology.py::test_check_knot_like_rejects_two_towers"]),
+    # the tower check never tests that the dual is a cocycle
+    ("src/knotcalc/homology.py",
+     "            raise VerificationFailedError(f\"the tower's dual is not 0 on the boundary of {a}\")\n",
+     "            pass\n",
+     ["tests/test_homology.py::test_tower_checks_refuse_a_broken_tower_or_dual"]),
     # reduce never queues a unit arrow that a cancellation makes
     ("src/knotcalc/algebra.py", "heapq.heappush(units, (y, b))", "pass",
      ["tests/test_algebra.py::test_reduce_matches_rescan_on_scrambled_inputs"]),
@@ -47,6 +56,9 @@ MUTANTS = [
      ["tests/test_localmaps.py::test_check_refuses_two_tower_exponents_at_one_target"]),
     # the witness check drops the gr_V half of the grading rule
     ("src/knotcalc/witness.py", "if tu != su or tv != sv:", "if tu != su:",
+     ["tests/test_localmaps.py::test_check_refuses_a_term_of_the_wrong_grading"]),
+    # ... and its gr_U half
+    ("src/knotcalc/witness.py", "if tu != su or tv != sv:", "if tv != sv:",
      ["tests/test_localmaps.py::test_check_refuses_a_term_of_the_wrong_grading"]),
     # the witness check never compares the two sides of the chain condition
     ("src/knotcalc/witness.py", "        if lhs != rhs:\n            return False\n", "",
@@ -84,6 +96,19 @@ MUTANTS = [
      "    coevaluation = build_witness(unit, pair, [[(UNIT, t) for t in diagonal]])\n"
      "    evaluation = build_witness(pair, unit, [[(UNIT, 0)] if s in diagonal else [] for s in range(n * n)])\n",
      ["tests/test_localequiv.py::test_group_law_certificates_cannot_be_skipped[T(3,4) - T(3,4)]"]),
+    # a written-down certificate misses a term: the identity's at x0, the
+    # coevaluation's and the evaluation's at the first diagonal generator
+    ("src/knotcalc/localmaps.py", "[[(UNIT, i)] for i in range(len(s.c.gens))]",
+     "[[(UNIT, i)] if i else [] for i in range(len(s.c.gens))]",
+     ["tests/test_alexander.py::test_eval_recipe_d_alias"]),
+    ("src/knotcalc/localmaps.py", "[[(UNIT, t) for t in diagonal]]", "[[(UNIT, t) for t in diagonal[1:]]]",
+     ["tests/test_alexander.py::test_eval_recipe_inverse", "tests/test_cli.py::test_rep_expr"]),
+    ("src/knotcalc/localmaps.py", "[[(UNIT, 0)] if s in diagonal else [] for s in range(n * n)]",
+     "[[(UNIT, 0)] if s in diagonal[1:] else [] for s in range(n * n)]",
+     ["tests/test_alexander.py::test_eval_recipe_inverse", "tests/test_cli.py::test_rep_expr"]),
+    # a mirror pair's complex is built from its later factor first
+    ("src/knotcalc/localmaps.py", "pair = prepare_standard(a, negate(a))", "pair = prepare_standard(negate(a), a)",
+     ["tests/test_alexander.py::test_an_odd_factor_is_named_as_written[Std(1,2,3) - Std(1,2,3)-(1, 2, 3)]"]),
     # validate keeps a row that ends empty
     ("src/knotcalc/algebra.py", "        if not row:\n            del diff[s]\n", "",
      ["tests/test_algebra.py::test_validate_repeated_arrow",

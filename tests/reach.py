@@ -4,11 +4,12 @@
 
 Runs the tier-1 tests in this process under a sys.settrace line tracer and
 prints every line of knotcalc.witness, localmaps.PrefixSystem,
-algebra.reduce, algebra.validate and homology._Reduction that no test ran,
-apart from those in ALLOWED.  It exits 1 if any is printed or a test
-fails, and 0 otherwise.  A line that a test runs only in a child process
-is not seen.  pytest does not collect this file, as its name has no test_
-prefix; it needs only the standard library and the test dependencies.
+algebra.reduce, algebra.validate and homology's column reduction (simplify
+and the helpers it calls) that no test ran, apart from those in ALLOWED.
+It exits 1 if any is printed or a test fails, and 0 otherwise.  A line
+that a test runs only in a child process is not seen.  pytest does not
+collect this file, as its name has no test_ prefix; it needs only the
+standard library and the test dependencies.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ import pytest
 from knotcalc import algebra, homology, localmaps, witness
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGETS = (witness, localmaps.PrefixSystem, algebra.reduce, algebra.validate, homology._Reduction)
-# (file name, the line's text stripped) -> why tier-1 need not run it
-ALLOWED = {
-    ("homology.py", 'raise VerificationFailedError(f"bad basis change b_{p} += v^{delta} b_{q}")'):
-        "a guard on the sweep's own calls, which only pass p != q and delta >= 0",
-    ("homology.py", 'raise VerificationFailedError(f"pivot ({i0}, {j0}) is not an isolated pair")'):
-        "a guard that only a broken sweep reaches, as the unstored-row mutant of tests/mutants.py does",
-}
+TARGETS = (witness, localmaps.PrefixSystem, algebra.reduce, algebra.validate, homology.simplify,
+           homology._column, homology._added, homology._exponents, homology._check_tower)
+# (file name, the line's text stripped) -> why tier-1 need not run it: only a
+# guard that no valid input reaches, with a row of tests/mutants.py that does
+ALLOWED: dict[tuple[str, str], str] = {}
 
 
 def _functions(target) -> list[types.FunctionType]:

@@ -3,16 +3,19 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import basis_change, box, direct_sum, noisy_files, scramble
-from knotcalc.algebra import Bigrading, mono, reduce, tensor, unit_complex, validate, xor_term
+from heap_sweep import _invertible_mod_variable, _Reduction, sweep_report
+from knotcalc.algebra import Bigrading, Complex, Generator, mono, reduce, tensor, unit_complex, validate
+from knotcalc.algebra import xor_term
 from knotcalc import gf2, homology
-from knotcalc.errors import MultipleTowersError, NotReducedError
+from knotcalc.errors import MultipleTowersError, NotKnotLikeError, NotReducedError
+from knotcalc.errors import VerificationFailedError
 from knotcalc.homology import (
     MOD_U,
     MOD_V,
     TowerReport,
-    _Reduction,
     apply_shift,
     check_knot_like,
     simplify,
@@ -45,10 +48,10 @@ def fig2(base=(-1, -1)):
 
 
 def _torsion_pairs(c, report):
-    """The sweep's torsion pairs (y, z, eta) of *report*'s side, with y and z
-    the final basis vectors as sorted (index, exponent) pairs; simplify keeps
-    only the etas, which must be these pairs' orders."""
-    red = homology._Reduction(c, report.side)
+    """The heap sweep's torsion pairs (y, z, eta) of *report*'s side, with y
+    and z the final basis vectors as sorted (index, exponent) pairs; simplify
+    keeps only the etas, which must be these pairs' orders in their order."""
+    red = _Reduction(c, report.side)
     pairs, _ = red.sweep()
     out = [
         (tuple(sorted(red.vector(red.basis, y).items())),
@@ -102,6 +105,46 @@ def test_simplify_requires_reduced():
     )
     with pytest.raises(NotReducedError):
         simplify(c, MOD_U)
+
+
+def test_simplify_refuses_a_bad_side():
+    with pytest.raises(ValueError, match="bad side"):
+        simplify(unit_complex(), "mod_w")
+
+
+def test_simplify_refuses_a_differential_whose_square_is_not_zero():
+    # a -> b -> c by V, so d^2 a = V^2 c: b is both the source of a pair and
+    # the end of another.  validate refuses this complex, so it is built as is
+    gens = (Generator("a", Bigrading(2, 2)), Generator("b", Bigrading(1, 3)),
+            Generator("c", Bigrading(0, 4)))
+    c = Complex(gens, {0: {1: mono("V", 1)}, 1: {2: mono("V", 1)}})
+    with pytest.raises(VerificationFailedError, match="lost generators"):
+        simplify(c, MOD_U)
+
+
+def test_tower_checks_refuse_a_broken_tower_or_dual():
+    # C(1,-1) plus a box whose b and d share the tower x0's level gr_U = 0: b
+    # has a V-arrow to c, and a, one level up, has a V-arrow to d
+    c = direct_sum(build_standard((1, -1)), box(1, 1, base=(0, -2)))
+    r = simplify(c, MOD_U)
+    tower, dual = dict(r.tower_generator), dict(r.tower_dual)
+    assert tower == dual == {c.index("s0.x0"): 0}
+    above = [a for a, g in enumerate(c.gens) if g.grading.gru == 1]
+    b, d = c.index("s1.b"), c.index("s1.d")
+    homology._check_tower(c, "V", tower, dual, above)
+    with pytest.raises(VerificationFailedError, match="not a cycle"):
+        homology._check_tower(c, "V", {**tower, b: 0}, dual, above)
+    with pytest.raises(VerificationFailedError, match="boundary"):
+        homology._check_tower(c, "V", tower, {**dual, d: 0}, above)
+    with pytest.raises(VerificationFailedError, match="pair to 1"):
+        homology._check_tower(c, "V", tower, {}, above)
+    # d sits at gr_V -2, below the tower's 0: in the tower it would need V^-1
+    height = [g.grading.grv for g in c.gens]
+    assert homology._exponents(1 << d, height, 0, -1) == {d: 1}
+    with pytest.raises(VerificationFailedError, match="no power"):
+        homology._exponents(1 << d, height, 0, 1)
+    with pytest.raises(VerificationFailedError, match="no power"):
+        homology._exponents(1 << d, height, 1, -1)
 
 
 def test_simplify_multiple_towers():
@@ -198,15 +241,15 @@ def test_torsion_bounds_of_standard_are_param_maxima():
 
 
 def test_simplify_dimension_preserved_per_grading():
-    # invertibility of the basis change is asserted inside simplify; exercise
-    # it on a scrambled sum where the change is genuinely nontrivial
+    # simplify checks 2 pairs + towers = n itself; exercise it on a scrambled
+    # sum where the reduction needs column additions
     rng = random.Random(3)
     c = scramble(direct_sum(build_standard((1, -2, 2, -1)), box(3, 1, tag="k")), rng)
     r = simplify(reduce(c), MOD_U)
     assert 2 * len(r.etas) + 1 == len(c.gens)
 
 
-# --- the rank check on the stored basis vectors ------------------------------
+# --- the heap sweep's rank check on the stored basis vectors ----------------
 
 
 def test_stored_vector_rank_matches_the_rank_of_all_rows():
@@ -222,7 +265,7 @@ def test_stored_vector_rank_matches_the_rank_of_all_rows():
             for j in rng.sample(range(n), rng.randint(0, n))
         }
         masks = [sum(1 << g for g, e in basis.get(j, {j: 0}).items() if e == 0) for j in range(n)]
-        got = homology._invertible_mod_variable(basis)
+        got = _invertible_mod_variable(basis)
         assert got == (gf2.rank(masks) == n), (seed, basis)
         verdicts[got] += 1
     assert min(verdicts.values()) > 50
@@ -259,20 +302,20 @@ class _RescanReduction(_Reduction):
         return pairs, sorted(active)
 
 
-def _simplify_outcome(c, side):
+def _simplify_outcome(c, side, run=simplify):
     try:
-        return simplify(c, side)
+        return run(c, side)
     except MultipleTowersError as e:
         return ("towers", e.count)
 
 
-def _assert_sweeps_match(monkeypatch, complexes):
+def _assert_sweeps_match(complexes):
     complexes = list(complexes)
     for side in (MOD_U, MOD_V):
-        heap = [_simplify_outcome(c, side) for c in complexes]
-        with monkeypatch.context() as m:
-            m.setattr(homology, "_Reduction", _RescanReduction)
-            assert [_simplify_outcome(c, side) for c in complexes] == heap
+        heap = [_simplify_outcome(c, side, sweep_report) for c in complexes]
+        rescan = [_simplify_outcome(c, side, lambda c, side: sweep_report(c, side, _RescanReduction))
+                  for c in complexes]
+        assert rescan == heap
 
 
 def _data_files():
@@ -330,20 +373,20 @@ def _tower_mixed():
 POOLS = [_data_files, _scrambled_complexes, _products, _tower_mixed, _noisy_reduced]
 
 
-def test_sweep_matches_rescan_on_data_files(monkeypatch):
-    _assert_sweeps_match(monkeypatch, _data_files())
+def test_sweep_matches_rescan_on_data_files():
+    _assert_sweeps_match(_data_files())
 
 
-def test_sweep_matches_rescan_on_scrambled_complexes(monkeypatch):
-    _assert_sweeps_match(monkeypatch, _scrambled_complexes())
+def test_sweep_matches_rescan_on_scrambled_complexes():
+    _assert_sweeps_match(_scrambled_complexes())
 
 
-def test_sweep_matches_rescan_on_products(monkeypatch):
-    _assert_sweeps_match(monkeypatch, _products())
+def test_sweep_matches_rescan_on_products():
+    _assert_sweeps_match(_products())
 
 
-def test_sweep_matches_rescan_on_noisy_files(monkeypatch):
-    _assert_sweeps_match(monkeypatch, _noisy_reduced())
+def test_sweep_matches_rescan_on_noisy_files():
+    _assert_sweeps_match(_noisy_reduced())
 
 
 # --- the dual by row against the per-generator inverse scan ------------------
@@ -379,13 +422,12 @@ class _InverseScanReduction(_Reduction):
 
 
 @pytest.mark.parametrize("pool", POOLS)
-def test_dual_matches_inverse_scan(monkeypatch, pool):
+def test_dual_matches_inverse_scan(pool):
     complexes = pool()
-    monkeypatch.setattr(homology, "_Reduction", _InverseScanReduction)
     before = _InverseScanReduction.checked
     for c in complexes:
         for side in (MOD_U, MOD_V):
-            _simplify_outcome(c, side)
+            _simplify_outcome(c, side, lambda c, side: sweep_report(c, side, _InverseScanReduction))
     assert _InverseScanReduction.checked - before == 2 * len(complexes)
 
 
@@ -413,3 +455,113 @@ def test_tower_dual_is_dual_to_the_final_basis(pool):
         for y, z, _ in _torsion_pairs(c, r):
             assert _pairing(r.tower_dual, y) == {}
             assert _pairing(r.tower_dual, z) == {}
+
+
+# --- the column reduction against the heap sweep and a rank count -----------
+
+
+def _prepared_outcome(c):
+    """prepare_target's q, m_u and m_v and standard_rep's result, or the
+    NotKnotLikeError both raise."""
+    try:
+        prepared = prepare_target(c)
+    except NotKnotLikeError as e:
+        return ("not knot-like", str(e))
+    return prepared.q, prepared.m_u, prepared.m_v, standard_rep(c)
+
+
+def _assert_matches_heap_sweep(complexes, monkeypatch):
+    for c in complexes:
+        for side in (MOD_U, MOD_V):
+            new, old = _simplify_outcome(c, side), _simplify_outcome(c, side, sweep_report)
+            if isinstance(old, TowerReport):
+                assert isinstance(new, TowerReport)
+                assert (new.side, new.etas, new.tower_top_grading) == (old.side, old.etas, old.tower_top_grading)
+                # the two tower cycles may differ by a boundary, which every
+                # cocycle that pairs to 1 with the tower sends to 0
+                assert _pairing(old.tower_dual, new.tower_generator) == {0: 1}
+                assert _pairing(new.tower_dual, old.tower_generator) == {0: 1}
+            else:
+                assert new == old
+        new = _prepared_outcome(c)
+        with monkeypatch.context() as m:
+            m.setattr(homology, "simplify", sweep_report)
+            assert _prepared_outcome(c) == new
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_simplify_matches_the_heap_sweep(monkeypatch, pool):
+    _assert_matches_heap_sweep(pool(), monkeypatch)
+
+
+# scrambled direct sums of one or two standard complexes and up to four boxes
+_scrambled_sums = st.builds(
+    lambda tuples, boxes, seed: scramble(
+        direct_sum(*map(build_standard, tuples), *(box(i, j, base=base) for i, j, base in boxes)),
+        random.Random(seed),
+    ),
+    st.lists(
+        st.lists(st.integers(-3, 3).filter(bool), max_size=6).map(lambda xs: tuple(xs[: len(xs) // 2 * 2])),
+        min_size=1, max_size=2,
+    ),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+             max_size=4),
+    st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scrambled_sums)
+def test_simplify_matches_the_heap_sweep_on_scrambled_sums(c):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_matches_heap_sweep([c], monkeypatch)
+
+
+def _quotient_dim(c, side, k):
+    """dim_F H(C/(U, V^k)) for side mod_u (C/(V, U^k) for mod_v): n k - 2 rank
+    of the differential over the basis {v^i g : i < k}, v^i g as bit g k + i."""
+    kind = "V" if side == MOD_U else "U"
+    rows = []
+    for g in range(len(c.gens)):
+        row = c.diff.get(g, {})
+        for i in range(k):
+            rows.append(sum(1 << (t * k + i + m.exponent) for t, m in row.items()
+                            if m.kind == kind and i + m.exponent < k))
+    return len(c.gens) * k - 2 * gf2.rank(rows)
+
+
+def _barcode_by_ranks(c, side):
+    """(etas ascending, towers) of one side, read off
+    dim_F H(C/(U, V^k)) = k towers + 2 sum(min(eta, k)) for k = 1 .. top,
+    where top exceeds every eta: an eta is half a drop of gr_U - gr_V."""
+    at, up = (0, 1) if side == MOD_U else (1, 0)
+    keys = [g.grading[at] - g.grading[up] for g in c.gens]
+    top = (max(keys) - min(keys)) // 2 + 1
+    dims = [0] + [_quotient_dim(c, side, k) for k in range(1, top + 1)]
+    steps = [b - a for a, b in zip(dims, dims[1:])]  # towers + 2 #{eta >= k}
+    towers = steps[-1]
+    at_least = [(step - towers) // 2 for step in steps] + [0]
+    etas = tuple(k + 1 for k in range(top) for _ in range(at_least[k] - at_least[k + 1]))
+    return etas, towers
+
+
+def _assert_matches_rank_count(complexes):
+    for c in complexes:
+        for side in (MOD_U, MOD_V):
+            etas, towers = _barcode_by_ranks(c, side)
+            r = _simplify_outcome(c, side)
+            if towers == 1:
+                assert r.etas == etas
+            else:
+                assert r == ("towers", towers)
+
+
+@pytest.mark.parametrize("pool", [_data_files, _products, _tower_mixed])
+def test_simplify_matches_the_rank_count(pool):
+    _assert_matches_rank_count(pool())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scrambled_sums)
+def test_simplify_matches_the_rank_count_on_scrambled_sums(c):
+    _assert_matches_rank_count([c])
