@@ -47,7 +47,6 @@ from .localmaps import (
     exists_local_map,
     exists_short_local_map,
     prepare_target,
-    verify_local_map,
 )
 from .parsing import KnotExpr, parse_complex_file, parse_knot_expr, serialize_complex
 from .standard import (

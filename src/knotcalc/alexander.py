@@ -1,18 +1,18 @@
 """Alexander polynomials, staircases for L-space knots, and knot recipes.
 
-Torus knot polynomials come from the Lam-Leung closed form, and cabling
-multiplies the companion polynomial at t^p by the pattern's.  An L-space
-knot's complex is a staircase read off the gaps c_i of its alternating
-polynomial; a recipe's T, D and Cable atoms read theirs off their
-semigroups and build no polynomial.  A recipe's class is found by
-cancelling exact mirror pairs of factors, then folding the factors left one
-at a time through the standard-representative machinery; a lone factor
-left is its own representative.
+Torus knot polynomials are read off the walk of their semigroups, and
+cabling multiplies the companion polynomial at t^p by the pattern's.  An
+L-space knot's complex is a staircase read off the gaps between the
+exponents of its alternating polynomial; a recipe's T, D and Cable atoms
+read theirs off their semigroups and build no polynomial.  A recipe's
+class is found by cancelling exact mirror pairs of factors, then folding
+the factors left one at a time through the standard-representative
+machinery; a lone factor left is its own representative.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations, cycle
 from math import gcd, inf
 from typing import Mapping, NamedTuple, Union
 
@@ -116,55 +116,36 @@ LaurentPoly.one = LaurentPoly({0: 1})
 def parse_poly(text: str) -> LaurentPoly:
     """Parse the polynomial syntax, e.g. "t^8-t^7+t^4-t+1".
 
-    Errors carry the 1-based column in *text*; the end of input is one past it.
+    Whitespace may stand between tokens, as in a recipe, but not inside a
+    number.  Errors carry the 1-based column in *text*; the end of input is
+    one past it.
     """
-    s = text.replace(" ", "")
-    cols = [k + 1 for k, ch in enumerate(text) if ch != " "] + [len(text) + 1]
-    if not s:
-        raise ParseError("empty polynomial", column=cols[0])
+    sc = parsing.Scanner(text)
+    if not sc.peek():
+        raise ParseError("empty polynomial", column=sc.pos + 1)
     out: dict[int, int] = {}
-    i = 0
     first = True
-    while i < len(s):
-        sign = 1
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i += 1
+    while sign := sc.peek():
+        if sign in "+-":
+            sc.pos += 1
         elif not first:
-            raise ParseError("expected '+' or '-'", column=cols[i])
+            raise ParseError("expected '+' or '-'", column=sc.pos + 1)
         first = False
-        coeff = None
-        j = i
-        while j < len(s) and s[j].isdecimal():
-            j += 1
-        if j > i:
-            coeff = parsing.int_literal(s[i:j], column=cols[i])
-            i = j
+        digits = sc.peek().isdecimal()
+        coeff = sc.integer(signed=False) if digits else 1
         exp = 0
-        if i < len(s) and s[i] == "t":
-            i += 1
+        if sc.peek() == "t":
+            sc.pos += 1
             exp = 1
-            if i < len(s) and s[i] == "^":
-                i += 1
-                j = i
-                while j < len(s) and s[j].isdecimal():
-                    j += 1
-                if j == i:
-                    raise ParseError("missing exponent", column=cols[i])
-                exp = parsing.int_literal(s[i:j], column=cols[i])
-                i = j
-            if coeff is None:
-                coeff = 1
-        elif coeff is None:
-            raise ParseError("expected a term", column=cols[i])
-        out[exp] = out.get(exp, 0) + sign * coeff
+            if sc.peek() == "^":
+                sc.pos += 1
+                if not sc.peek().isdecimal():
+                    raise ParseError("missing exponent", column=sc.pos + 1)
+                exp = sc.integer(signed=False)
+        elif not digits:
+            raise ParseError("expected a term", column=sc.pos + 1)
+        out[exp] = out.get(exp, 0) + (-coeff if sign == "-" else coeff)
     return LaurentPoly(out)
-
-
-def _lam_leung(p: int, q: int) -> tuple[int, int]:
-    """The r, s >= 0 with (p - 1)(q - 1) = rp + sq, for coprime p, q >= 1."""
-    s = (pow(q, -1, p) - 1) % p
-    return ((p - 1) * (q - 1) - s * q) // p, s
 
 
 def _coprime_pair(p: int, q: int) -> tuple[int, int]:
@@ -179,21 +160,15 @@ def _coprime_pair(p: int, q: int) -> tuple[int, int]:
 def torus_delta(p: int, q: int) -> LaurentPoly:
     """Alexander polynomial of the (p, q) torus knot.
 
-    This is (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), built term by term
-    from its closed form (Lam-Leung): with r, s = _lam_leung(p, q) it is
-    the sum of t^{ip + jq} over 0 <= i <= r, 0 <= j <= s less the sum of
-    t^{ip + jq - pq} over r < i < q, s < j < p.  The result has constant
-    term 1 and degree (p-1)(q-1).  p = 1 or q = 1 gives the unknot
-    polynomial 1.
+    This is (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), which is
+    (1 - t) sum_{s in S, s < deg} t^s + t^deg for the semigroup S generated
+    by p and q and deg = (p-1)(q-1), read off the walk of S
+    (_semigroup_params): +t^0, then -t^e and +t^e in turn at the running
+    sums e of its runs and gaps.  The result has constant term 1 and
+    degree deg.  p = 1 or q = 1 gives the unknot polynomial 1.
     """
-    _coprime_pair(p, q)
-    r, s = _lam_leung(p, q)
-    coeffs = {i * p + j * q: 1 for i in range(r + 1) for j in range(s + 1)}
-    coeffs.update({i * p + j * q - p * q: -1 for i in range(r + 1, q) for j in range(s + 1, p)})
-    out = LaurentPoly(coeffs)
-    if out.coeffs.get(0) != 1 or out.degree() != (p - 1) * (q - 1):
-        raise VerificationFailedError(f"torus_delta({p}, {q}) = {out} has the wrong shape")
-    return out
+    params = _semigroup_params([_coprime_pair(p, q)], inf)[0]
+    return LaurentPoly(zip(accumulate(map(abs, params), initial=0), cycle((1, -1))))
 
 
 def cable_delta(p: int, q: int, inner: LaurentPoly) -> LaurentPoly:
@@ -240,16 +215,12 @@ def staircase_data(delta: LaurentPoly) -> StaircaseData:
 def staircase_params(delta: LaurentPoly) -> Params:
     """Standard parameters of the staircase complex of an L-space knot.
 
-    With gaps c_1 .. c_m the parameters interleave as
-    (c_1, -c_m, c_2, -c_{m-1}, ..., c_m, -c_1); the result is symmetric.
+    They are the gaps b_0 - b_1, b_1 - b_2, ... between its exponents from
+    the top, with alternating signs; by the palindrome this is
+    (c_1, -c_m, c_2, -c_{m-1}, ..., c_m, -c_1), and the result is symmetric.
     """
-    c = staircase_data(delta).c
-    m = len(c)
-    out = []
-    for i in range(m):
-        out.append(c[i])
-        out.append(-c[m - 1 - i])
-    return tuple(out)
+    b = staircase_data(delta).b
+    return tuple(y - x if k % 2 else x - y for k, (x, y) in enumerate(zip(b, b[1:])))
 
 
 def lspace_phi(delta: LaurentPoly) -> dict[int, int]:

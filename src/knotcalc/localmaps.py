@@ -429,13 +429,6 @@ def exists_short_local_map(params: Sequence[int], c: Complex) -> Optional[LocalM
     return short_map(params, prepare_target(c))
 
 
-def verify_local_map(s: Complex, c: Complex, witness: LocalMapWitness) -> bool:
-    """Re-check a full local-map witness against the definition."""
-    tgt = prepare_target(c)
-    src = prepare_target(s)
-    return check_witness(src, tgt, witness)
-
-
 def brute_force_local_map(
     s: Complex, c: Complex, budget: int = 24
 ) -> Optional[LocalMapWitness]:

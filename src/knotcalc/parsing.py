@@ -204,7 +204,10 @@ class KnotExpr(NamedTuple):
     terms: tuple[tuple[int, int, Atom], ...]
 
 
-class _Scanner:
+class Scanner:
+    """A position in recipe or polynomial text; whitespace may stand between
+    tokens, and errors carry the 1-based column."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -254,7 +257,7 @@ class _Scanner:
 MAX_NESTING = 100
 
 
-def _parse_atom(sc: _Scanner, depth: int = 1) -> Atom:
+def _parse_atom(sc: Scanner, depth: int = 1) -> Atom:
     """Parse the atom at the scanner, *depth* levels deep in its nest.
 
     Raises ParseError at the column of the first atom nested deeper than
@@ -301,7 +304,7 @@ def _parse_atom(sc: _Scanner, depth: int = 1) -> Atom:
     raise ParseError(f"unknown atom {head!r}" if head else "expected an atom", column=start + 1)
 
 
-def _parse_term(sc: _Scanner) -> tuple[int, Atom]:
+def _parse_term(sc: Scanner) -> tuple[int, Atom]:
     sc.skip_ws()
     save = sc.pos
     mult = 1
@@ -319,7 +322,7 @@ def _parse_term(sc: _Scanner) -> tuple[int, Atom]:
 
 def parse_knot_expr(text: str) -> KnotExpr:
     """Parse a recipe expression like "Cable(D;3,4) - T(3,4)"."""
-    sc = _Scanner(text)
+    sc = Scanner(text)
     terms: list[tuple[int, int, Atom]] = []
     mult, atom = _parse_term(sc)
     terms.append((1, mult, atom))

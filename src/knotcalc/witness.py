@@ -145,24 +145,18 @@ def check_witness(
         if lhs != rhs:
             return False
 
-    # tower condition: the mod-U reduction of f(tower) must have unit
-    # coefficient on the tower basis element of the target
-    image_mod_u: dict[int, int] = {}
+    # tower condition: f(tower) mod U, which may not meet one target at two
+    # V-powers, pairs to exactly 1 with the target's tower dual
+    image: dict[int, int] = {}
     for g, k in src.tower.items():
         for t, m in f.get(g, {}).items():
-            if m.kind == "U":
-                continue
-            exp = k + m.exponent if m.kind == "V" else k
-            if t in image_mod_u and image_mod_u[t] == exp:
-                del image_mod_u[t]
-            elif t in image_mod_u:
-                return False
-            else:
-                image_mod_u[t] = exp
-    coeff: dict[int, int] = {}
-    for t, vexp in image_mod_u.items():
+            if m.kind != "U":
+                e = k + m.exponent  # the unit's exponent is 0
+                if image.get(t, e) != e:
+                    return False
+                xor_term(image, t, e)
+    pairing: dict[int, None] = {}
+    for t, e in image.items():
         if t in tgt.tower_dual:
-            total = vexp + tgt.tower_dual[t]
-            coeff[total] = coeff.get(total, 0) ^ 1
-    coeff = {e: v for e, v in coeff.items() if v}
-    return coeff == {0: 1}
+            xor_term(pairing, e + tgt.tower_dual[t], None)
+    return list(pairing) == [0]

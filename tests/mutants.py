@@ -51,8 +51,8 @@ MUTANTS = [
     ("src/knotcalc/algebra.py", "heapq.heappush(units, (y, b))", "pass",
      ["tests/test_algebra.py::test_reduce_matches_rescan_on_scrambled_inputs"]),
     # the witness check accepts two V-powers of the tower at one target
-    ("src/knotcalc/witness.py", "            elif t in image_mod_u:\n                return False\n",
-     "            elif t in image_mod_u:\n                return True\n",
+    ("src/knotcalc/witness.py", "                if image.get(t, e) != e:\n                    return False\n",
+     "                if image.get(t, e) != e:\n                    return True\n",
      ["tests/test_localmaps.py::test_check_refuses_two_tower_exponents_at_one_target"]),
     # the witness check drops the gr_V half of the grading rule
     ("src/knotcalc/witness.py", "if tu != su or tv != sv:", "if tu != su:",
@@ -64,7 +64,7 @@ MUTANTS = [
     ("src/knotcalc/witness.py", "        if lhs != rhs:\n            return False\n", "",
      ["tests/test_localmaps.py::test_sparse_check_rejects_a_map_nonzero_only_on_a_target"]),
     # the witness check passes every tower condition
-    ("src/knotcalc/witness.py", "return coeff == {0: 1}", "return True",
+    ("src/knotcalc/witness.py", "return list(pairing) == [0]", "return True",
      ["tests/test_localmaps.py::test_witness_verification_rejects_tampering"]),
     # the witness check reads a source listed twice by its last entry
     ("src/knotcalc/witness.py",
@@ -109,6 +109,17 @@ MUTANTS = [
     # a mirror pair's complex is built from its later factor first
     ("src/knotcalc/localmaps.py", "pair = prepare_standard(a, negate(a))", "pair = prepare_standard(negate(a), a)",
      ["tests/test_alexander.py::test_an_odd_factor_is_named_as_written[Std(1,2,3) - Std(1,2,3)-(1, 2, 3)]"]),
+    # torus_delta reads the walk's terms with the signs swapped
+    ("src/knotcalc/alexander.py", "cycle((1, -1))", "cycle((-1, 1))",
+     ["tests/test_alexander.py::test_torus_delta_34",
+      "tests/test_alexander.py::test_torus_delta_times_its_denominator_is_its_numerator"]),
+    # staircase_params gives the gaps the opposite signs
+    ("src/knotcalc/alexander.py", "y - x if k % 2 else x - y", "x - y if k % 2 else y - x",
+     ["tests/test_alexander.py::test_staircase_t34",
+      "tests/test_alexander.py::test_staircase_params_interleave_the_gaps_on_the_grid"]),
+    # parse_poly reads an unsigned later term as added, "2t 3" as 2t + 3
+    ("src/knotcalc/alexander.py", "        elif not first:\n", "        elif False:\n",
+     ["tests/test_parsing.py::test_poly_errors_carry_columns"]),
     # validate keeps a row that ends empty
     ("src/knotcalc/algebra.py", "        if not row:\n            del diff[s]\n", "",
      ["tests/test_algebra.py::test_validate_repeated_arrow",

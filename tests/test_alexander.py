@@ -339,15 +339,23 @@ def test_long_thin_atom_is_refused_before_it_is_built(monkeypatch, no_polynomial
     assert recipe_factors("D - 2*Thin(2)") == [(1, -1), (-1, 1, -1, 1), (-1, 1, -1, 1)]
 
 
-def test_torus_delta_times_its_denominator_is_its_numerator():
-    # an oracle apart from the Lam-Leung closed form that torus_delta reads
-    def cyc(n):
-        return LaurentPoly({n: 1, 0: -1})
+def _cyc(n):
+    """t^n - 1."""
+    return LaurentPoly({n: 1, 0: -1})
 
-    for p in range(1, 30):
+
+def test_torus_delta_times_its_denominator_is_its_numerator():
+    # an oracle apart from the semigroup walk that torus_delta reads
+    for p in range(1, 41):
         for q in range(1, 120):
             if gcd(p, q) == 1:
-                assert torus_delta(p, q) * cyc(p) * cyc(q) == cyc(p * q) * cyc(1), (p, q)
+                assert torus_delta(p, q) * _cyc(p) * _cyc(q) == _cyc(p * q) * _cyc(1), (p, q)
+
+
+@given(st.integers(1, 300), st.integers(1, 300))
+def test_torus_delta_times_its_denominator_is_its_numerator_at_random(p, q):
+    if gcd(p, q) == 1:
+        assert torus_delta(p, q) * _cyc(p) * _cyc(q) == _cyc(p * q) * _cyc(1)
 
 
 def test_large_torus_atom_is_refused_before_its_polynomial(no_polynomial):
@@ -458,6 +466,19 @@ def test_atom_params_match_the_built_polynomial_on_a_grid():
     for text in atoms:
         atom = parse_knot_expr(text).terms[0][2]
         assert alexander.atom_params(atom) == staircase_params(_built_delta(atom)), text
+
+
+def _interleaved_params(delta):
+    """The staircase parameters (c_1, -c_m, c_2, -c_(m-1), ..., c_m, -c_1)
+    interleaved from the gaps c_i of staircase_data."""
+    c = staircase_data(delta).c
+    return tuple(v for i in range(len(c)) for v in (c[i], -c[len(c) - 1 - i]))
+
+
+def test_staircase_params_interleave_the_gaps_on_the_grid():
+    for text in _grid_atoms():
+        delta = _built_delta(parse_knot_expr(text).terms[0][2])
+        assert staircase_params(delta) == _interleaved_params(delta), text
 
 
 @given(st.integers(2, 12), st.integers(3, 60))

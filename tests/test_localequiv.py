@@ -22,7 +22,6 @@ from knotcalc.localmaps import (
     prepare_standard,
     prepare_target,
     short_map,
-    verify_local_map,
 )
 from knotcalc.standard import EQ, GT, LT, build_standard, lex_cmp, negate, phi, shift
 from test_homology import fig2
@@ -49,8 +48,8 @@ def test_rep_witnesses_verify():
     r = standard_rep(c)
     s = build_standard(r.params)
     fwd, bwd = r.witnesses
-    assert verify_local_map(s, reduce(c), fwd)
-    assert verify_local_map(reduce(c), s, bwd)
+    assert witness.check_witness(prepare_target(s), prepare_target(reduce(c)), fwd)
+    assert witness.check_witness(prepare_target(reduce(c)), prepare_target(s), bwd)
 
 
 def test_rep_trace_records_candidates():

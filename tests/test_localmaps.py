@@ -29,7 +29,6 @@ from knotcalc.localmaps import (
     exists_local_map,
     exists_short_local_map,
     prepare_target,
-    verify_local_map,
 )
 from knotcalc.localequiv import standard_rep
 from knotcalc.standard import GT, build_standard, lex_cmp
@@ -42,7 +41,7 @@ SMALL = [()] + [(a, b) for a in (1, -1, 2, -2) for b in (1, -1, 2, -2)]
 def test_unit_into_trefoil_like():
     w = exists_local_map(unit_complex(), build_standard((1, -1)))
     assert w is not None
-    assert verify_local_map(unit_complex(), build_standard((1, -1)), w)
+    assert check_witness(prepare_target(unit_complex()), prepare_target(build_standard((1, -1))), w)
 
 
 def test_trefoil_like_into_unit_fails():
@@ -53,7 +52,7 @@ def test_identity_map_exists():
     for p in [(), (1, -1), (1, -2, 2, -1), (-2, 1)]:
         c = build_standard(p)
         w = exists_local_map(c, c)
-        assert w is not None and verify_local_map(c, c, w)
+        assert w is not None and check_witness(prepare_target(c), prepare_target(c), w)
 
 
 def test_rejects_non_knot_like():
@@ -262,7 +261,7 @@ def test_witness_structure():
     assert w is not None
     image = dict(w.assignment)
     assert image["x0"]  # the tower generator must go somewhere
-    assert verify_local_map(s, c, w)
+    assert check_witness(prepare_target(s), prepare_target(c), w)
 
 
 def test_witness_verification_rejects_tampering():
@@ -275,7 +274,7 @@ def test_witness_verification_rejects_tampering():
         assignment=tuple((src, ()) for src, _ in w.assignment),
         v_shift=w.v_shift,
     )
-    assert not verify_local_map(s, c, broken)
+    assert not check_witness(prepare_target(s), prepare_target(c), broken)
 
 
 # --- the sparse definition check against the every-source loop ---------------
@@ -446,12 +445,13 @@ def test_check_refuses_an_ambiguous_witness():
     # over F2, x0 -> x0 + x0 is the zero map, and a source listed twice has
     # no one image; the check must not read either as the identity
     c = build_standard((1, -1))
+    p = prepare_target(c)
     ident = tuple((g.name, ((UNIT, g.name),)) for g in c.gens)
-    assert verify_local_map(c, c, LocalMapWitness(ident, 0))
+    assert check_witness(p, p, LocalMapWitness(ident, 0))
     doubled = (("x0", ((UNIT, "x0"), (UNIT, "x0"))), *ident[1:])
     relisted = (("x0", ()), *ident)
-    assert not verify_local_map(c, c, LocalMapWitness(doubled, 0))
-    assert not verify_local_map(c, c, LocalMapWitness(relisted, 0))
+    assert not check_witness(p, p, LocalMapWitness(doubled, 0))
+    assert not check_witness(p, p, LocalMapWitness(relisted, 0))
 
 
 def test_witnesses_are_deterministic():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import box, check_complex, direct_sum, scramble
 from knotcalc.algebra import Monomial, mono
-from knotcalc.alexander import parse_poly
+from knotcalc.alexander import LaurentPoly, parse_poly
 from knotcalc.cli import run
 from knotcalc.errors import (
     DegreeViolationError,
@@ -358,11 +358,33 @@ def test_poly_errors_carry_columns():
         ("t^2 + 2\u00b2", "expected '+' or '-'", 8),
         (f"t^{LONG}+1", "integer literal too long", 3),
         (f"1 - {LONG}t", "integer literal too long", 5),
+        # whitespace stands between tokens, never inside a number
+        ("1 0t", "expected '+' or '-'", 3),
+        ("t^1 0", "expected '+' or '-'", 5),
+        ("2\t3", "expected '+' or '-'", 3),
     ]:
         with pytest.raises(ParseError) as e:
             parse_poly(text)
         assert str(e.value) == f"{message} at column {column}"
         assert e.value.column == column and e.value.line is None
+
+
+def test_poly_whitespace_is_read_as_in_a_recipe():
+    # whitespace of any kind may stand between tokens, before the first one too
+    assert str(parse_poly("t ^ 2 - 1")) == "t^2-1"
+    for text in ("  t^2-t+1", "t^2\t-\tt + 1", "t ^ 2 - t+1", " \t- 2 t + 3 \n"):
+        assert parse_poly(text) == parse_poly("".join(text.split())), text
+
+
+@given(st.dictionaries(st.integers(0, 60), st.integers(-10**6, 10**6), max_size=8),
+       st.lists(st.sampled_from(["", " ", "\t", "  "]), min_size=1))
+def test_poly_str_parses_back(coeffs, spaces):
+    poly = LaurentPoly(coeffs)
+    assert parse_poly(str(poly)) == poly
+    # and with whitespace between its tokens
+    tokens = re.findall(r"\d+|.", str(poly))
+    spaced = "".join(spaces[k % len(spaces)] + token for k, token in enumerate(tokens))
+    assert parse_poly(spaced) == poly
 
 
 _FUZZ_ALPHABET = st.sampled_from(
